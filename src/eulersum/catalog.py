@@ -11,7 +11,7 @@ log-power model cannot carry their constant offsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -29,7 +29,6 @@ from .oracle import (
     EvalResult,
     Integrand,
     Method,
-    SeriesConfig,
     TailParams,
     Variant,
     quadrature,
@@ -76,34 +75,18 @@ def _register(ident: Identity):
     CATALOG[ident.id] = ident
 
 
-def _scaled(config: SeriesConfig, scale: int) -> SeriesConfig:
-    if scale == 1:
-        return config
-    return SeriesConfig(
-        max_terms=config.max_terms * scale,
-        tail_mode=config.tail_mode,
-        accel=config.accel,
-        target_tol=config.target_tol,
-    )
+def _trunc(config, term, g, d) -> EvalResult:
+    return truncated_series(term, config, TailParams(growth=g, denom_degree=d))
 
 
-def _trunc(config, term, g, d, scale=1) -> EvalResult:
-    return truncated_series(term, _scaled(config, scale), TailParams(growth=g, denom_degree=d))
-
-
-def _trunc_combo(config, parts, scale=1) -> EvalResult:
+def _trunc_combo(config, parts) -> EvalResult:
     """Signed combination of separately-tailed truncated series."""
     weight = sum(abs(c) for c, _, _, _ in parts)
+    cfg = replace(config, target_tol=config.target_tol / weight)
     value = 0.0
     est = 0.0
     work = 0
     for coef, term, g, d in parts:
-        cfg = SeriesConfig(
-            max_terms=config.max_terms * scale,
-            tail_mode=config.tail_mode,
-            accel=config.accel,
-            target_tol=config.target_tol / weight,
-        )
         res = truncated_series(term, cfg, TailParams(growth=g, denom_degree=d))
         value += coef * res.value
         est += abs(coef) * res.abs_error_estimate
@@ -377,7 +360,7 @@ _register(Identity(
     description="window sum of H_n^3",
     closed=_corrected_only(lambda a, k: linear_sums.sum_H1cubed_window(a, k)),
     oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h1 ** 3 / ((ns + a) * (ns + a + k)), g=3, d=2, scale=10),
+        cfg, lambda ns, e: e.h1 ** 3 / ((ns + a) * (ns + a + k)), g=3, d=2),
     validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
     tol=1e-6,
     grid=_grid(a=_A3, k=(1, 2)),
@@ -392,7 +375,7 @@ _register(Identity(
         (1.0, lambda ns, e: e.h1 ** 3 / ((ns + a) * (ns + a + k)), 3, 2),
         (-3.0, lambda ns, e: e.h1 * e.h2 / ((ns + a) * (ns + a + k)), 1, 2),
         (2.0, lambda ns, e: e.h3 / ((ns + a) * (ns + a + k)), 0, 2),
-    ], scale=10),
+    ]),
     validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
     tol=1e-6,
     grid=_grid(a=_A3, k=(1, 2)),
@@ -634,13 +617,12 @@ def _gf_closed(kind: linear_sums.GfKind):
     return closed
 
 
-def _gf_oracle(kind: linear_sums.GfKind, quadrature_kind: bool = False):
+def _gf_oracle(kind: linear_sums.GfKind):
     def oracle(cfg, **p):
         res = linear_sums.gf_two_sided(kind, **p)
         est = 1e-13 * max(1.0, abs(res.lhs))
-        method = Method.QUADRATURE if quadrature_kind else Method.TRUNCATED
-        return EvalResult(value=res.lhs, abs_error_estimate=est, method=method,
-                          work=linear_sums._GF_MAX_TERMS)
+        return EvalResult(value=res.lhs, abs_error_estimate=est, method=Method.TRUNCATED,
+                          work=res.work)
 
     return oracle
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import catalog
 from .errors import ConvergenceError, DomainError, EulersumError, PoleError
@@ -26,7 +26,7 @@ from .oracle import (
     verify_identity,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 _ENV_MAX_TERMS = "EULERSUM_MAX_TERMS"
 
 
@@ -42,6 +42,7 @@ class ReportDocument:
             "schema_version": self.schema_version,
             "config": {
                 "max_terms": self.config.max_terms,
+                "min_terms": self.config.min_terms,
                 "tail_mode": self.config.tail_mode.value,
                 "accel": self.config.accel.value,
                 "target_tol": self.config.target_tol,
@@ -67,6 +68,8 @@ def _record_obj(r) -> dict:
         "rel_residual": r.rel_residual,
         "status": r.status.value,
         "oracle_error_bound": r.oracle_error_bound,
+        "terms": r.terms,
+        "reason": r.reason,
     }
 
 
@@ -142,8 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = ident.closed(variant, **params)
         rows.append(("closed", value, 0.0, 0))
     if args.method in ("oracle", "both"):
-        cfg = SeriesConfig(max_terms=config.max_terms, target_tol=args.tol / 10.0)
-        res = ident.oracle(cfg, **params)
+        res = ident.oracle(replace(config, target_tol=args.tol / 10.0), **params)
         rows.append((res.method.value, res.value, res.abs_error_estimate, res.work))
     print(f"{ident.id}  " + " ".join(f"{k}={v}" for k, v in sorted(params.items())))
     for method, value, err, work in rows:

@@ -224,6 +224,7 @@ class GfKind(str, enum.Enum):
 class GfResult:
     lhs: float
     rhs: float
+    work: int = 0  # terms the direct sum used, or quadrature nodes
 
     @property
     def residual(self) -> float:
@@ -249,12 +250,12 @@ def _geom_terms(x: float) -> int:
     return n
 
 
-def _lhs_lemma13(x: float, a: float, s: int) -> float:
+def _lhs_lemma13(x: float, a: float, s: int, n_max: int) -> float:
     # sum_n x^n/(n+a)^s * sum_{j<n} x^(n-j)/j, inner sum by recurrence
     acc = 0.0
     c = 0.0
     xn = 1.0
-    for n in range(1, _geom_terms(x) + 1):
+    for n in range(1, n_max + 1):
         if n > 1:
             c = x * (c + 1.0 / (n - 1))
         xn *= x
@@ -272,11 +273,10 @@ def _rhs_lemma13(x: float, a: float, s: int) -> float:
     return out
 
 
-def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int) -> float:
+def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int, n_max: int) -> float:
     acc = 0.0
     cx = cy = 0.0
     xn = yn = 1.0
-    n_max = max(_geom_terms(x), _geom_terms(y))
     for n in range(1, n_max + 1):
         if n > 1:
             cx = x * (cx + 1.0 / (n - 1))
@@ -323,7 +323,7 @@ def _both_hn_hm(x: float, m: int) -> GfResult:
         s1m += h1 * xn / float(n) ** m
         rsum += _log_remainder(x, n, n_max) / float(n) ** m
     rhs = (s1m + rsum) / (1.0 - x)
-    return GfResult(lhs=lhs, rhs=rhs)
+    return GfResult(lhs=lhs, rhs=rhs, work=n_max)
 
 
 def _both_nested_reflect(x: float, y: float, p: int, m: int) -> GfResult:
@@ -338,7 +338,7 @@ def _both_nested_reflect(x: float, y: float, p: int, m: int) -> GfResult:
         inny += yn / float(n) ** m
         lh += yn * innx / float(n) ** m + xn * inny / float(n) ** p
     rhs = polylog(p, x) * polylog(m, y) + polylog(p + m, x * y)
-    return GfResult(lhs=lh, rhs=rhs)
+    return GfResult(lhs=lh, rhs=rhs, work=n_max)
 
 
 def _both_sq_diff(x: float) -> GfResult:
@@ -352,7 +352,7 @@ def _both_sq_diff(x: float) -> GfResult:
         h2 += 1.0 / (n * n)
         lhs += (h1 * h1 - h2) * xn
     rhs = math.log(1.0 - x) ** 2 / (1.0 - x)
-    return GfResult(lhs=lhs, rhs=rhs)
+    return GfResult(lhs=lhs, rhs=rhs, work=n_max)
 
 
 def _both_hn_h2(x: float) -> GfResult:
@@ -368,7 +368,7 @@ def _both_hn_h2(x: float) -> GfResult:
         lhs += h1 * h2 * xn
         s12 += h1 * xn / (n * n)
     rhs = (2.0 * polylog(3, x) - math.log(1.0 - x) * polylog(2, x) - s12) / (1.0 - x)
-    return GfResult(lhs=lhs, rhs=rhs)
+    return GfResult(lhs=lhs, rhs=rhs, work=n_max)
 
 
 def _h_series(s: int, a: float, x: float) -> float:
@@ -378,8 +378,8 @@ def _h_series(s: int, a: float, x: float) -> float:
 def _both_moment_ident(x: float, a: float, b: float, n: int, m: int) -> GfResult:
     from .oracle import Integrand, quadrature
 
-    lhs = quadrature(Integrand.LEMMA_MOMENT, {"x": x, "a": a, "b": b, "n": n, "m": m},
-                     tol=1e-12).value
+    quad = quadrature(Integrand.LEMMA_MOMENT, {"x": x, "a": a, "b": b, "n": n, "m": m},
+                      tol=1e-12)
     rhs = 0.0
     for kk in range(1, m):
         rhs += (-1.0) ** (kk - 1) * x ** (n + b) / (n + b) ** kk * _h_series(m + 1 - kk, a, x)
@@ -388,21 +388,21 @@ def _both_moment_ident(x: float, a: float, b: float, n: int, m: int) -> GfResult
         + sum(x ** (kk + a + b) / (kk + a + b) for kk in range(1, n + 1))
         - _h_series(1, a + b, x)
     )
-    return GfResult(lhs=lhs, rhs=rhs)
+    return GfResult(lhs=quad.value, rhs=rhs, work=quad.work)
 
 
 def _both_moment_ident_zero(x: float, b: float, n: int, m: int) -> GfResult:
     from .oracle import Integrand, quadrature
 
-    lhs = quadrature(Integrand.LEMMA_MOMENT_ZERO, {"x": x, "b": b, "n": n, "m": m},
-                     tol=1e-12).value
+    quad = quadrature(Integrand.LEMMA_MOMENT_ZERO, {"x": x, "b": b, "n": n, "m": m},
+                      tol=1e-12)
     rhs = 0.0
     for i in range(1, m):
         rhs += (-1.0) ** (i - 1) / (n + b) ** i * x ** (n + b) * polylog(m + 1 - i, x)
     sgn = (-1.0) ** (m - 1)
     rhs += sgn / (n + b) ** m * sum(x ** (j + b) / (j + b) for j in range(1, n + 1))
     rhs += sgn / (n + b) ** m * (x ** (n + b) * polylog(1, x) - _h_series(1, b, x))
-    return GfResult(lhs=lhs, rhs=rhs)
+    return GfResult(lhs=quad.value, rhs=rhs, work=quad.work)
 
 
 def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
@@ -414,7 +414,9 @@ def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
         s = int(params["s"])
         if s < 2:
             raise DomainError("lemma13 requires s >= 2")
-        return GfResult(lhs=_lhs_lemma13(x, a, s), rhs=_rhs_lemma13(x, a, s))
+        n_max = _geom_terms(x)
+        return GfResult(lhs=_lhs_lemma13(x, a, s, n_max), rhs=_rhs_lemma13(x, a, s),
+                        work=n_max)
     if kind is GfKind.LEMMA13_TWO_VAR:
         x = _require_open_x(params["x"])
         y = _require_open_x(params["y"], "y")
@@ -422,8 +424,9 @@ def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
         s = int(params["s"])
         if s < 1:
             raise DomainError("lemma13_two_var requires s >= 1")
-        return GfResult(lhs=_lhs_lemma13_two_var(x, y, a, s),
-                        rhs=_rhs_lemma13_two_var(x, y, a, s))
+        n_max = max(_geom_terms(x), _geom_terms(y))
+        return GfResult(lhs=_lhs_lemma13_two_var(x, y, a, s, n_max),
+                        rhs=_rhs_lemma13_two_var(x, y, a, s), work=n_max)
     if kind is GfKind.HN_H2:
         return _both_hn_h2(_require_open_x(params["x"]))
     if kind is GfKind.HN_HM:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -52,7 +52,8 @@ class Status(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    max_terms: int = 10**6
+    max_terms: int = 10**6       # cap on the terms a truncated series may sum
+    min_terms: int = 1 << 12     # first N of the doubling search
     tail_mode: TailMode = TailMode.LOG_POWER_INTEGRAL
     accel: AccelMode = AccelMode.ALTERNATING_CVZ
     target_tol: float = 1e-9
@@ -60,6 +61,8 @@ class SeriesConfig:
     def __post_init__(self):
         if self.max_terms < 10:
             raise DomainError("SeriesConfig.max_terms must be >= 10")
+        if self.min_terms < 10:
+            raise DomainError("SeriesConfig.min_terms must be >= 10")
         if not self.target_tol > 0.0:
             raise DomainError("SeriesConfig.target_tol must be > 0")
 
@@ -93,6 +96,8 @@ class VerificationRecord:
     rel_residual: float
     status: Status
     oracle_error_bound: float
+    terms: int = 0    # the oracle's EvalResult.work; 0 when it did not run
+    reason: str = ""  # why the case is INCONCLUSIVE; empty otherwise
 
 
 @dataclass(frozen=True)
@@ -185,13 +190,17 @@ def truncated_series(
     tail: TailParams,
     chunk: int = 1 << 20,
 ) -> EvalResult:
-    """Partial sum over n = 1..max_terms plus an analytic tail correction.
+    """Partial sum over n = 1..N plus an analytic tail correction, with N
+    doubled from config.min_terms until the certified error meets the target.
 
     The tail is the scaled log-power model integral from the midpoint
     N + 1/2; the error estimate is twice the disagreement with the same
-    evaluation truncated at N/2, plus drift and roundoff floors.  Raises
-    ConvergenceError when the certified estimate misses config.target_tol or
-    when the denominator degree would leave a divergent tail.
+    evaluation truncated at N/2, plus drift and roundoff floors.  Each
+    doubling extends the running prefix sums, and the previous N is the new
+    N/2 checkpoint.  config.max_terms caps N; the last step stops exactly at
+    the cap.  Raises ConvergenceError when the estimate at the cap still
+    misses config.target_tol or when the denominator degree would leave a
+    divergent tail.
     """
     g = tail.growth
     d = tail.denom_degree
@@ -199,29 +208,21 @@ def truncated_series(
         raise ConvergenceError(f"denominator degree {d} < 2: tail does not converge")
     if config.tail_mode is TailMode.EULER_MACLAURIN:
         g = 0
-    n_total = int(config.max_terms)
-    n_half = max(8, n_total // 2)
+    n_cap = int(config.max_terms)
+    steps = [min(int(config.min_terms), n_cap)]
+    while steps[-1] < n_cap:
+        steps.append(min(2 * steps[-1], n_cap))
+
+    def half(n: int) -> int:
+        return max(8, n // 2)
+
+    boundaries = sorted({b for n in steps for b in (half(n), n)})
+    evaluate = set(steps)
 
     env = SeriesEnv()
     total = _LD(0.0)
     abs_total = _LD(0.0)
     checkpoints: dict[int, tuple[float, tuple[float, ...]]] = {}  # N -> (sum, last 4 terms)
-
-    start = 1
-    buf = np.zeros(0, dtype=_LD)
-    for boundary in (n_half, n_total):
-        while start <= boundary:
-            stop = min(boundary, start + chunk - 1)
-            ns_int = np.arange(start, stop + 1, dtype=np.int64)
-            ns = ns_int.astype(_LD)
-            env._set_chunk(ns_int, ns)
-            t = term_fn(ns, env)
-            total += t.sum()
-            abs_total += np.abs(t).sum()
-            buf = np.concatenate([buf, t[-4:]])[-4:]
-            if stop == boundary:
-                checkpoints[boundary] = (float(total), tuple(float(v) for v in buf))
-            start = stop + 1
 
     def tail_corrected(n_stop: int) -> tuple[float, float]:
         s, t4 = checkpoints[n_stop]
@@ -247,17 +248,34 @@ def truncated_series(
         floor = 8.0 * (abs(lam) + abs(mu) / x0) * _log_power_integral(g, d + 2, x0)
         return s + correction, floor
 
-    value_half, _ = tail_corrected(n_half)
-    value, tail_floor = tail_corrected(n_total)
-    scale = max(float(abs_total), abs(value))
-    roundoff = 128.0 * _LD_EPS * math.sqrt(n_total) * scale + 16.0 * _FLOAT_EPS * scale
-    est = 2.0 * abs(value - value_half) + tail_floor + roundoff
-    if est > config.target_tol:
-        raise ConvergenceError(
-            f"truncated series: certified error {est:.3e} exceeds target "
-            f"{config.target_tol:.3e} at max_terms={n_total}"
-        )
-    return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED, work=n_total)
+    start = 1
+    buf = np.zeros(0, dtype=_LD)
+    for boundary in boundaries:
+        while start <= boundary:
+            stop = min(boundary, start + chunk - 1)
+            ns_int = np.arange(start, stop + 1, dtype=np.int64)
+            ns = ns_int.astype(_LD)
+            env._set_chunk(ns_int, ns)
+            t = term_fn(ns, env)
+            total += t.sum()
+            abs_total += np.abs(t).sum()
+            buf = np.concatenate([buf, t[-4:]])[-4:]
+            start = stop + 1
+        checkpoints[boundary] = (float(total), tuple(float(v) for v in buf))
+        if boundary not in evaluate:
+            continue
+        value_half, _ = tail_corrected(half(boundary))
+        value, tail_floor = tail_corrected(boundary)
+        scale = max(float(abs_total), abs(value))
+        roundoff = 128.0 * _LD_EPS * math.sqrt(boundary) * scale + 16.0 * _FLOAT_EPS * scale
+        est = 2.0 * abs(value - value_half) + tail_floor + roundoff
+        if est <= config.target_tol:
+            return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED,
+                              work=boundary)
+    raise ConvergenceError(
+        f"truncated series: certified error {est:.3e} exceeds target "
+        f"{config.target_tol:.3e} at max_terms={n_cap}"
+    )
 
 
 def accelerated_alternating(
@@ -431,12 +449,12 @@ class GridResult:
     inconclusive: int
 
 
-def _inconclusive(case: IdentityCase, closed=math.nan, oracle=math.nan,
-                  bound=math.inf) -> VerificationRecord:
+def _inconclusive(case: IdentityCase, exc: Exception, closed=math.nan) -> VerificationRecord:
     return VerificationRecord(
-        case=case, closed_value=closed, oracle_value=oracle,
+        case=case, closed_value=closed, oracle_value=math.nan,
         abs_residual=math.nan, rel_residual=math.nan,
-        status=Status.INCONCLUSIVE, oracle_error_bound=bound,
+        status=Status.INCONCLUSIVE, oracle_error_bound=math.inf,
+        reason=f"{type(exc).__name__}: {exc}",
     )
 
 
@@ -451,36 +469,34 @@ def verify_identity(case: IdentityCase, config: SeriesConfig | None = None) -> V
     from . import catalog
 
     ident = catalog.get(case.identity_id)
-    base = config or SeriesConfig()
-    oracle_cfg = SeriesConfig(
-        max_terms=base.max_terms,
-        tail_mode=base.tail_mode,
-        accel=base.accel,
-        target_tol=case.tol / 10.0,
-    )
+    oracle_cfg = replace(config or SeriesConfig(), target_tol=case.tol / 10.0)
     try:
         ident.validate(**case.params)
         closed = ident.closed(case.variant, **case.params)
-    except (DomainError, PoleError, ConvergenceError):
-        return _inconclusive(case)
+    except (DomainError, PoleError, ConvergenceError) as exc:
+        return _inconclusive(case, exc)
     try:
         oracle_res = ident.oracle(oracle_cfg, **case.params)
-    except (ConvergenceError, DomainError, PoleError):
-        return _inconclusive(case, closed=closed)
+    except (ConvergenceError, DomainError, PoleError) as exc:
+        return _inconclusive(case, exc, closed=closed)
 
     abs_res = abs(closed - oracle_res.value)
     denom = max(1.0, abs(oracle_res.value))
     rel_res = abs_res / abs(oracle_res.value) if oracle_res.value != 0.0 else math.inf
+    bound = oracle_res.abs_error_estimate
+    reason = ""
     if abs_res <= case.tol * denom:
         status = Status.CONFIRMED
-    elif oracle_res.abs_error_estimate <= case.tol / 10.0:
+    elif bound <= case.tol / 10.0:
         status = Status.REFUTED
     else:
         status = Status.INCONCLUSIVE
+        reason = (f"residual {abs_res:.3e} misses tol {case.tol:.3e} but oracle bound "
+                  f"{bound:.3e} exceeds tol/10")
     return VerificationRecord(
         case=case, closed_value=closed, oracle_value=oracle_res.value,
         abs_residual=abs_res, rel_residual=rel_res, status=status,
-        oracle_error_bound=oracle_res.abs_error_estimate,
+        oracle_error_bound=bound, terms=oracle_res.work, reason=reason,
     )
 
 

@@ -151,11 +151,11 @@ def test_criterion_4_identity_suite(suite_result):
     corrected = [r for r in result.records if r.case.variant is Variant.CORRECTED]
     not_confirmed = [r for r in corrected if r.status is not Status.CONFIRMED]
     size_ok = 190 <= len(cases) <= 260
-    ok = not not_confirmed and size_ok and elapsed < 120.0
+    ok = not not_confirmed and size_ok and elapsed < 10.0
     _report(4, "default identity suite all CONFIRMED",
             ok,
             f"{len(corrected)} corrected cases, {len(not_confirmed)} failures, "
-            f"{elapsed:.1f}s of 120s budget")
+            f"{elapsed:.1f}s of 10s budget")
 
 
 def test_criterion_5_known_value_regressions():
@@ -226,10 +226,15 @@ def test_criterion_8_oracle_certification(suite_result):
             ok = False
         if rec.oracle_error_bound > rec.case.tol / 10.0 * max(1.0, abs(rec.oracle_value)):
             ok = False
-    # doubling max_terms must not change any status
-    doubled = grid_verify(cases, SeriesConfig(max_terms=2 * 10**6))
-    flips = sum(
-        1 for a, b in zip(result.records, doubled.records) if a.status is not b.status
-    )
+    # forcing every series to start at twice the terms it chose must change no
+    # status, and the two values must agree within their combined bounds
+    flips = 0
+    disagreements = 0
+    for rec in result.records:
+        again = verify_identity(rec.case, SeriesConfig(min_terms=max(10, 2 * rec.terms)))
+        flips += again.status is not rec.status
+        disagreements += not (abs(again.oracle_value - rec.oracle_value)
+                              <= rec.oracle_error_bound + again.oracle_error_bound)
     _report(8, "oracle error bounds certified and stable under doubling",
-            ok and flips == 0, f"{flips} status flips")
+            ok and flips == 0 and disagreements == 0,
+            f"{flips} status flips, {disagreements} values outside their combined bounds")

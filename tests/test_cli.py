@@ -50,13 +50,16 @@ def test_verify_single_identity_writes_json(tmp_path, capsys):
     code, out, _ = run(["verify", "--identity", "eq2.14", "--out", str(out_file)], capsys)
     assert code == 0
     payload = json.loads(out_file.read_text())
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
+    assert payload["config"]["min_terms"] == 4096
     assert payload["summary"]["confirmed"] == len(payload["records"])
     assert payload["summary"]["refuted"] == 0
     for rec in payload["records"]:
         assert rec["status"] == "CONFIRMED"
         assert rec["identity"] == "eq2.14"
         assert rec["oracle_error_bound"] <= rec["abs_residual"] + 1e-8
+        assert 4096 <= rec["terms"] <= payload["config"]["max_terms"]
+        assert rec["reason"] == ""
 
 
 def test_verify_as_printed_reports_refutation_and_exits_zero(tmp_path, capsys):

@@ -24,6 +24,7 @@ from eulersum import (
     sum_shiftedH_over_nsq,
     sum_sq_diff_window,
 )
+from eulersum import catalog
 from eulersum.oracle import SeriesConfig, TailParams, truncated_series
 
 Z2 = riemann_zeta(2)
@@ -205,6 +206,17 @@ class TestGeneratingFunctions:
                                    x=x, a=0.5, b=2.0, n=n, m=m) <= 1e-9
                     assert gf_eval(GfKind.MOMENT_IDENT_ZERO,
                                    x=x, b=0.5, n=n, m=m) <= 1e-9
+
+    def test_work_counts(self):
+        # direct sums report the terms they summed, moment kinds their
+        # quadrature nodes, and the catalog's direct-sum oracles pass it on
+        near, far = (gf_two_sided(GfKind.HN_H2, x=x).work for x in (0.1, -0.8))
+        assert 0 < near < far < 1000
+        moment = gf_two_sided(GfKind.MOMENT_IDENT, x=0.3, a=0.5, b=2.0, n=1, m=2)
+        assert moment.work > 0
+        params = catalog.get("eq1.24").grid[0]
+        oracle = catalog.get("eq1.24").oracle(SeriesConfig(), **params)
+        assert oracle.work == gf_two_sided(GfKind.LEMMA13_TWO_VAR, **params).work > 0
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):

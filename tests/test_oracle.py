@@ -1,5 +1,6 @@
 """Oracle engines: truncated summation, alternating acceleration, tanh-sinh
 quadrature, and the verification driver's status logic."""
+import dataclasses
 import math
 
 import pytest
@@ -30,9 +31,11 @@ def test_series_config_guards():
     with pytest.raises(DomainError):
         SeriesConfig(max_terms=5)
     with pytest.raises(DomainError):
+        SeriesConfig(min_terms=5)
+    with pytest.raises(DomainError):
         SeriesConfig(target_tol=0.0)
     cfg = SeriesConfig()
-    assert cfg.max_terms == 10**6 and cfg.target_tol == 1e-9
+    assert cfg.max_terms == 10**6 and cfg.min_terms == 4096 and cfg.target_tol == 1e-9
 
 
 def test_eval_result_guard():
@@ -41,12 +44,12 @@ def test_eval_result_guard():
 
 
 def test_truncated_basel():
-    cfg = SeriesConfig(target_tol=1e-9)
+    cfg = SeriesConfig(target_tol=1e-12)
     res = truncated_series(lambda ns, e: 1.0 / (ns * ns), cfg,
                            TailParams(growth=0, denom_degree=2))
     assert abs(res.value - riemann_zeta(2)) <= 1e-12
-    assert res.abs_error_estimate <= 1e-9
-    assert res.work == 10**6
+    assert res.abs_error_estimate <= 1e-12
+    assert res.work < 10**6
 
 
 def test_truncated_known_window():
@@ -62,26 +65,49 @@ def test_truncated_rejects_divergent():
         truncated_series(lambda ns, e: 1.0 / ns, cfg, TailParams(growth=0, denom_degree=1))
 
 
+_HONEST_SHAPES = [
+    (lambda ns, e: 1.0 / (ns * ns), 0, 2, riemann_zeta(2)),
+    (lambda ns, e: e.h1 / ((ns + 1.0) * (ns + 2.0)), 1, 2, 1.0),
+    (lambda ns, e: e.h1 / (ns + 1.0) ** 2, 1, 2, riemann_zeta(3)),
+    (lambda ns, e: e.hb1 / ((ns + 1.0) * (ns + 2.0)), 0, 2, 2.0 * LN2 - 1.0),
+]
+
+
 def test_truncated_error_estimate_is_honest():
     # true error must sit inside the reported estimate on assorted shapes
     cfg = SeriesConfig(target_tol=1e-6)
-    cases = [
-        (lambda ns, e: 1.0 / (ns * ns), 0, 2, riemann_zeta(2)),
-        (lambda ns, e: e.h1 / ((ns + 1.0) * (ns + 2.0)), 1, 2, 1.0),
-        (lambda ns, e: e.h1 / (ns + 1.0) ** 2, 1, 2, riemann_zeta(3)),
-        (lambda ns, e: e.hb1 / ((ns + 1.0) * (ns + 2.0)), 0, 2, 2.0 * LN2 - 1.0),
-    ]
-    for term, g, d, truth in cases:
+    for term, g, d, truth in _HONEST_SHAPES:
         res = truncated_series(term, cfg, TailParams(growth=g, denom_degree=d))
         assert abs(res.value - truth) <= res.abs_error_estimate
 
 
+def test_truncated_adaptive_doubling():
+    # N doubles from min_terms and stops at the first certified N; a cap
+    # below that N raises instead of returning an uncertified value
+    for min_terms, tol in ((4096, 1e-10), (1000, 1e-12)):
+        cfg = SeriesConfig(min_terms=min_terms, target_tol=tol)
+        for term, g, d, truth in _HONEST_SHAPES:
+            tail = TailParams(growth=g, denom_degree=d)
+            res = truncated_series(term, cfg, tail)
+            ratio = res.work // min_terms
+            assert res.work == min_terms * ratio and ratio & (ratio - 1) == 0
+            assert res.abs_error_estimate <= tol
+            assert abs(res.value - truth) <= res.abs_error_estimate
+            if res.work > min_terms:
+                capped = SeriesConfig(min_terms=min_terms, max_terms=res.work // 2,
+                                      target_tol=tol)
+                with pytest.raises(ConvergenceError):
+                    truncated_series(term, capped, tail)
+
+
 def test_truncated_doubling_self_consistency():
-    # N and 2N runs agree within the combined reported estimates
+    # the chosen N and a run forced to start at twice it agree within the
+    # combined reported estimates
     term = lambda ns, e: e.h1**2 / ((ns + 0.5) * (ns + 2.5))
     tail = TailParams(growth=2, denom_degree=2)
-    r1 = truncated_series(term, SeriesConfig(max_terms=10**6, target_tol=1e-6), tail)
-    r2 = truncated_series(term, SeriesConfig(max_terms=2 * 10**6, target_tol=1e-6), tail)
+    r1 = truncated_series(term, SeriesConfig(target_tol=1e-6), tail)
+    r2 = truncated_series(term, SeriesConfig(min_terms=2 * r1.work, target_tol=1e-6), tail)
+    assert r2.work == 2 * r1.work
     assert abs(r1.value - r2.value) <= r1.abs_error_estimate + r2.abs_error_estimate
 
 
@@ -135,6 +161,9 @@ def test_verify_identity_statuses():
     guard = verify_identity(IdentityCase("eq3.9", {"a": 2.0, "b": 1.0, "k": 1, "p": 1},
                                          tol=1e-8))
     assert guard.status is Status.INCONCLUSIVE
+    assert guard.reason.startswith(("DomainError: ", "PoleError: "))
+    assert ok.reason == bad.reason == ""
+    assert ok.terms >= 4096
 
 
 def test_verify_unknown_identity_raises():
@@ -148,6 +177,20 @@ def test_verify_inconclusive_when_oracle_cannot_meet_tol():
     rec = verify_identity(
         IdentityCase("eq2.22", {"a": 0.5, "k": 1}, tol=1e-10), cfg)
     assert rec.status is Status.INCONCLUSIVE
+    assert rec.reason.startswith("ConvergenceError: ")
+    assert "max_terms=1000" in rec.reason
+
+
+def test_verify_inconclusive_when_oracle_too_loose_to_refute(monkeypatch):
+    # a residual over tol with an oracle bound over tol/10 is neither verdict
+    ident = catalog.get("eq2.13")
+    loose = lambda cfg, **p: EvalResult(value=ident.closed(Variant.CORRECTED, **p) + 1e-3,
+                                        abs_error_estimate=1e-4, method="truncated", work=7)
+    monkeypatch.setitem(catalog.CATALOG, "eq2.13", dataclasses.replace(ident, oracle=loose))
+    rec = verify_identity(IdentityCase("eq2.13", {"a": 1.0, "k": 1, "m": 1}, tol=1e-8))
+    assert rec.status is Status.INCONCLUSIVE
+    assert rec.terms == 7
+    assert "oracle bound 1.000e-04 exceeds tol/10" in rec.reason
 
 
 def test_grid_verify_order_counts_and_empty():
