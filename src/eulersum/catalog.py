@@ -21,6 +21,7 @@ from .errors import ConvergenceError, DomainError
 from .harmonic import (
     alt_harmonic_num,
     harmonic_num,
+    nested_harmonic_sum,
     param_harmonic,
     shifted_harmonic,
     y_moment,
@@ -71,8 +72,27 @@ def ids() -> tuple[str, ...]:
     return tuple(CATALOG)
 
 
+def _arithmetic_guard(ident_id: str, fn):
+    # a raw overflow, a division by zero or a non-finite value means the
+    # parameters lie outside what double precision can evaluate, which callers
+    # handle as a DomainError (a nan closed value would otherwise read REFUTED)
+    def guarded(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"{ident_id}: parameters outside double-precision range "
+                              f"({type(exc).__name__}: {exc})") from exc
+        if isinstance(out, float) and not math.isfinite(out):
+            raise DomainError(f"{ident_id}: parameters outside double-precision range "
+                              f"(value {out})")
+        return out
+
+    return guarded
+
+
 def _register(ident: Identity):
-    CATALOG[ident.id] = ident
+    CATALOG[ident.id] = replace(ident, validate=_arithmetic_guard(ident.id, ident.validate),
+                                closed=_arithmetic_guard(ident.id, ident.closed))
 
 
 def _trunc(config, term, g, d) -> EvalResult:
@@ -131,7 +151,7 @@ def _display_2_18(k: int, m: int) -> float:
     br = riemann_zeta(m + 1)
     br += sum((-1.0) ** (j - 1) * riemann_zeta(m + 1 - j) * harmonic_num(k - 1, j)
               for j in range(1, m))
-    br += (-1.0) ** (m - 1) * sum(harmonic_num(i) / float(i) ** m for i in range(1, k))
+    br += (-1.0) ** (m - 1) * nested_harmonic_sum(k, m)
     return br / k
 
 
@@ -141,10 +161,7 @@ def _display_2_19(r: int, k: int, m: int) -> float:
         * (harmonic_num(k - 1, j) - harmonic_num(r - 1, j))
         for j in range(1, m)
     )
-    br += (-1.0) ** (m - 1) * (
-        sum(harmonic_num(i) / float(i) ** m for i in range(1, k))
-        - sum(harmonic_num(i) / float(i) ** m for i in range(1, r))
-    )
+    br += (-1.0) ** (m - 1) * (nested_harmonic_sum(k, m) - nested_harmonic_sum(r, m))
     return br / (k - r)
 
 
@@ -152,7 +169,7 @@ def _display_2_21(a: float, k: int) -> float:
     return (
         riemann_zeta(2) * param_harmonic(k, 1, a - 1.0)
         - shifted_harmonic(a) * param_harmonic(k, 2, a - 1.0)
-        - sum(param_harmonic(i, 1, a) / (i + a) ** 2 for i in range(1, k))
+        - nested_harmonic_sum(k, 2, a)
     ) / k
 
 
@@ -161,9 +178,7 @@ def _display_4_10(k: int, m: int) -> float:
     br += sum((-1.0) ** (j - 1) * alt_zeta(m + 1 - j) * harmonic_num(k - 1, j)
               for j in range(1, m))
     br += (-1.0) ** (m - 1) * LN2 * (harmonic_num(k - 1, m) + alt_harmonic_num(k - 1, m))
-    br += (-1.0) ** m * sum(
-        (-1.0) ** (i - 1) * alt_harmonic_num(i) / float(i) ** m for i in range(1, k)
-    )
+    br += (-1.0) ** m * nested_harmonic_sum(k, m, alternating=True)
     return br / k
 
 
@@ -177,9 +192,8 @@ def _display_4_11(r: int, k: int, m: int) -> float:
         harmonic_num(k - 1, m) - harmonic_num(r - 1, m)
         + alt_harmonic_num(k - 1, m) - alt_harmonic_num(r - 1, m)
     )
-    br += (-1.0) ** m * sum(
-        (-1.0) ** (i - 1) * alt_harmonic_num(i) / float(i) ** m for i in range(r, k)
-    )
+    br += (-1.0) ** m * (nested_harmonic_sum(k, m, alternating=True)
+                         - nested_harmonic_sum(r, m, alternating=True))
     return br / (k - r)
 
 

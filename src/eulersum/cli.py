@@ -137,6 +137,8 @@ def _coerce_params(ident: catalog.Identity, args: argparse.Namespace) -> dict:
 def cmd_eval(args: argparse.Namespace) -> int:
     ident = catalog.get(args.identity)
     params = _coerce_params(ident, args)
+    if args.as_printed and not ident.has_printed_variant:
+        raise DomainError(f"identity {ident.id} has no printed variant; drop --as-printed")
     ident.validate(**params)
     variant = Variant.AS_PRINTED if args.as_printed else Variant.CORRECTED
     config = _base_config()
@@ -157,18 +159,38 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _parse_grid_file(path: str, default_tol_by_id) -> list[IdentityCase]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"grid file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DomainError("grid file must contain a JSON list of cases")
+    variants = tuple(v.value for v in Variant)
     cases = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "identity" not in entry:
+            raise DomainError(f"grid case {i}: expected an object with an 'identity' key")
         ident = catalog.get(entry["identity"])
-        tol = float(entry.get("tol", default_tol_by_id(ident)))
-        variant = Variant(entry.get("variant", "corrected"))
+        params = entry.get("params")
+        if (not isinstance(params, dict) or set(params) != set(ident.params)
+                or not all(_is_number(v) for v in params.values())):
+            raise DomainError(f"grid case {i}: {ident.id} takes numeric parameters "
+                              f"{', '.join(ident.params)}; got {json.dumps(params)}")
+        variant = entry.get("variant", "corrected")
+        if variant not in variants:
+            raise DomainError(f"grid case {i}: variant must be one of "
+                              f"{', '.join(variants)}; got {variant!r}")
+        tol = entry.get("tol", default_tol_by_id(ident))
+        if not _is_number(tol):
+            raise DomainError(f"grid case {i}: tol must be a number; got {tol!r}")
         cases.append(IdentityCase(
-            identity_id=ident.id, params=dict(entry["params"]), tol=tol, variant=variant,
+            identity_id=ident.id, params=dict(params), tol=float(tol), variant=Variant(variant),
         ))
     return cases
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

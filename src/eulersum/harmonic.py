@@ -76,6 +76,31 @@ def param_harmonic(n: int, s: int, a: float) -> float:
     return acc
 
 
+def nested_harmonic_sum(k: int, m: int, a: float = 0.0, alternating: bool = False) -> float:
+    """sum_{i<k} e_i h_i/(i+a)^m with h_i = sum_{j<=i} e_j/(j+a), in one pass.
+
+    e_j is 1, or (-1)^(j-1) when alternating, so h_i is param_harmonic(i, 1, a),
+    or alt_harmonic_num(i) when alternating at a = 0.  O(k) work, where the
+    same sum over those functions is O(k^2).  A pole raises when some i + a
+    vanishes.
+    """
+    if m < 1 or m != int(m):
+        raise DomainError(f"nested_harmonic_sum requires integer m >= 1, got {m}")
+    m = int(m)
+    a = float(a)
+    acc = h = 0.0
+    sign = 1.0
+    for i in range(1, int(k)):
+        d = i + a
+        if d == 0.0:
+            raise PoleError(f"nested_harmonic_sum pole: i + a = 0 at i={i}")
+        h += sign / d
+        acc += sign * h / d**m
+        if alternating:
+            sign = -sign
+    return acc
+
+
 def shifted_harmonic(alpha: float, m: int = 1) -> float:
     """H_alpha^(m) for real alpha > -1.
 

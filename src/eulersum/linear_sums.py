@@ -2,6 +2,13 @@
 over shifted and window denominators, plus the generating-function and moment
 identities they rest on.
 
+The closed forms are finite expressions in special-function values (zeta,
+Hurwitz zeta, polylogarithms, shifted harmonic numbers) plus sums over the
+window width k; none truncates the series it evaluates.  sum H_(n+c)/n^2 comes
+from a recurrence in c and an asymptotic expansion, in a fixed number of
+operations.  The only direct series sums here are the left sides of the
+generating-function identities, which the catalog uses as their oracles.
+
 Conventions: ``zeta_shift(s, a)`` below always means zeta(s, a+1), i.e. the
 series sum_{n>=1} (n+a)^-s, and ``h_shift(a)`` is the shifted harmonic number
 H_a = psi(a+1) + gamma.
@@ -13,13 +20,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 from .harmonic import param_harmonic, shifted_harmonic, y_moment
-from .specfun import as_shift, hurwitz_zeta, param_polylog, polylog, riemann_zeta
-
-_LD = np.longdouble
+from .specfun import (
+    _BERNOULLI,
+    as_shift,
+    hurwitz_zeta,
+    param_polylog,
+    polylog,
+    riemann_zeta,
+)
 
 
 @dataclass(frozen=True)
@@ -142,36 +152,43 @@ def sum_H1sq_window(a: float, k: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def sum_shiftedH_over_nsq(c: float, n_terms: int = 10**6) -> float:
-    """sum H_(n+c)/n^2 for real c >= 0, absolute error <= 1e-10.
+def sum_shiftedH_over_nsq(c: float, n_terms: int = 16) -> float:
+    """S(c) = sum H_(n+c)/n^2 for real c >= 0, relative error below 1e-15.
 
-    The classical backbone sum H_n/n^2 = 2 zeta(3) plus the absolutely
-    convergent correction sum (H_(n+c) - H_n)/n^2, accumulated with the exact
-    increment recurrence and closed with a scaled 1/x^3 tail.
+    With J = n_terms (default 16), c < J is first shifted up by
+    S(c) = S(c+1) - polylog_moment(2, c+1).  For c >= J, H_(n+c) = H_c +
+    sum_{j<=n} 1/(c+j) gives S(c) = zeta(2) H_c + sum_j psi'(j)/(c+j).  Terms
+    j <= J are summed exactly with psi'(j) = zeta(2) - H_(j-1)^(2); for j > J,
+    psi'(j) ~ 1/j + 1/(2j^2) + sum_{k<=6} B_2k/j^(2k+1) turns the rest into
+    polylog moments minus their first J terms.  The first omitted term,
+    B_14/j^15, is below 1e-18 at j = 17.  The work is O(J) whatever c is.
+    Against a 25-digit integral representation the relative error is at most
+    7e-16 for c in [0.05, 10^6 + 0.5].
     """
     c = float(c)
-    if c < 0.0:
-        raise DomainError(f"sum_shiftedH_over_nsq requires c >= 0, got {c}")
-    backbone = 2.0 * riemann_zeta(3)
+    if not 0.0 <= c < math.inf:
+        raise DomainError(f"sum_shiftedH_over_nsq requires finite c >= 0, got {c}")
     if c == 0.0:
-        return backbone
-    chunk = 1 << 20
-    total = _LD(0.0)
-    carry = _LD(_h_shift(c))  # delta_0 = H_c; delta_n = delta_(n-1) + 1/(n+c) - 1/n
-    start = 1
-    t_prev = t_last = 0.0
-    while start <= n_terms:
-        stop = min(n_terms, start + chunk - 1)
-        ns = np.arange(start, stop + 1, dtype=_LD)
-        delta = carry + np.cumsum(1.0 / (ns + c) - 1.0 / ns)
-        carry = delta[-1]
-        t = delta / (ns * ns)
-        total += t.sum()
-        t_prev, t_last = float(t[-2]), float(t[-1])
-        start = stop + 1
-    lam = 0.5 * (t_prev + t_last) / (0.5 * ((n_terms - 1.0) ** -3 + float(n_terms) ** -3))
-    tail = lam * 0.5 * (n_terms + 0.5) ** -2
-    return backbone + float(total) + tail
+        return 2.0 * riemann_zeta(3)
+    big_j = int(n_terms)
+    if big_j < 1:
+        raise DomainError(f"sum_shiftedH_over_nsq requires n_terms >= 1, got {n_terms}")
+    shift = 0.0
+    while c < big_j:
+        c += 1.0
+        shift -= polylog_moment(2, c)
+    z2 = riemann_zeta(2)
+    out = z2 * _h_shift(c)
+    trigamma = z2  # psi'(j) = zeta(2) - H_(j-1)^(2)
+    for j in range(1, big_j + 1):
+        out += trigamma / (c + j)
+        trigamma -= 1.0 / (j * j)
+    # j > J: each asymptotic piece b_p / j^p summed as b_p sum_{j>J} 1/(j^p (c+j))
+    pieces = [(1, 1.0), (2, 0.5)] + [(2 * k + 1, _BERNOULLI[2 * k]) for k in range(1, 7)]
+    for p, b in pieces:
+        head = sum(1.0 / (j**p * (c + j)) for j in range(big_j, 0, -1))
+        out += b * (polylog_moment(p, c) - head)
+    return out + shift
 
 
 def sum_H1H2_window(a: float, k: int) -> float:

@@ -173,3 +173,56 @@ def test_eval_human_formatting_ten_digits(capsys):
     code, out, _ = run(["eval", "eq2.14", "--a", "1", "--m", "2"], capsys)
     assert code == 0
     assert "0.6449340668" in out
+
+
+@pytest.mark.parametrize("content, message", [
+    ('[{"params": {"a": 1.0, "k": 1, "m": 1}}]', "'identity' key"),
+    ('[{"identity": "eq2.13", ', "not valid JSON"),
+    ('[{"identity": "eq2.13", "params": {"a": 1.0, "k": 1, "m": 1}, "variant": "bogus"}]',
+     "variant must be one of"),
+    ('[{"identity": "eq2.13", "params": {"a": 1.0, "k": 1}}]', "takes numeric parameters a, k, m"),
+], ids=["missing-identity", "invalid-json", "unknown-variant", "missing-parameter"])
+def test_verify_grid_file_faults_exit_2(tmp_path, capsys, content, message):
+    gf = tmp_path / "grid.json"
+    gf.write_text(content)
+    code, out, err = run(["verify", "--grid", str(gf)], capsys)
+    assert code == 2
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and out == ""
+
+
+def test_eval_as_printed_without_printed_variant_exits_2(capsys):
+    code, out, err = run(["eval", "eq2.13", "--a", "1", "--k", "1", "--m", "1",
+                          "--as-printed"], capsys)
+    assert code == 2
+    assert "no printed variant" in err
+    assert out == ""
+
+
+_ARITHMETIC_WITNESSES = [
+    ("eq1.27", {"a": 1e-12, "s": 100}, "ZeroDivisionError"),
+    ("eq2.13", {"a": 1e300, "k": 1, "m": 100}, "OverflowError"),
+    ("eq4.2", {"a": 1e-12, "b": 1e-300}, "value nan"),
+]
+
+
+@pytest.mark.parametrize("ident, params, raw", _ARITHMETIC_WITNESSES)
+def test_eval_arithmetic_failure_exits_2(capsys, ident, params, raw):
+    argv = ["eval", ident] + [f"--{k}={v}" for k, v in params.items()]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert raw in err and "double-precision range" in err
+
+
+def test_verify_arithmetic_failure_is_inconclusive_with_reason(tmp_path, capsys):
+    grid = [{"identity": ident, "params": params} for ident, params, _ in _ARITHMETIC_WITNESSES]
+    gf = tmp_path / "grid.json"
+    gf.write_text(json.dumps(grid))
+    out_file = tmp_path / "out.json"
+    code, _, _ = run(["verify", "--grid", str(gf), "--out", str(out_file)], capsys)
+    assert code == 0
+    records = json.loads(out_file.read_text())["records"]
+    assert [r["status"] for r in records] == ["INCONCLUSIVE"] * len(_ARITHMETIC_WITNESSES)
+    for rec, (_, _, raw) in zip(records, _ARITHMETIC_WITNESSES):
+        assert rec["reason"].startswith("DomainError") and raw in rec["reason"]

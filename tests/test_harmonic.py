@@ -21,6 +21,7 @@ from eulersum import (
     stirling_row,
     y_moment,
 )
+from eulersum.harmonic import nested_harmonic_sum
 from eulersum.oracle import Integrand, quadrature
 
 
@@ -77,6 +78,26 @@ def test_shifted_harmonic_window_identity():
             lhs = shifted_harmonic(alpha + n, m)
             rhs = shifted_harmonic(alpha, m) + param_harmonic(n, m, alpha)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 101])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_nested_harmonic_sum_matches_quadratic_loops(k, m):
+    # references: the O(k^2) expressions the integer-shift displays used before
+    plain = sum(harmonic_num(i) / float(i) ** m for i in range(1, k))
+    assert nested_harmonic_sum(k, m) == pytest.approx(plain, rel=1e-13)
+    alt = sum((-1.0) ** (i - 1) * alt_harmonic_num(i) / float(i) ** m for i in range(1, k))
+    assert nested_harmonic_sum(k, m, alternating=True) == pytest.approx(alt, rel=1e-13)
+    for a in (0.5, 2.5):
+        shifted = sum(param_harmonic(i, 1, a) / (i + a) ** m for i in range(1, k))
+        assert nested_harmonic_sum(k, m, a) == pytest.approx(shifted, rel=1e-13)
+
+
+def test_nested_harmonic_sum_guards():
+    with pytest.raises(DomainError):
+        nested_harmonic_sum(5, 0)
+    with pytest.raises(PoleError):
+        nested_harmonic_sum(5, 1, -2.0)
 
 
 def test_gen_binomial():

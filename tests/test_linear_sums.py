@@ -1,6 +1,9 @@
 """Linear/quadratic/cubic sum closed forms: exact regressions, oracle
 agreement at spot points, and the generating-function identities."""
+import ast
 import math
+import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -148,10 +151,31 @@ class TestWindows:
 class TestShiftedHOverSquares:
     def test_integer_reductions(self):
         assert sum_shiftedH_over_nsq(0.0) == pytest.approx(2.0 * Z3, rel=1e-14)
-        assert sum_shiftedH_over_nsq(1.0) == pytest.approx(2.0 * Z3 + Z2 - 1.0, abs=1e-10)
+        assert sum_shiftedH_over_nsq(1.0) == pytest.approx(2.0 * Z3 + Z2 - 1.0, rel=1e-14)
         for c in (2.0, 3.0):
             want = 2.0 * Z3 + sum(polylog_moment(2, float(j)) for j in range(1, int(c) + 1))
-            assert sum_shiftedH_over_nsq(c) == pytest.approx(want, abs=1e-10)
+            assert sum_shiftedH_over_nsq(c) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [0.05, 0.3, 0.999, 15.9, 16.0, 25.5, 1e4 + 0.25, 1e6 + 0.5])
+    def test_against_mpmath_integral(self, c):
+        # sum H_(n+c)/n^2 = 2 zeta(3) + int_0^1 Li_2(x) (1 - x^c)/(1 - x) dx
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(25):
+            mc = mpmath.mpf(c)
+            integral = mpmath.quad(
+                lambda x: mpmath.polylog(2, x) * (1 - x**mc) / (1 - x), [0, 0.5, 1])
+            want = float(2 * mpmath.zeta(3) + integral)
+        assert sum_shiftedH_over_nsq(c) == pytest.approx(want, rel=1e-13)
+
+    def test_cost_does_not_grow_with_shift(self):
+        # O(J) work: a shift of 10^12 costs what a shift of 20 does (about 0.2 ms)
+        best = math.inf
+        for _ in range(3):
+            sum_shiftedH_over_nsq.cache_clear()
+            start = time.perf_counter()
+            sum_shiftedH_over_nsq(1e12 + 0.5)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01
 
     def test_non_integer_against_bare_summation(self):
         from eulersum import digamma, EULER_GAMMA
@@ -169,6 +193,9 @@ class TestShiftedHOverSquares:
     def test_domain(self):
         with pytest.raises(DomainError):
             sum_shiftedH_over_nsq(-0.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sum_shiftedH_over_nsq(bad)
 
 
 class TestGeneratingFunctions:
@@ -221,3 +248,20 @@ class TestGeneratingFunctions:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             gf_eval(GfKind.LEMMA13, x=1.0, a=0.3, s=3)
+
+
+@pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums"])
+def test_closed_form_modules_import_no_numpy(module):
+    # closed forms are finite formulas; an array import here means a
+    # brute-force series has come back into the closed-form layer
+    import eulersum
+
+    path = pathlib.Path(eulersum.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported
