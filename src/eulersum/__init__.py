@@ -23,9 +23,11 @@ from .harmonic import (
 from .linear_sums import (
     GfKind,
     GfResult,
+    GfSum,
     WindowSumParams,
     cubic_stirling_window,
-    gf_eval,
+    gf_lhs,
+    gf_rhs,
     gf_two_sided,
     polylog_moment,
     sum_H1_bilinear,

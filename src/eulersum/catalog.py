@@ -4,9 +4,13 @@ form, an independent oracle, parameter validation, and a default grid.
 Catalog oracles never call the closed forms they check.  Sums with positive
 terms go through chunked truncated summation with a log-power tail; genuinely
 alternating series go through CVZ acceleration; integral identities go
-through tanh-sinh quadrature.  Difference numerators (the squared and cubic
-Stirling windows) are split into separately-tailed pieces because a single
-log-power model cannot carry their constant offsets.
+through tanh-sinh quadrature; generating-function series are summed
+directly with a geometric tail bound (``linear_sums.gf_lhs``), while their
+closed sides (``linear_sums.gf_rhs``) run neither that sum nor quadrature.
+Difference numerators (the squared and cubic Stirling windows) are split into
+separately-tailed pieces because a single log-power model cannot carry their
+constant offsets.  Every validate, closed and oracle call turns a raw
+overflow, division by zero or non-finite value into a DomainError.
 """
 from __future__ import annotations
 
@@ -82,9 +86,10 @@ def _arithmetic_guard(ident_id: str, fn):
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"{ident_id}: parameters outside double-precision range "
                               f"({type(exc).__name__}: {exc})") from exc
-        if isinstance(out, float) and not math.isfinite(out):
+        value = out.value if isinstance(out, EvalResult) else out
+        if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{ident_id}: parameters outside double-precision range "
-                              f"(value {out})")
+                              f"(value {value})")
         return out
 
     return guarded
@@ -92,7 +97,8 @@ def _arithmetic_guard(ident_id: str, fn):
 
 def _register(ident: Identity):
     CATALOG[ident.id] = replace(ident, validate=_arithmetic_guard(ident.id, ident.validate),
-                                closed=_arithmetic_guard(ident.id, ident.closed))
+                                closed=_arithmetic_guard(ident.id, ident.closed),
+                                oracle=_arithmetic_guard(ident.id, ident.oracle))
 
 
 def _trunc(config, term, g, d) -> EvalResult:
@@ -127,7 +133,7 @@ def _rbinom(ns, k: int, b: float):
 
 
 def _env_h(env, m: int, alternating: bool = False):
-    return getattr(env, f"hb{m}" if alternating else f"h{m}")
+    return env.harmonic(m, alternating)
 
 
 def _need_pos(name: str, value, strict=True):
@@ -623,20 +629,19 @@ def _ymoment_oracle(cfg, m: int, a: float) -> EvalResult:
 
 
 # generating-function / lemma identities: closed = displayed right side,
-# oracle = direct summation or quadrature of the left side
+# oracle = direct summation of the left side (quadrature for eq1.19, eq1.23)
 def _gf_closed(kind: linear_sums.GfKind):
     def closed(variant: Variant, **p):
-        return linear_sums.gf_two_sided(kind, **p).rhs
+        return linear_sums.gf_rhs(kind, **p)
 
     return closed
 
 
 def _gf_oracle(kind: linear_sums.GfKind):
     def oracle(cfg, **p):
-        res = linear_sums.gf_two_sided(kind, **p)
-        est = 1e-13 * max(1.0, abs(res.lhs))
-        return EvalResult(value=res.lhs, abs_error_estimate=est, method=Method.TRUNCATED,
-                          work=res.work)
+        res = linear_sums.gf_lhs(kind, **p)
+        return EvalResult(value=res.value, abs_error_estimate=res.bound,
+                          method=Method.TRUNCATED, work=res.work)
 
     return oracle
 
@@ -732,9 +737,7 @@ _register(Identity(
     id="eq1.19",
     params=("x", "a", "b", "n", "m"),
     description="moment integral of the shifted power series H_m(t,a)",
-    closed=_corrected_only(
-        lambda x, a, b, n, m: linear_sums.gf_two_sided(
-            linear_sums.GfKind.MOMENT_IDENT, x=x, a=a, b=b, n=n, m=m).rhs),
+    closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT),
     oracle=lambda cfg, x, a, b, n, m: quadrature(
         Integrand.LEMMA_MOMENT, {"x": x, "a": a, "b": b, "n": n, "m": m},
         tol=max(1e-13, cfg.target_tol / 10.0)),
@@ -749,9 +752,7 @@ _register(Identity(
     id="eq1.23",
     params=("x", "b", "n", "m"),
     description="moment integral of Li_m over (0, x)",
-    closed=_corrected_only(
-        lambda x, b, n, m: linear_sums.gf_two_sided(
-            linear_sums.GfKind.MOMENT_IDENT_ZERO, x=x, b=b, n=n, m=m).rhs),
+    closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT_ZERO),
     oracle=lambda cfg, x, b, n, m: quadrature(
         Integrand.LEMMA_MOMENT_ZERO, {"x": x, "b": b, "n": n, "m": m},
         tol=max(1e-13, cfg.target_tol / 10.0)),

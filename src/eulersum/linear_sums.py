@@ -6,8 +6,14 @@ The closed forms are finite expressions in special-function values (zeta,
 Hurwitz zeta, polylogarithms, shifted harmonic numbers) plus sums over the
 window width k; none truncates the series it evaluates.  sum H_(n+c)/n^2 comes
 from a recurrence in c and an asymptotic expansion, in a fixed number of
-operations.  The only direct series sums here are the left sides of the
-generating-function identities, which the catalog uses as their oracles.
+operations.
+
+Two kinds of direct series remain.  gf_lhs sums the left sides of the six
+series generating-function identities; the catalog uses them as oracles, each
+with a derived tail and roundoff bound.  Among the right sides (gf_rhs), only
+eq1.30's (GfKind.HN_HM) is a series: its display keeps sum H_n x^n/n^m and the
+log remainders r_n, summed in O(n) terms.  Every other right side is finite in
+polylogarithms, and none uses quadrature or a left-side sum.
 
 Conventions: ``zeta_shift(s, a)`` below always means zeta(s, a+1), i.e. the
 series sum_{n>=1} (n+a)^-s, and ``h_shift(a)`` is the shifted harmonic number
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -248,7 +256,18 @@ class GfResult:
         return abs(self.lhs - self.rhs)
 
 
+@dataclass(frozen=True)
+class GfSum:
+    """A left side summed directly: the value, the terms summed, and a bound on
+    its distance from the infinite series (geometric tail plus roundoff)."""
+
+    value: float
+    work: int
+    bound: float
+
+
 _GF_MAX_TERMS = 60_000
+_EPS = sys.float_info.epsilon
 
 
 def _require_open_x(x: float, name: str = "x") -> float:
@@ -267,18 +286,116 @@ def _geom_terms(x: float) -> int:
     return n
 
 
-def _lhs_lemma13(x: float, a: float, s: int, n_max: int) -> float:
-    # sum_n x^n/(n+a)^s * sum_{j<n} x^(n-j)/j, inner sum by recurrence
-    acc = 0.0
-    c = 0.0
-    xn = 1.0
+def _geom_tail(b: float, r: float, n_max: int, growth: int = 0) -> float:
+    # sum_{n>N} b_n r^n for b_(N+1) <= b and b_(n+1)/b_n <= (1+1/n)^growth
+    if r == 0.0:
+        return 0.0
+    q = r * (1.0 + 1.0 / (n_max + 1)) ** growth
+    return b * r ** (n_max + 1) / (1.0 - q)
+
+
+def _far_denominator(a: float, n_max: int) -> float:
+    # min over n > n_max of |n + a|
+    lo = n_max + 1 + a
+    if lo >= 0.0:
+        return lo
+    frac = -a - math.floor(-a)
+    return min(frac, 1.0 - frac)
+
+
+def _gf_sum(value: float, n_max: int, abs_sum: float, tail: float) -> GfSum:
+    # each term comes from at most three running recurrences of n steps and
+    # joins a running sum, so roundoff stays below 4 n_max eps sum|t_n|
+    # (Higham 2002, ch. 3), with |t_n| built from absolute values
+    return GfSum(value=value, work=n_max, bound=tail + 4.0 * n_max * _EPS * abs_sum)
+
+
+# left sides, summed directly: the catalog's oracles
+
+def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int) -> GfSum:
+    # sum_n (y^n cx_n + x^n cy_n)/(n+a)^s, cx_n = sum_{j<n} x^(n-j)/j by recurrence
+    n_max = max(_geom_terms(x), _geom_terms(y))
+    rx, ry = abs(x), abs(y)
+    acc = abs_acc = 0.0
+    cx = cy = cx_abs = cy_abs = 0.0
+    xn = yn = 1.0
     for n in range(1, n_max + 1):
         if n > 1:
-            c = x * (c + 1.0 / (n - 1))
+            cx = x * (cx + 1.0 / (n - 1))
+            cy = y * (cy + 1.0 / (n - 1))
+            cx_abs = rx * (cx_abs + 1.0 / (n - 1))
+            cy_abs = ry * (cy_abs + 1.0 / (n - 1))
         xn *= x
-        acc += xn * c / (n + a) ** s
-    return acc
+        yn *= y
+        w = (n + a) ** s
+        acc += (yn * cx + xn * cy) / w
+        abs_acc += (abs(yn) * cx_abs + abs(xn) * cy_abs) / abs(w)
+    # |cx_n| <= rx/(1-rx)
+    tail = (_geom_tail(rx / (1.0 - rx), ry, n_max) + _geom_tail(ry / (1.0 - ry), rx, n_max)
+            ) / _far_denominator(a, n_max) ** s
+    return _gf_sum(acc, n_max, abs_acc, tail)
 
+
+def _lhs_lemma13(x: float, a: float, s: int) -> GfSum:
+    # half the two-variable series at y = x; halving is exact in binary
+    both = _lhs_lemma13_two_var(x, x, a, s)
+    return GfSum(value=0.5 * both.value, work=both.work, bound=0.5 * both.bound)
+
+
+def _lhs_harmonic(x: float, m: int, numerator) -> GfSum:
+    # sum numerator(H_n, H_n^(m)) x^n for numerators in [0, (1 + ln n)^2]
+    n_max = _geom_terms(x)
+    acc = abs_acc = 0.0
+    h1 = hm = 0.0
+    xn = 1.0
+    for n in range(1, n_max + 1):
+        xn *= x
+        h1 += 1.0 / n
+        hm += float(n) ** (-m)
+        t = numerator(h1, hm) * xn
+        acc += t
+        abs_acc += abs(t)
+    # H_n <= 1 + ln n and H_n^(m) <= zeta(2) <= 1 + ln n past n_max >= 8
+    tail = _geom_tail((1.0 + math.log(n_max + 1)) ** 2, abs(x), n_max, growth=2)
+    return _gf_sum(acc, n_max, abs_acc, tail)
+
+
+def _lhs_hn_h2(x: float) -> GfSum:
+    return _lhs_harmonic(x, 2, operator.mul)
+
+
+def _lhs_hn_hm(x: float, m: int) -> GfSum:
+    return _lhs_harmonic(x, m, operator.mul)
+
+
+def _lhs_sq_diff(x: float) -> GfSum:
+    return _lhs_harmonic(x, 2, lambda h1, h2: h1 * h1 - h2)
+
+
+def _lhs_nested_reflect(x: float, y: float, p: int, m: int) -> GfSum:
+    n_max = max(_geom_terms(x), _geom_terms(y))
+    rx, ry = abs(x), abs(y)
+    acc = abs_acc = 0.0
+    innx = inny = innx_abs = inny_abs = 0.0
+    xn = yn = 1.0
+    for n in range(1, n_max + 1):
+        xn *= x
+        yn *= y
+        # reciprocal powers underflow harmlessly where n^p would overflow
+        inv_p = float(n) ** (-p)
+        inv_m = float(n) ** (-m)
+        innx += xn * inv_p
+        inny += yn * inv_m
+        innx_abs += abs(xn) * inv_p
+        inny_abs += abs(yn) * inv_m
+        acc += yn * innx * inv_m + xn * inny * inv_p
+        abs_acc += abs(yn) * innx_abs * inv_m + abs(xn) * inny_abs * inv_p
+    # each inner sum is at most -ln(1 - r)
+    tail = _geom_tail(-math.log1p(-rx), ry, n_max) + _geom_tail(-math.log1p(-ry), rx, n_max)
+    return _gf_sum(acc, n_max, abs_acc, tail)
+
+
+# right sides: finite in polylogarithms except eq1.30's displayed series
 
 def _rhs_lemma13(x: float, a: float, s: int) -> float:
     out = 0.5 * s * param_polylog(s + 1, a, x * x)
@@ -290,20 +407,6 @@ def _rhs_lemma13(x: float, a: float, s: int) -> float:
     return out
 
 
-def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int, n_max: int) -> float:
-    acc = 0.0
-    cx = cy = 0.0
-    xn = yn = 1.0
-    for n in range(1, n_max + 1):
-        if n > 1:
-            cx = x * (cx + 1.0 / (n - 1))
-            cy = y * (cy + 1.0 / (n - 1))
-        xn *= x
-        yn *= y
-        acc += (yn * cx + xn * cy) / (n + a) ** s
-    return acc
-
-
 def _rhs_lemma13_two_var(x: float, y: float, a: float, s: int) -> float:
     out = s * param_polylog(s + 1, a, x * y)
     out -= sum(param_polylog(j, a, x) * param_polylog(s + 1 - j, a, y) for j in range(1, s + 1))
@@ -311,92 +414,57 @@ def _rhs_lemma13_two_var(x: float, y: float, a: float, s: int) -> float:
     return out
 
 
-def _log_remainder(x: float, n: int, n_max: int) -> float:
-    # r_n = sum_{k>n} x^k/k, forward summation (no cancellation)
-    acc = 0.0
-    xk = x**n
-    for k in range(n + 1, n + n_max + 1):
-        xk *= x
-        acc += xk / k
-        if abs(xk) < 1e-21:
-            break
-    return acc
+def _sum_h_over_nsq_gf(x: float) -> float:
+    """sum H_n x^n/n^2 for -1 < x < 1 in trilogarithms (Lewin 1981)."""
+    lg = math.log1p(-x)
+    if x <= 0.5:
+        y = x / (x - 1.0)  # in [-1, 1/2)
+        return 2.0 * polylog(3, x) + polylog(3, y) + lg * polylog(2, y) + lg**3 / 3.0
+    return (polylog(3, x) - polylog(3, 1.0 - x) + lg * polylog(2, 1.0 - x)
+            + 0.5 * math.log(x) * lg * lg + riemann_zeta(3))
 
 
-def _both_hn_hm(x: float, m: int) -> GfResult:
-    # lhs: sum H_n H_n^(m) x^n;  rhs per the m-general product identity with the
-    # nested series folded through its geometric remainder for convergence
+def _rhs_hn_h2(x: float) -> float:
+    return (2.0 * polylog(3, x) - math.log(1.0 - x) * polylog(2, x)
+            - _sum_h_over_nsq_gf(x)) / (1.0 - x)
+
+
+def _rhs_hn_hm(x: float, m: int) -> float:
+    # (sum H_n x^n/n^m + sum r_n/n^m)/(1-x) with r_n = sum_{k>n} x^k/k, the
+    # product identity for general m with its nested series folded through
+    # the log remainder; r_n comes from one backward recurrence
+    # r_(n-1) = r_n + x^n/n, smallest terms first
     n_max = _geom_terms(x)
-    lhs = 0.0
-    h1 = hm = 0.0
     s1m = 0.0
+    h1 = 0.0
+    xn = 1.0
+    steps = []
+    for n in range(1, n_max + 1):
+        xn *= x
+        h1 += 1.0 / n
+        s1m += h1 * xn * float(n) ** (-m)
+        steps.append(xn / n)
     rsum = 0.0
-    xn = 1.0
-    for n in range(1, n_max + 1):
-        xn *= x
-        h1 += 1.0 / n
-        hm += float(n) ** (-m)
-        lhs += h1 * hm * xn
-        s1m += h1 * xn / float(n) ** m
-        rsum += _log_remainder(x, n, n_max) / float(n) ** m
-    rhs = (s1m + rsum) / (1.0 - x)
-    return GfResult(lhs=lhs, rhs=rhs, work=n_max)
+    r = 0.0
+    for n in range(n_max, 0, -1):
+        rsum += r * float(n) ** (-m)
+        r += steps[n - 1]
+    return (s1m + rsum) / (1.0 - x)
 
 
-def _both_nested_reflect(x: float, y: float, p: int, m: int) -> GfResult:
-    n_max = max(_geom_terms(x), _geom_terms(y))
-    lh = 0.0
-    innx = inny = 0.0
-    xn = yn = 1.0
-    for n in range(1, n_max + 1):
-        xn *= x
-        yn *= y
-        innx += xn / float(n) ** p
-        inny += yn / float(n) ** m
-        lh += yn * innx / float(n) ** m + xn * inny / float(n) ** p
-    rhs = polylog(p, x) * polylog(m, y) + polylog(p + m, x * y)
-    return GfResult(lhs=lh, rhs=rhs, work=n_max)
+def _rhs_nested_reflect(x: float, y: float, p: int, m: int) -> float:
+    return polylog(p, x) * polylog(m, y) + polylog(p + m, x * y)
 
 
-def _both_sq_diff(x: float) -> GfResult:
-    n_max = _geom_terms(x)
-    lhs = 0.0
-    h1 = h2 = 0.0
-    xn = 1.0
-    for n in range(1, n_max + 1):
-        xn *= x
-        h1 += 1.0 / n
-        h2 += 1.0 / (n * n)
-        lhs += (h1 * h1 - h2) * xn
-    rhs = math.log(1.0 - x) ** 2 / (1.0 - x)
-    return GfResult(lhs=lhs, rhs=rhs, work=n_max)
-
-
-def _both_hn_h2(x: float) -> GfResult:
-    n_max = _geom_terms(x)
-    lhs = 0.0
-    s12 = 0.0
-    h1 = h2 = 0.0
-    xn = 1.0
-    for n in range(1, n_max + 1):
-        xn *= x
-        h1 += 1.0 / n
-        h2 += 1.0 / (n * n)
-        lhs += h1 * h2 * xn
-        s12 += h1 * xn / (n * n)
-    rhs = (2.0 * polylog(3, x) - math.log(1.0 - x) * polylog(2, x) - s12) / (1.0 - x)
-    return GfResult(lhs=lhs, rhs=rhs, work=n_max)
+def _rhs_sq_diff(x: float) -> float:
+    return math.log(1.0 - x) ** 2 / (1.0 - x)
 
 
 def _h_series(s: int, a: float, x: float) -> float:
     return x**a * param_polylog(s, a, x)
 
 
-def _both_moment_ident(x: float, a: float, b: float, n: int, m: int) -> GfResult:
-    from .oracle import Integrand, quadrature
-
-    quad = quadrature(Integrand.LEMMA_MOMENT, {"x": x, "a": a, "b": b, "n": n, "m": m},
-                      tol=1e-12)
+def _rhs_moment_ident(x: float, a: float, b: float, n: int, m: int) -> float:
     rhs = 0.0
     for kk in range(1, m):
         rhs += (-1.0) ** (kk - 1) * x ** (n + b) / (n + b) ** kk * _h_series(m + 1 - kk, a, x)
@@ -405,79 +473,102 @@ def _both_moment_ident(x: float, a: float, b: float, n: int, m: int) -> GfResult
         + sum(x ** (kk + a + b) / (kk + a + b) for kk in range(1, n + 1))
         - _h_series(1, a + b, x)
     )
-    return GfResult(lhs=quad.value, rhs=rhs, work=quad.work)
+    return rhs
 
 
-def _both_moment_ident_zero(x: float, b: float, n: int, m: int) -> GfResult:
-    from .oracle import Integrand, quadrature
-
-    quad = quadrature(Integrand.LEMMA_MOMENT_ZERO, {"x": x, "b": b, "n": n, "m": m},
-                      tol=1e-12)
+def _rhs_moment_ident_zero(x: float, b: float, n: int, m: int) -> float:
     rhs = 0.0
     for i in range(1, m):
         rhs += (-1.0) ** (i - 1) / (n + b) ** i * x ** (n + b) * polylog(m + 1 - i, x)
     sgn = (-1.0) ** (m - 1)
     rhs += sgn / (n + b) ** m * sum(x ** (j + b) / (j + b) for j in range(1, n + 1))
     rhs += sgn / (n + b) ** m * (x ** (n + b) * polylog(1, x) - _h_series(1, b, x))
-    return GfResult(lhs=quad.value, rhs=rhs, work=quad.work)
+    return rhs
 
 
-def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
-    """Evaluate both sides of a generating-function/moment identity."""
-    kind = GfKind(kind)
-    if kind is GfKind.LEMMA13:
+def _gf_args(kind: GfKind, params) -> tuple:
+    """Validated positional arguments of one kind's left and right sides."""
+    if kind in (GfKind.LEMMA13, GfKind.LEMMA13_TWO_VAR):
         x = _require_open_x(params["x"])
         a = as_shift(params["a"])
         s = int(params["s"])
-        if s < 2:
-            raise DomainError("lemma13 requires s >= 2")
-        n_max = _geom_terms(x)
-        return GfResult(lhs=_lhs_lemma13(x, a, s, n_max), rhs=_rhs_lemma13(x, a, s),
-                        work=n_max)
-    if kind is GfKind.LEMMA13_TWO_VAR:
-        x = _require_open_x(params["x"])
-        y = _require_open_x(params["y"], "y")
-        a = as_shift(params["a"])
-        s = int(params["s"])
+        if kind is GfKind.LEMMA13:
+            if s < 2:
+                raise DomainError("lemma13 requires s >= 2")
+            return x, a, s
         if s < 1:
             raise DomainError("lemma13_two_var requires s >= 1")
-        n_max = max(_geom_terms(x), _geom_terms(y))
-        return GfResult(lhs=_lhs_lemma13_two_var(x, y, a, s, n_max),
-                        rhs=_rhs_lemma13_two_var(x, y, a, s), work=n_max)
-    if kind is GfKind.HN_H2:
-        return _both_hn_h2(_require_open_x(params["x"]))
+        return x, _require_open_x(params["y"], "y"), a, s
+    if kind in (GfKind.HN_H2, GfKind.SQ_DIFF):
+        return (_require_open_x(params["x"]),)
     if kind is GfKind.HN_HM:
         m = int(params["m"])
         if m < 2:
             raise DomainError("hn_hm requires m >= 2")
-        return _both_hn_hm(_require_open_x(params["x"]), m)
-    if kind is GfKind.SQ_DIFF:
-        return _both_sq_diff(_require_open_x(params["x"]))
+        return _require_open_x(params["x"]), m
     if kind is GfKind.NESTED_REFLECT:
         p = int(params["p"])
         m = int(params["m"])
         if p < 1 or m < 1:
             raise DomainError("nested_reflect requires p, m >= 1")
-        return _both_nested_reflect(
-            _require_open_x(params["x"]), _require_open_x(params["y"], "y"), p, m
-        )
+        return _require_open_x(params["x"]), _require_open_x(params["y"], "y"), p, m
+    x = _require_open_x(params["x"])
+    b = as_shift(params["b"], minimum=0.0, name="b")
     if kind is GfKind.MOMENT_IDENT:
-        return _both_moment_ident(
-            _require_open_x(params["x"]), as_shift(params["a"], minimum=0.0),
-            as_shift(params["b"], minimum=0.0, name="b"), int(params["n"]), int(params["m"])
-        )
-    if kind is GfKind.MOMENT_IDENT_ZERO:
-        return _both_moment_ident_zero(
-            _require_open_x(params["x"]), as_shift(params["b"], minimum=0.0, name="b"),
-            int(params["n"]), int(params["m"])
-        )
-    raise DomainError(f"unknown gf kind {kind!r}")  # pragma: no cover
+        return x, as_shift(params["a"], minimum=0.0), b, int(params["n"]), int(params["m"])
+    return x, b, int(params["n"]), int(params["m"])
 
 
-def gf_eval(kind: GfKind | str, **params) -> float:
-    """Value for the value kinds (sq_diff), |LHS - RHS| residual otherwise."""
+_LHS = {
+    GfKind.LEMMA13: _lhs_lemma13,
+    GfKind.LEMMA13_TWO_VAR: _lhs_lemma13_two_var,
+    GfKind.HN_H2: _lhs_hn_h2,
+    GfKind.HN_HM: _lhs_hn_hm,
+    GfKind.SQ_DIFF: _lhs_sq_diff,
+    GfKind.NESTED_REFLECT: _lhs_nested_reflect,
+}
+
+_RHS = {
+    GfKind.LEMMA13: _rhs_lemma13,
+    GfKind.LEMMA13_TWO_VAR: _rhs_lemma13_two_var,
+    GfKind.HN_H2: _rhs_hn_h2,
+    GfKind.HN_HM: _rhs_hn_hm,
+    GfKind.SQ_DIFF: _rhs_sq_diff,
+    GfKind.NESTED_REFLECT: _rhs_nested_reflect,
+    GfKind.MOMENT_IDENT: _rhs_moment_ident,
+    GfKind.MOMENT_IDENT_ZERO: _rhs_moment_ident_zero,
+}
+
+# the moment kinds' left sides are integrals, left to oracle.quadrature
+_MOMENT_INTEGRAND = {
+    GfKind.MOMENT_IDENT: "lemma_moment",
+    GfKind.MOMENT_IDENT_ZERO: "lemma_moment_zero",
+}
+
+
+def gf_rhs(kind: GfKind | str, **params) -> float:
+    """The displayed right side of a generating-function or moment identity."""
     kind = GfKind(kind)
-    res = gf_two_sided(kind, **params)
-    if kind is GfKind.SQ_DIFF:
-        return res.rhs
-    return res.residual
+    return _RHS[kind](*_gf_args(kind, params))
+
+
+def gf_lhs(kind: GfKind | str, **params) -> GfSum:
+    """The left side of a series kind, summed directly with a certified bound."""
+    kind = GfKind(kind)
+    if kind not in _LHS:
+        raise DomainError(f"{kind.value} has an integral left side; use oracle.quadrature")
+    return _LHS[kind](*_gf_args(kind, params))
+
+
+def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
+    """Both sides of a generating-function/moment identity: gf_lhs, or tanh-sinh
+    quadrature for the moment kinds, against gf_rhs."""
+    kind = GfKind(kind)
+    rhs = gf_rhs(kind, **params)
+    if kind in _LHS:
+        lhs = gf_lhs(kind, **params)
+        return GfResult(lhs=lhs.value, rhs=rhs, work=lhs.work)
+    from .oracle import quadrature
+
+    quad = quadrature(_MOMENT_INTEGRAND[kind], params, tol=1e-12)
+    return GfResult(lhs=quad.value, rhs=rhs, work=quad.work)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -110,35 +111,41 @@ class TailParams:
             raise DomainError("tail growth power must be 0..3")
 
 
+_HARMONIC_ATTR = re.compile(r"h(b?)([1-9][0-9]*)")  # h3 -> H_n^(3), hb2 -> alternating
+
+
 class SeriesEnv:
     """Per-chunk cumulative harmonic arrays with carries across chunks.
 
     Term callables receive (ns, env) where ns is the 1-based index block and
-    env exposes h1/h2/h3 and alternating hb1/hb2/hb3 prefix sums, each valid
-    for exactly that block.
+    env.harmonic(m) is H_n^(m), env.harmonic(m, alternating=True) the
+    alternating sum_{j<=n} (-1)^(j-1)/j^m, for any order m >= 1 and each valid
+    for exactly that block.  The attributes h<m> and hb<m> (h1, hb2, ...) name
+    the same arrays.
     """
 
-    _SPECS = {
-        "h1": (1, False), "h2": (2, False), "h3": (3, False),
-        "hb1": (1, True), "hb2": (2, True), "hb3": (3, True),
-    }
-
     def __init__(self):
-        self._carry: dict[str, np.longdouble] = {}
+        self._carry: dict[tuple[int, bool], np.longdouble] = {}
         self._ns = None
         self._ns_int = None
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[tuple[int, bool], np.ndarray] = {}
+        self._named: list[str] = []
 
     def _set_chunk(self, ns_int: np.ndarray, ns: np.ndarray):
         self._ns_int = ns_int
         self._ns = ns
         self._cache = {}
+        for name in self._named:
+            delattr(self, name)
+        self._named = []
 
-    def _cum(self, key: str) -> np.ndarray:
+    def harmonic(self, m: int, alternating: bool = False) -> np.ndarray:
+        key = (m, alternating)
         arr = self._cache.get(key)
         if arr is None:
-            s, alternating = self._SPECS[key]
-            terms = self._ns ** _LD(-s) if s > 1 else 1.0 / self._ns
+            if m < 1 or m != int(m):
+                raise DomainError(f"harmonic order must be an integer >= 1, got {m}")
+            terms = self._ns ** _LD(-m) if m > 1 else 1.0 / self._ns
             if alternating:
                 sign = np.where(self._ns_int & 1 == 1, _LD(1.0), _LD(-1.0))
                 terms = terms * sign
@@ -147,29 +154,15 @@ class SeriesEnv:
             self._cache[key] = arr
         return arr
 
-    @property
-    def h1(self):
-        return self._cum("h1")
-
-    @property
-    def h2(self):
-        return self._cum("h2")
-
-    @property
-    def h3(self):
-        return self._cum("h3")
-
-    @property
-    def hb1(self):
-        return self._cum("hb1")
-
-    @property
-    def hb2(self):
-        return self._cum("hb2")
-
-    @property
-    def hb3(self):
-        return self._cum("hb3")
+    def __getattr__(self, name: str):
+        match = _HARMONIC_ATTR.fullmatch(name)
+        if match is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arr = self.harmonic(int(match.group(2)), alternating=bool(match.group(1)))
+        # stored until the next chunk, so later reads skip this lookup
+        setattr(self, name, arr)
+        self._named.append(name)
+        return arr
 
 
 def _log_power_integral(g: int, d: int, x0: float) -> float:

@@ -131,6 +131,28 @@ def test_verify_grid_file(tmp_path, capsys):
     assert [r["status"] for r in payload["records"]] == ["CONFIRMED", "REFUTED"]
 
 
+def test_verify_grid_file_any_harmonic_order(tmp_path, capsys):
+    # the oracles build prefix sums H_n^(m) of any order, alternating or not
+    grid = [
+        {"identity": "eq2.18", "params": {"k": 7, "m": 4}},
+        {"identity": "eq2.19", "params": {"r": 2, "k": 5, "m": 4}},
+        {"identity": "eq3.11", "params": {"b": 0.5, "k": 3, "m": 4}},
+        {"identity": "eq3.13", "params": {"a": 0.5, "k": 2, "m": 5}},
+        {"identity": "eq4.7", "params": {"a": 1, "k": 2, "m": 5}},
+        {"identity": "eq4.10", "params": {"k": 5, "m": 4}},
+        {"identity": "eq4.11", "params": {"r": 1, "k": 3, "m": 4}},
+        {"identity": "eq4.12", "params": {"a": 1, "k": 2, "m": 4}},
+        {"identity": "eq4.13", "params": {"a": 1, "k": 2, "m": 4}},
+    ]
+    gf = tmp_path / "grid.json"
+    gf.write_text(json.dumps(grid))
+    out_file = tmp_path / "out.json"
+    code, _, err = run(["verify", "--grid", str(gf), "--out", str(out_file)], capsys)
+    assert code == 0 and err == ""
+    records = json.loads(out_file.read_text())["records"]
+    assert [r["status"] for r in records] == ["CONFIRMED"] * len(grid)
+
+
 def test_verify_missing_grid_file(tmp_path, capsys):
     code, _, err = run(["verify", "--grid", str(tmp_path / "nope.json")], capsys)
     assert code == 2
@@ -204,12 +226,16 @@ _ARITHMETIC_WITNESSES = [
     ("eq1.27", {"a": 1e-12, "s": 100}, "ZeroDivisionError"),
     ("eq2.13", {"a": 1e300, "k": 1, "m": 100}, "OverflowError"),
     ("eq4.2", {"a": 1e-12, "b": 1e-300}, "value nan"),
+    # the oracle side overflows: the tail model's x**d, and k! as a float
+    ("eq4.3", {"a": 0.5, "s": 1000}, "OverflowError"),
+    ("eq3.9", {"a": 1.0, "b": 0.5, "k": 2, "p": 1000}, "OverflowError"),
+    ("w110", {"k": 1000}, "OverflowError"),
 ]
 
 
 @pytest.mark.parametrize("ident, params, raw", _ARITHMETIC_WITNESSES)
 def test_eval_arithmetic_failure_exits_2(capsys, ident, params, raw):
-    argv = ["eval", ident] + [f"--{k}={v}" for k, v in params.items()]
+    argv = ["eval", ident, "--method", "both"] + [f"--{k}={v}" for k, v in params.items()]
     code, _, err = run(argv, capsys)
     assert code == 2
     assert raw in err and "double-precision range" in err

@@ -13,7 +13,8 @@ from eulersum import (
     GfKind,
     LN2,
     cubic_stirling_window,
-    gf_eval,
+    gf_lhs,
+    gf_rhs,
     gf_two_sided,
     polylog_moment,
     riemann_zeta,
@@ -27,7 +28,7 @@ from eulersum import (
     sum_shiftedH_over_nsq,
     sum_sq_diff_window,
 )
-from eulersum import catalog
+from eulersum import catalog, linear_sums
 from eulersum.oracle import SeriesConfig, TailParams, truncated_series
 
 Z2 = riemann_zeta(2)
@@ -198,16 +199,20 @@ class TestShiftedHOverSquares:
                 sum_shiftedH_over_nsq(bad)
 
 
+def _gf_residual(kind, **params):
+    return abs(gf_lhs(kind, **params).value - gf_rhs(kind, **params))
+
+
 class TestGeneratingFunctions:
     def test_lemma13_residual(self):
-        assert gf_eval(GfKind.LEMMA13, x=0.7, a=0.3, s=3) <= 1e-10
+        assert _gf_residual(GfKind.LEMMA13, x=0.7, a=0.3, s=3) <= 1e-10
 
     def test_hn_h2_residual(self):
-        assert gf_eval(GfKind.HN_H2, x=0.5) <= 1e-10
+        assert _gf_residual(GfKind.HN_H2, x=0.5) <= 1e-10
 
     def test_sq_diff_value(self):
         want = math.log(1.5) ** 2 / 1.5
-        assert gf_eval(GfKind.SQ_DIFF, x=-0.5) == pytest.approx(want, rel=1e-12)
+        assert gf_rhs(GfKind.SQ_DIFF, x=-0.5) == pytest.approx(want, rel=1e-12)
         two_sided = gf_two_sided(GfKind.SQ_DIFF, x=-0.5)
         assert two_sided.residual <= 1e-12
 
@@ -218,21 +223,22 @@ class TestGeneratingFunctions:
             y = float(rng.uniform(-0.89, 0.89))
             a = float(rng.uniform(0.05, 3.0))
             s = int(rng.integers(2, 4))
-            assert gf_eval(GfKind.LEMMA13, x=x, a=a, s=s) <= 1e-10
-            assert gf_eval(GfKind.LEMMA13_TWO_VAR, x=x, y=y, a=a, s=s) <= 1e-10
-            assert gf_eval(GfKind.NESTED_REFLECT, x=x, y=y, p=1, m=2) <= 1e-10
-            assert gf_eval(GfKind.HN_HM, x=x, m=s) <= 1e-10
-            assert gf_eval(GfKind.HN_H2, x=x) <= 1e-10
-            assert gf_eval(GfKind.SQ_DIFF, x=x) >= 0.0
+            assert _gf_residual(GfKind.LEMMA13, x=x, a=a, s=s) <= 1e-10
+            assert _gf_residual(GfKind.LEMMA13_TWO_VAR, x=x, y=y, a=a, s=s) <= 1e-10
+            assert _gf_residual(GfKind.NESTED_REFLECT, x=x, y=y, p=1, m=2) <= 1e-10
+            assert _gf_residual(GfKind.HN_HM, x=x, m=s) <= 1e-10
+            assert _gf_residual(GfKind.HN_H2, x=x) <= 1e-10
+            assert gf_rhs(GfKind.SQ_DIFF, x=x) >= 0.0
 
     def test_moment_identities(self):
+        # the moment kinds' left sides are integrals: gf_two_sided runs quadrature
         for x in (0.3, 0.8):
             for n in (1, 4):
                 for m in (2, 3):
-                    assert gf_eval(GfKind.MOMENT_IDENT,
-                                   x=x, a=0.5, b=2.0, n=n, m=m) <= 1e-9
-                    assert gf_eval(GfKind.MOMENT_IDENT_ZERO,
-                                   x=x, b=0.5, n=n, m=m) <= 1e-9
+                    assert gf_two_sided(GfKind.MOMENT_IDENT,
+                                        x=x, a=0.5, b=2.0, n=n, m=m).residual <= 1e-9
+                    assert gf_two_sided(GfKind.MOMENT_IDENT_ZERO,
+                                        x=x, b=0.5, n=n, m=m).residual <= 1e-9
 
     def test_work_counts(self):
         # direct sums report the terms they summed, moment kinds their
@@ -246,8 +252,116 @@ class TestGeneratingFunctions:
         assert oracle.work == gf_two_sided(GfKind.LEMMA13_TWO_VAR, **params).work > 0
 
     def test_domain_guard(self):
+        for side in (gf_lhs, gf_rhs):
+            with pytest.raises(DomainError):
+                side(GfKind.LEMMA13, x=1.0, a=0.3, s=3)
         with pytest.raises(DomainError):
-            gf_eval(GfKind.LEMMA13, x=1.0, a=0.3, s=3)
+            gf_lhs(GfKind.MOMENT_IDENT_ZERO, x=0.3, b=0.5, n=1, m=2)
+
+
+def _mp_gf_lhs(mpmath, kind, x, y=0.0, a=0.0, s=2, m=2, p=1):
+    # the series kinds' left sides at 30 digits, summed until the terms are
+    # below 1e-34
+    one = mpmath.mpf(1)
+    x, y, a = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(a)
+    n_max = int(math.log(1e-34) / math.log(float(max(abs(x), abs(y))))) + 10
+    acc = h1 = h2 = hm = cx = cy = ix = iy = mpmath.mpf(0)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            cx = x * (cx + one / (n - 1))
+            cy = y * (cy + one / (n - 1))
+        h1 += one / n
+        h2 += one / n**2
+        hm += one / mpmath.mpf(n) ** m
+        ix += x**n / mpmath.mpf(n) ** p
+        iy += y**n / mpmath.mpf(n) ** m
+        acc += {
+            GfKind.LEMMA13: lambda: x**n * cx / (n + a) ** s,
+            GfKind.LEMMA13_TWO_VAR: lambda: (y**n * cx + x**n * cy) / (n + a) ** s,
+            GfKind.HN_H2: lambda: h1 * h2 * x**n,
+            GfKind.HN_HM: lambda: h1 * hm * x**n,
+            GfKind.SQ_DIFF: lambda: (h1**2 - h2) * x**n,
+            GfKind.NESTED_REFLECT: lambda: y**n * ix / mpmath.mpf(n) ** m
+            + x**n * iy / mpmath.mpf(n) ** p,
+        }[kind]()
+    return acc
+
+
+_GF_SERIES_CASES = [
+    (GfKind.LEMMA13, {"a": 0.3, "s": 3}),
+    # a shift past -n_max: the terms after the cut pass close to a pole
+    (GfKind.LEMMA13, {"a": -60.5, "s": 3}),
+    (GfKind.LEMMA13_TWO_VAR, {"y": -0.6, "a": 1.7, "s": 2}),
+    (GfKind.HN_H2, {}),
+    (GfKind.HN_HM, {"m": 3}),
+    (GfKind.SQ_DIFF, {}),
+    (GfKind.NESTED_REFLECT, {"y": 0.7, "p": 1, "m": 2}),
+]
+
+
+@pytest.mark.parametrize("kind, params", _GF_SERIES_CASES,
+                         ids=[f"{kind.value}-{i}" for i, (kind, _) in enumerate(_GF_SERIES_CASES)])
+def test_gf_lhs_bound_holds(kind, params):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in (-0.88, -0.3, 0.5, 0.88):
+            got = gf_lhs(kind, x=x, **params)
+            want = _mp_gf_lhs(mpmath, kind, x, **params)
+            assert abs(got.value - want) <= got.bound
+            assert got.bound <= 1e-10 * max(1.0, abs(got.value))
+
+
+@pytest.mark.parametrize("kind, params", [
+    (GfKind.HN_HM, {"x": -0.5, "m": 400}),
+    (GfKind.NESTED_REFLECT, {"x": 0.5, "y": -0.3, "p": 400, "m": 1}),
+])
+def test_gf_sides_at_high_order(kind, params):
+    # n^400 overflows a double; its reciprocal underflows to 0 harmlessly
+    lhs = gf_lhs(kind, **params)
+    assert abs(lhs.value - gf_rhs(kind, **params)) <= lhs.bound + 1e-15
+
+
+@pytest.mark.parametrize("x", [-0.88, -0.5, -0.1, 0.1, 0.5, 0.8, 0.95])
+def test_hn_h2_right_side_against_mpmath(x):
+    # eq1.29's right side takes sum H_n x^n/n^2 from trilogarithms: the
+    # Landen form up to x = 1/2, the reflection form above
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        xn, h1, h2, s12, gf = mpmath.mpf(1), 0, 0, 0, 0
+        for n in range(1, int(math.log(1e-34) / math.log(abs(x))) + 10):
+            xn *= x
+            h1 += mpmath.mpf(1) / n
+            h2 += mpmath.mpf(1) / n**2
+            s12 += h1 * xn / n**2
+            gf += h1 * h2 * xn
+    assert linear_sums._sum_h_over_nsq_gf(x) == pytest.approx(float(s12), rel=1e-14)
+    assert gf_rhs(GfKind.HN_H2, x=x) == pytest.approx(float(gf), rel=1e-14)
+
+
+_GF_IDENTITIES = ("eq1.19", "eq1.23", "eq1.24", "eq1.25", "eq1.29", "eq1.30", "eq1.31",
+                  "eq2.25")
+
+
+def test_gf_closed_sides_use_no_oracle(monkeypatch):
+    # a closed side that quietly runs quadrature or sums its left side is no
+    # independent check of the oracle
+    from eulersum import linear_sums, oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed side called an oracle routine")
+
+    monkeypatch.setattr(oracle, "quadrature", refuse)
+    monkeypatch.setattr(catalog, "quadrature", refuse)
+    monkeypatch.setattr(linear_sums, "gf_lhs", refuse)
+    for kind in list(linear_sums._LHS):
+        monkeypatch.setitem(linear_sums._LHS, kind, refuse)
+    for name in dir(linear_sums):
+        if name.startswith("_lhs_"):
+            monkeypatch.setattr(linear_sums, name, refuse)
+    for ident_id in _GF_IDENTITIES:
+        ident = catalog.get(ident_id)
+        for params in ident.grid:
+            assert math.isfinite(ident.closed(catalog.Variant.CORRECTED, **params))
 
 
 @pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums"])
