@@ -468,11 +468,11 @@ def _rhs_moment_ident(x: float, a: float, b: float, n: int, m: int) -> float:
     rhs = 0.0
     for kk in range(1, m):
         rhs += (-1.0) ** (kk - 1) * x ** (n + b) / (n + b) ** kk * _h_series(m + 1 - kk, a, x)
-    rhs += (-1.0) ** (m - 1) / (n + b) ** m * (
-        x ** (n + b) * _h_series(1, a, x)
-        + sum(x ** (kk + a + b) / (kk + a + b) for kk in range(1, n + 1))
-        - _h_series(1, a + b, x)
-    )
+    # the display's x^(n+b) H_1(x,a) + sum_{k<=n} x^(k+a+b)/(k+a+b) - H_1(x,a+b)
+    # is the tail x^(n+a+b) (Li_1(a,x) - Li_1(n+a+b,x)); summed part by part it
+    # cancels to far below the size of its parts at large n
+    rhs += (-1.0) ** (m - 1) / (n + b) ** m * x ** (n + a + b) * (
+        param_polylog(1, a, x) - param_polylog(1, n + a + b, x))
     return rhs
 
 
@@ -480,9 +480,10 @@ def _rhs_moment_ident_zero(x: float, b: float, n: int, m: int) -> float:
     rhs = 0.0
     for i in range(1, m):
         rhs += (-1.0) ** (i - 1) / (n + b) ** i * x ** (n + b) * polylog(m + 1 - i, x)
-    sgn = (-1.0) ** (m - 1)
-    rhs += sgn / (n + b) ** m * sum(x ** (j + b) / (j + b) for j in range(1, n + 1))
-    rhs += sgn / (n + b) ** m * (x ** (n + b) * polylog(1, x) - _h_series(1, b, x))
+    # likewise sum_{j<=n} x^(j+b)/(j+b) + x^(n+b) Li_1(x) - H_1(x,b) is the tail
+    # x^(n+b) (Li_1(x) - Li_1(n+b,x))
+    rhs += (-1.0) ** (m - 1) / (n + b) ** m * x ** (n + b) * (
+        polylog(1, x) - param_polylog(1, n + b, x))
     return rhs
 
 

@@ -3,6 +3,12 @@
 Three evaluation routes, none of which share code with the closed forms they
 check: chunked truncated summation with an analytic log-power tail,
 alternating-series acceleration, and tanh-sinh quadrature.
+
+The quadrature nests its levels, so each node is evaluated once, and calls
+its integrand once per level on numpy arrays of nodes.  The integrands sum
+their own series (H_m(t, a), Li_m(t)) at all nodes together; they take only
+zeta constants from specfun, not the polylog and h_func evaluators the
+closed sides are built on.
 """
 from __future__ import annotations
 
@@ -10,12 +16,20 @@ import enum
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .specfun import EULER_GAMMA, alternating_sum, alternating_sum_by_averaging, polylog
+from .specfun import (
+    EULER_GAMMA,
+    _zeta_nonpositive,
+    alternating_sum,
+    alternating_sum_by_averaging,
+    as_shift,
+    riemann_zeta,
+)
 
 _LD = np.longdouble
 _FLOAT_EPS = float(np.finfo(float).eps)
@@ -307,25 +321,97 @@ def alternating_cross_check(abs_term: Callable[[int], float]) -> float:
 class Integrand(str, enum.Enum):
     LOG_POW_MOMENT = "log_pow_moment"          # x^(a-1) ln^m(1-x) on (0,1)
     POLYLOG_MOMENT = "polylog_moment"          # x^(a-1) Li_m(x) on (0,1)
-    LOG_TIMES_LI2 = "log_times_li2"            # x^(a-1) ln(1-x) Li_2(x) on (0,1)
     LEMMA_MOMENT = "lemma_moment"              # H_m(t,a) t^(n+b-1) on (0,x)
     LEMMA_MOMENT_ZERO = "lemma_moment_zero"    # Li_m(t) t^(n+b-1) on (0,x)
 
 
-def _polylog_at(m: int, x: float, omx: float) -> float:
-    # near 1 the expansion needs u = -ln x computed from the exact 1-x
-    if omx <= 0.0:
-        return polylog(m, 1.0)
-    if x > 0.75:
-        from .specfun import _polylog_from_u
+_SERIES_BLOCK = 1 << 16  # elements in one nodes-by-terms block of _node_series
 
-        return _polylog_from_u(m, -math.log1p(-omx))
-    return polylog(m, x)
+
+def _node_series(t: np.ndarray, den: Callable[[np.ndarray], np.ndarray],
+                 max_terms: int) -> np.ndarray:
+    """sum_{k>=1} t^k / den(k) at every node t in [0, 1), added in k order.
+
+    A node stops at the first k where t^k is at most 1e-18 (|partial sum| +
+    1e-300); where den >= 1 past that k, the rest is at most 1e-18/(1-t) of
+    the sum.  The powers and partial sums are built in blocks of at most
+    _SERIES_BLOCK elements over the nodes still running, each block carrying
+    the last power and sum into the next, so a node near 1 costs time but not
+    memory.  Raises ConvergenceError when a node needs more than max_terms
+    terms.
+    """
+    out = np.zeros_like(t)
+    idx = np.flatnonzero(t)
+    tt = t[idx]
+    power = np.ones_like(tt)
+    acc = np.zeros_like(tt)
+    k0 = 0
+    while idx.size:
+        if k0 >= max_terms:
+            raise ConvergenceError(
+                f"node series needs more than {max_terms} terms at t={tt.max():.16g}")
+        # first block: the terms the largest t needs; later ones double the count
+        want = max(math.ceil(46.0 / -math.log(tt.max())) + 8 - k0, k0)
+        width = max(1, min(_SERIES_BLOCK // idx.size, max_terms - k0, want))
+        pw = np.empty((idx.size, width))
+        pw[:, 0] = power * tt
+        pw[:, 1:] = tt[:, None]
+        np.cumprod(pw, axis=1, out=pw)
+        part = pw / den(np.arange(k0 + 1.0, k0 + width + 1.0))
+        part[:, 0] += acc
+        np.cumsum(part, axis=1, out=part)
+        done = pw <= 1e-18 * (np.abs(part) + 1e-300)
+        hit = done.any(axis=1)
+        rows = np.flatnonzero(hit)
+        out[idx[rows]] = part[rows, done[rows].argmax(axis=1)]
+        run = ~hit
+        idx, tt, power, acc = idx[run], tt[run], pw[run, -1], part[run, -1]
+        k0 += width
+    return out
+
+
+@lru_cache(maxsize=None)
+def _u_expansion_zetas(m: int) -> np.ndarray:
+    # zeta(m - k) for k = 0..m+29, with 0 at the pole k = m - 1
+    return np.array([0.0 if k == m - 1 else
+                     riemann_zeta(m - k) if m - k >= 2 else _zeta_nonpositive(m - k)
+                     for k in range(m + 30)])
+
+
+def _polylog_from_u(m: int, u: np.ndarray) -> np.ndarray:
+    # Li_m(e^-u) = (-u)^(m-1)/(m-1)! (H_(m-1) - ln u) + sum_k zeta(m-k) (-u)^k/k!,
+    # valid for 0 < u < 2*pi; used where e^-u > 3/4
+    z = _u_expansion_zetas(m)
+    powers = np.cumprod(-u[:, None] / np.arange(1.0, z.size), axis=1)  # (-u)^k/k!, k >= 1
+    h = sum(1.0 / i for i in range(1, m))
+    return ((-u) ** (m - 1) / math.factorial(m - 1) * (h - np.log(u)) + z[0]
+            + (powers * z[1:]).sum(axis=1))
+
+
+def _polylog_nodes(m: int, t: np.ndarray, omt: np.ndarray) -> np.ndarray:
+    """Li_m(t), m >= 2, at nodes t in [0, 1) with omt = 1 - t; near 1 the
+    expansion in u = -ln t takes u from omt."""
+    out = np.empty_like(t)
+    near = t > 0.75
+    out[near] = _polylog_from_u(m, -np.log1p(-omt[near]))
+    out[~near] = _node_series(t[~near], lambda k: k**m, max_terms=10_000)
+    return out
+
+
+def _lemma_integrand(x0: float, series: Callable[[np.ndarray], np.ndarray], power: float):
+    # series(t) t^power on (0, x0), as x0 times a function of u = t/x0 on (0, 1)
+    def f(u, omu):
+        t = x0 * u
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        out[pos] = series(t[pos]) * t[pos] ** power * x0
+        return out
+
+    return f
 
 
 def _build_integrand(integrand_id: Integrand, params: Mapping[str, float]):
-    from .specfun import h_func, param_polylog
-
+    """The integrand as f(x, 1 - x), taking and returning arrays over the nodes."""
     p = dict(params)
     if integrand_id is Integrand.LOG_POW_MOMENT:
         a, m = float(p["a"]), int(p["m"])
@@ -333,83 +419,96 @@ def _build_integrand(integrand_id: Integrand, params: Mapping[str, float]):
             raise DomainError("log-power moment requires a > 0")
         if m > 6:
             raise DomainError("log-power moment supports m <= 6")
-        return lambda x, omx: x ** (a - 1.0) * math.log(omx) ** m
+        return lambda x, omx: x ** (a - 1.0) * np.log(omx) ** m
     if integrand_id is Integrand.POLYLOG_MOMENT:
         a, m = float(p["a"]), int(p["m"])
         if not a > 0:
             raise DomainError("polylog moment requires a > 0")
-        if m > 6:
-            raise DomainError("polylog moment supports m <= 6")
+        if not 1 <= m <= 6:
+            raise DomainError("polylog moment supports 1 <= m <= 6")
         if m == 1:
-            return lambda x, omx: -x ** (a - 1.0) * math.log(omx)
-        return lambda x, omx: x ** (a - 1.0) * _polylog_at(m, x, omx)
-    if integrand_id is Integrand.LOG_TIMES_LI2:
-        a = float(p["a"])
-        if not a > 0:
-            raise DomainError("log*Li2 moment requires a > 0")
-        return lambda x, omx: x ** (a - 1.0) * math.log(omx) * _polylog_at(2, x, omx)
+            return lambda x, omx: -x ** (a - 1.0) * np.log(omx)
+        return lambda x, omx: x ** (a - 1.0) * _polylog_nodes(m, x, omx)
+    if integrand_id not in (Integrand.LEMMA_MOMENT, Integrand.LEMMA_MOMENT_ZERO):
+        raise DomainError(f"unknown integrand id {integrand_id!r}")
+    x0, b, n, m = float(p["x"]), float(p["b"]), int(p["n"]), int(p["m"])
+    if not 0.0 < x0 < 1.0:
+        raise DomainError("lemma moment requires 0 < x < 1")
+    if m < 1:
+        raise DomainError(f"lemma moment requires integer m >= 1, got {m}")
     if integrand_id is Integrand.LEMMA_MOMENT:
-        x0, a, b, n, m = (float(p["x"]), float(p["a"]), float(p["b"]),
-                          int(p["n"]), int(p["m"]))
-        if not 0.0 < x0 < 1.0:
-            raise DomainError("lemma moment requires 0 < x < 1")
+        a = as_shift(p["a"])
 
-        def f(u, omu, x0=x0, a=a, b=b, n=n, m=m):
-            t = x0 * u
-            if t <= 0.0:
-                return 0.0
-            return h_func(m, a, t) * t ** (n + b - 1.0) * x0
+        def h_series(t):
+            # H_m(t, a) = t^a sum_k t^k/(k+a)^m
+            return t**a * _node_series(t, lambda k: (k + a) ** m, max_terms=200_000)
 
-        return f
-    if integrand_id is Integrand.LEMMA_MOMENT_ZERO:
-        x0, b, n, m = float(p["x"]), float(p["b"]), int(p["n"]), int(p["m"])
-        if not 0.0 < x0 < 1.0:
-            raise DomainError("lemma moment requires 0 < x < 1")
-
-        def f(u, omu, x0=x0, b=b, n=n, m=m):
-            t = x0 * u
-            if t <= 0.0:
-                return 0.0
-            return polylog(m, t) * t ** (n + b - 1.0) * x0
-
-        return f
-    raise DomainError(f"unknown integrand id {integrand_id!r}")
+        return _lemma_integrand(x0, h_series, n + b - 1.0)
+    if m == 1:
+        return _lemma_integrand(x0, lambda t: -np.log1p(-t), n + b - 1.0)
+    # 1 - t is exact for t >= 1/2, so over all of the u-expansion's range t > 3/4
+    return _lemma_integrand(x0, lambda t: _polylog_nodes(m, t, 1.0 - t), n + b - 1.0)
 
 
-def tanh_sinh(f: Callable[[float, float], float], tol: float,
+@lru_cache(maxsize=None)
+def _tanh_sinh_nodes(level: int, nested: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Abscissae x, 1 - x and weights of tanh-sinh level `level` on (0, 1).
+
+    The nodes sit at t = j*2^-level, j >= 0, up to the first j whose
+    pi/2 sinh t exceeds 350, whose weight falls below 1e-320 or whose 1 - x
+    is 0; each j > 0 gives the node pair (x, 1-x) and (1-x, x).  nested keeps
+    only odd j, the nodes this level adds to level - 1: the cut-offs are
+    monotone in t, so levels 3..L nested hold exactly the nodes of level L.
+    """
+    h = 2.0 ** (-level)
+    t = np.arange(math.ceil(math.asinh(700.0 / math.pi) / h) + 2) * h
+    pis = 0.5 * math.pi * np.sinh(t)
+    keep = pis <= 350.0
+    t, pis = t[keep], pis[keep]
+    ch = np.cosh(pis)
+    w = 0.25 * math.pi * np.cosh(t) / (ch * ch)
+    e2 = np.exp(-2.0 * pis)
+    x = 1.0 / (1.0 + e2)       # (1 + tanh(pis)) / 2
+    omx = e2 / (1.0 + e2)
+    ok = (w >= 1e-320) & (omx > 0.0)
+    stop = ok.size if ok.all() else int(ok.argmin())
+    x, omx, w = x[:stop], omx[:stop], w[:stop]
+    if nested:
+        x, omx, w = x[1::2], omx[1::2], w[1::2]
+    mirror = slice(0 if nested else 1, None)  # j = 0 is its own mirror
+    nodes = (np.concatenate((x, omx[mirror])), np.concatenate((omx, x[mirror])),
+             np.concatenate((w, w[mirror])))
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
+
+
+def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: float,
               max_level: int = 12) -> tuple[float, float, int]:
-    """Integrate f(x, 1-x) over (0, 1) with doubling tanh-sinh levels.
+    """Integrate f(x, 1-x) over (0, 1) with nested tanh-sinh levels.
 
-    Returns (value, abs_error_estimate, node_count); the integrand receives
-    both x and 1-x so endpoint singularities see full precision.
+    f takes arrays of nodes and returns the integrand at each; it receives
+    both x and 1-x so endpoint singularities see full precision.  Level 3
+    evaluates all its nodes in one call; each later level halves the step and
+    evaluates only the nodes it adds, S_L = S_(L-1)/2 + h_L sum_new w f.  The
+    run stops when two levels agree within tol/4 (relative above 1).  Returns
+    (value, abs_error_estimate, nodes evaluated), each node evaluated once.
+    Raises DomainError when the integrand overflows or is undefined at a node.
     """
     prev = None
-    value = None
     work = 0
     for level in range(3, max_level + 1):
-        h = 2.0 ** (-level)
-        total = 0.0
-        j = 0
-        while True:
-            t = j * h
-            pis = 0.5 * math.pi * math.sinh(t)
-            if pis > 350.0:
-                break
-            ch = math.cosh(pis)
-            w = 0.25 * math.pi * math.cosh(t) / (ch * ch)
-            if w < 1e-320:
-                break
-            e2 = math.exp(-2.0 * pis)
-            x = 1.0 / (1.0 + e2)       # (1 + tanh(pis)) / 2
-            omx = e2 / (1.0 + e2)
-            if j == 0:
-                total += w * f(x, omx)
-            elif omx > 0.0:
-                total += w * (f(x, omx) + f(omx, x))  # node pair at +-t
-            work += 1 if j == 0 else 2
-            j += 1
-        value = total * h
-        if prev is not None and abs(value - prev) <= 0.25 * tol * max(1.0, abs(value)):
+        x, omx, w = _tanh_sinh_nodes(level, nested=prev is not None)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            added = 2.0 ** (-level) * float((w * f(x, omx)).sum())
+        if not math.isfinite(added):
+            raise DomainError(f"tanh-sinh: the integrand is not finite at a level-{level} node")
+        work += x.size
+        if prev is None:
+            prev = added
+            continue
+        value = 0.5 * prev + added
+        if abs(value - prev) <= 0.25 * tol * max(1.0, abs(value)):
             est = 2.0 * abs(value - prev) + 16.0 * _FLOAT_EPS * max(1.0, abs(value))
             return value, est, work
         prev = value

@@ -338,6 +338,21 @@ def test_hn_h2_right_side_against_mpmath(x):
     assert gf_rhs(GfKind.HN_H2, x=x) == pytest.approx(float(gf), rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 5, 200, 1000])
+def test_moment_right_sides_keep_relative_accuracy(n, lemma_moment_ref):
+    # the finite sum and the H_1 terms of eq1.19's and eq1.23's right sides
+    # cancel to a tail of size x^(n+b), summed as that tail; 0.1^1000
+    # underflows a double
+    for x in (0.1, 0.5, 0.85) if n < 1000 else (0.5, 0.85):
+        for b in (0.5, 2.0):
+            for m in (1, 2, 3):
+                zero = gf_rhs(GfKind.MOMENT_IDENT_ZERO, x=x, b=b, n=n, m=m)
+                assert zero == pytest.approx(lemma_moment_ref(x, n + b, m), rel=1e-12, abs=0)
+                shifted = gf_rhs(GfKind.MOMENT_IDENT, x=x, a=0.5, b=b, n=n, m=m)
+                assert shifted == pytest.approx(lemma_moment_ref(x, n + b, m, a=0.5),
+                                                rel=1e-12, abs=0)
+
+
 _GF_IDENTITIES = ("eq1.19", "eq1.23", "eq1.24", "eq1.25", "eq1.29", "eq1.30", "eq1.31",
                   "eq2.25")
 

@@ -2,7 +2,10 @@
 quadrature, and the verification driver's status logic."""
 import dataclasses
 import math
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from eulersum import (
@@ -25,6 +28,7 @@ from eulersum import (
 )
 from eulersum.oracle import alternating_cross_check
 from eulersum import catalog
+from eulersum import oracle as oracle_mod
 
 
 def test_series_config_guards():
@@ -148,6 +152,133 @@ def test_quadrature_guards():
         quadrature(Integrand.LOG_POW_MOMENT, {"a": -1.0, "m": 2})
     with pytest.raises(DomainError):
         quadrature("no_such_integrand", {})
+
+
+def test_quadrature_non_finite_integrand_is_domain_error():
+    # t^(n+b-1) overflows near t = 0 for b < -n, and ln(1-x)^-1 divides by 0 at x = 0
+    with pytest.raises(DomainError, match="not finite"):
+        quadrature(Integrand.LEMMA_MOMENT, {"x": 0.5, "a": 0.5, "b": -3.0, "n": 1, "m": 2})
+    with pytest.raises(DomainError, match="not finite"):
+        quadrature(Integrand.LOG_POW_MOMENT, {"a": 1.0, "m": -1})
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_log_pow_moment_bound_holds(a, m):
+    # int_0^1 x^(a-1) ln^m(1-x) dx is the m-th derivative of B(a, s) at s = 1
+    mpmath = pytest.importorskip("mpmath")
+    res = quadrature(Integrand.LOG_POW_MOMENT, {"a": a, "m": m})
+    with mpmath.workdps(30):
+        want = float(mpmath.diff(lambda s: mpmath.beta(a, s), 1, m))
+    assert abs(res.value - want) <= res.abs_error_estimate
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+@pytest.mark.parametrize("m", [1, 3])
+def test_polylog_moment_bound_holds(a, m):
+    # int_0^1 x^(a-1) Li_m(x) dx = sum_k 1/(k^m (k+a)), in partial fractions
+    mpmath = pytest.importorskip("mpmath")
+    res = quadrature(Integrand.POLYLOG_MOMENT, {"a": a, "m": m})
+    with mpmath.workdps(30):
+        a_mp = mpmath.mpf(a)
+        h_a = mpmath.digamma(a_mp + 1) + mpmath.euler
+        want = h_a / a_mp if m == 1 else (
+            mpmath.zeta(3) / a_mp - mpmath.zeta(2) / a_mp**2 + h_a / a_mp**3)
+    assert abs(res.value - float(want)) <= res.abs_error_estimate
+
+
+_LEMMA_POINTS = [(x, n, 2) for x in (0.1, 0.5, 0.85, 0.999) for n in (1, 5)]
+_LEMMA_POINTS += [(0.85, 1, 1), (0.85, 5, 3)]
+
+
+@pytest.mark.parametrize("x, n, m", _LEMMA_POINTS)
+def test_lemma_moment_bounds_hold(x, n, m, lemma_moment_ref):
+    b = 0.5
+    zero = quadrature(Integrand.LEMMA_MOMENT_ZERO, {"x": x, "b": b, "n": n, "m": m})
+    assert abs(zero.value - lemma_moment_ref(x, n + b, m)) <= zero.abs_error_estimate
+    shifted = quadrature(Integrand.LEMMA_MOMENT, {"x": x, "a": 0.7, "b": b, "n": n, "m": m})
+    assert abs(shifted.value - lemma_moment_ref(x, n + b, m, a=0.7)) <= \
+        shifted.abs_error_estimate
+
+
+def test_quadrature_evaluates_each_node_once(monkeypatch):
+    # one integrand call per level, no node twice; the nested levels sum to
+    # one evaluation of the last level's full rule
+    calls = []
+    build = oracle_mod._build_integrand
+
+    def counting(integrand_id, params):
+        f = build(integrand_id, params)
+
+        def counted(x, omx):
+            calls.append(np.column_stack((x, omx)))  # x rounds to 1 where 1-x does not
+            return f(x, omx)
+
+        return counted
+
+    monkeypatch.setattr(oracle_mod, "_build_integrand", counting)
+    ident = catalog.get("eq1.19")
+    params = ident.grid[0]
+    res = ident.oracle(SeriesConfig(target_tol=ident.tol / 10.0), **params)
+    assert res.work == 195
+    assert [len(c) for c in calls] == [97, 98]
+    assert len(np.unique(np.concatenate(calls), axis=0)) == 195
+
+    f = build(Integrand.LEMMA_MOMENT, params)
+    x, omx, w = oracle_mod._tanh_sinh_nodes(4, nested=False)
+    assert x.size == 195
+    wf = w * f(x, omx)
+    flat = math.fsum(wf) / 16.0
+    assert abs(res.value - flat) <= 4.0 * np.finfo(float).eps * math.fsum(np.abs(wf)) / 16.0
+
+
+@pytest.mark.parametrize("x0", [0.3, 0.95])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_integrands_match_scalar_specfun(x0, m):
+    # the node-array series against the scalar specfun evaluators they replace,
+    # at every node of level 5 (at x0 = 0.95 the H_m series spans several
+    # blocks); same terms, different rounding in pow and log
+    from eulersum import specfun
+
+    x, omx, _ = oracle_mod._tanh_sinh_nodes(5, nested=False)
+    eps = np.finfo(float).eps
+    params = {"x": x0, "a": 0.7, "b": 0.5, "n": 2, "m": m}
+    scalar = {
+        Integrand.LEMMA_MOMENT: lambda t: specfun.h_func(m, 0.7, t),
+        Integrand.LEMMA_MOMENT_ZERO: lambda t: specfun.polylog(m, t),
+    }
+    for integrand, series in scalar.items():
+        got = oracle_mod._build_integrand(integrand, params)(x, omx)
+        want = np.array([series(x0 * u) * (x0 * u) ** 1.5 * x0 for u in x])  # t^(n+b-1)
+        assert np.allclose(got, want, rtol=8 * eps, atol=0)
+    m += 1  # Li_2..Li_4 on (0, 1), through the expansion in -ln(x) above 3/4
+    got = oracle_mod._build_integrand(Integrand.POLYLOG_MOMENT, {"a": 1.5, "m": m})(x, omx)
+    want = np.array([u**0.5 * (specfun._polylog_from_u(m, -math.log1p(-v)) if u > 0.75
+                               else specfun.polylog(m, u)) for u, v in zip(x, omx)])
+    assert np.allclose(got, want, rtol=8 * eps, atol=0)
+
+
+def test_lemma_oracles_near_one():
+    # x -> 1: the node series run long but in bounded blocks
+    lemma = catalog.get("eq1.19")
+    cfg = SeriesConfig(target_tol=lemma.tol / 10.0)
+    params = {"x": 0.999, "a": 0.5, "b": 0.5, "n": 1, "m": 2}
+    start = time.perf_counter()
+    lemma.oracle(cfg, **params)
+    assert time.perf_counter() - start < 0.5
+    tracemalloc.start()
+    try:
+        lemma.oracle(cfg, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # at 0.99999 the H_m series passes its 200 000-term cap; Li_m uses its
+    # expansion in -ln t near 1 and still converges
+    with pytest.raises(ConvergenceError):
+        lemma.oracle(cfg, **dict(params, x=0.99999))
+    zero = catalog.get("eq1.23").oracle(cfg, x=0.99999, b=0.5, n=1, m=2)
+    assert math.isfinite(zero.value) and zero.work == 195
 
 
 def test_verify_identity_statuses():
