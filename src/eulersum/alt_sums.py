@@ -3,12 +3,14 @@
 Window-type alternating sums are restricted to integer shifts: for
 non-integer real a the printed closed forms carry a (-1)^(2a) factor that is
 complex-valued, and no branch convention is given, so the artifact refuses
-rather than guessing.
+rather than guessing.  The alternating window sum is O(k): its nested sum
+over signed partial sums of 1/(j+a) is one running pass
+(harmonic.nested_harmonic_sum with alternating=True).
 """
 from __future__ import annotations
 
 from .errors import DomainError
-from .harmonic import param_harmonic, shifted_harmonic
+from .harmonic import nested_harmonic_sum, param_harmonic, shifted_harmonic
 from .specfun import LN2, alt_hurwitz_zeta, alt_zeta, as_shift, hurwitz_zeta
 
 
@@ -108,11 +110,7 @@ def alt_sum_Hm_window(a: float, k: int, m: int) -> float:
     sgn = (-1.0) ** (m - 1)
     br += sgn * LN2 * param_harmonic(k - 1, m, a)
     br += sgn * _zbar_shift(1, a) * sum((-1.0) ** (i - 1) / (i + a) ** m for i in range(1, k))
-    br -= sgn * sum(
-        (-1.0) ** (i - 1) / (i + a) ** m
-        * sum((-1.0) ** (j - 1) / (j + a) for j in range(1, i + 1))
-        for i in range(1, k)
-    )
+    br -= sgn * nested_harmonic_sum(k, m, a, alternating=True)
     br += sum(
         (-1.0) ** (j - 1) * alt_zeta(m + 1 - j) * param_harmonic(k - 1, j, a)
         for j in range(1, m)

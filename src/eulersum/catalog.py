@@ -1,14 +1,15 @@
 """Identity catalog: every verifiable identity, keyed by id, with its closed
 form, an independent oracle, parameter validation, and a default grid.
 
-Catalog oracles never call the closed forms they check.  Sums with positive
-terms go through chunked truncated summation with a log-power tail; genuinely
-alternating series go through CVZ acceleration; integral identities go
-through tanh-sinh quadrature (``oracle.quadrature``: nested levels, each
-node evaluated once, the integrand's own series summed over all nodes of a
-level in numpy); generating-function series are summed
-directly with a geometric tail bound (``linear_sums.gf_lhs``), while their
-closed sides (``linear_sums.gf_rhs``) run neither that sum nor quadrature.
+Catalog oracles never call the closed forms they check.  Every series oracle,
+alternating numerators included, goes through chunked truncated summation
+with a log-power tail; no catalog oracle calls
+``oracle.accelerated_alternating``.  Integral identities go through tanh-sinh
+quadrature (``oracle.quadrature``: nested levels, each node evaluated once,
+the integrand's own series summed over all nodes of a level in numpy);
+generating-function series are summed directly with a geometric tail bound
+(``linear_sums.gf_lhs``), while their closed sides (``linear_sums.gf_rhs``)
+run neither that sum nor quadrature.
 Difference numerators (the squared and cubic Stirling windows) are split into
 separately-tailed pieces because a single log-power model cannot carry their
 constant offsets.  Every validate, closed and oracle call turns a raw

@@ -4,9 +4,12 @@ identities they rest on.
 
 The closed forms are finite expressions in special-function values (zeta,
 Hurwitz zeta, polylogarithms, shifted harmonic numbers) plus sums over the
-window width k; none truncates the series it evaluates.  sum H_(n+c)/n^2 comes
-from a recurrence in c and an asymptotic expansion, in a fixed number of
-operations.
+window width k; none truncates the series it evaluates.  Every window sum is
+O(k) float work: the nested sum sum_{i<k} H_i(a)/(i+a)^m is one running pass
+(harmonic.nested_harmonic_sum), and the Y_2 / Y_3 windows seed H_a, H_a^(2),
+H_a^(3) once and step them with H_(x+1)^(s) = H_x^(s) + (x+1)^-s instead of
+calling the special functions at every a+i.  sum H_(n+c)/n^2 comes from a
+recurrence in c and an asymptotic expansion, in a fixed number of operations.
 
 Two kinds of direct series remain.  gf_lhs sums the left sides of the six
 series generating-function identities; the catalog uses them as oracles, each
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .harmonic import param_harmonic, shifted_harmonic, y_moment
+from .harmonic import nested_harmonic_sum, param_harmonic, shifted_harmonic
 from .specfun import (
     _BERNOULLI,
     as_shift,
@@ -134,15 +137,33 @@ def sum_Hm_window(a: float, k: int, m: int) -> float:
     )
     sgn = (-1.0) ** (m - 1)
     br += sgn * _h_shift(a) * param_harmonic(k - 1, m, a)
-    br += sgn * sum(param_harmonic(i, 1, a) / (i + a) ** m for i in range(1, k))
+    br += sgn * nested_harmonic_sum(k, m, a)
     return br / k
+
+
+def _y_window(a: float, k: int, order: int) -> float:
+    """sum_{i<k} Y_order(a+i)/(a+i) for order 2 or 3, in O(k).
+
+    Y_2 = H^2 + H^(2) and Y_3 = H^3 + 3 H H^(2) + 2 H^(3), all at a+i; each
+    H^(s) is seeded once at a and stepped by H_(x+1)^(s) = H_x^(s) + (x+1)^-s.
+    """
+    h1, h2 = _h_shift(a), _h_shift(a, 2)
+    h3 = _h_shift(a, 3) if order == 3 else 0.0
+    acc = 0.0
+    for i in range(k):
+        y = h1 * h1 + h2 if order == 2 else h1 * (h1 * h1 + 3.0 * h2) + 2.0 * h3
+        acc += y / (a + i)
+        r = 1.0 / (a + (i + 1))
+        h1 += r
+        h2 += r * r
+        h3 += r * r * r
+    return acc
 
 
 def sum_sq_diff_window(a: float, k: int) -> float:
     """sum (H_n^2 - H_n^(2))/((n+a)(n+a+k)) = (1/k) sum_j Y_2(a+j-1)/(a+j-1)."""
     p = _window_guard(a, k)
-    a, k = p.a, p.k
-    return sum(y_moment(2, a + j - 1.0) / (a + j - 1.0) for j in range(1, k + 1)) / k
+    return _y_window(p.a, p.k, 2) / p.k
 
 
 def sum_H1sq_window(a: float, k: int) -> float:
@@ -151,11 +172,8 @@ def sum_H1sq_window(a: float, k: int) -> float:
     a, k = p.a, p.k
     br = riemann_zeta(2) * param_harmonic(k, 1, a - 1.0)
     br -= _h_shift(a) * param_harmonic(k, 2, a - 1.0)
-    br -= sum(param_harmonic(i, 1, a) / (i + a) ** 2 for i in range(1, k))
-    br += sum(
-        (_h_shift(a + j - 1.0) ** 2 + _h_shift(a + j - 1.0, 2)) / (a + j - 1.0)
-        for j in range(1, k + 1)
-    )
+    br -= nested_harmonic_sum(k, 2, a)
+    br += _y_window(a, k, 2)
     return br / k
 
 
@@ -216,8 +234,7 @@ def sum_H1H2_window(a: float, k: int) -> float:
 def cubic_stirling_window(a: float, k: int) -> float:
     """sum (H_n^3 - 3 H_n H_n^(2) + 2 H_n^(3))/((n+a)(n+a+k)), the Y_3 window."""
     p = _window_guard(a, k)
-    a, k = p.a, p.k
-    return sum(y_moment(3, a + i - 1.0) / (a + i - 1.0) for i in range(1, k + 1)) / k
+    return _y_window(p.a, p.k, 3) / p.k
 
 
 def sum_H1cubed_window(a: float, k: int) -> float:

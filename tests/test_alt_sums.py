@@ -15,7 +15,9 @@ from eulersum import (
     alt_sum_H1_bilinear,
     alt_sum_H1_power,
     alt_sum_Hm_window,
+    alt_hurwitz_zeta,
     alt_zeta,
+    param_harmonic,
     riemann_zeta,
 )
 from eulersum.oracle import SeriesConfig, TailParams, accelerated_alternating, truncated_series
@@ -130,6 +132,30 @@ class TestAltWindows:
                         alt_polylog_moment(m, float(a + i)) for i in range(k)) / k
                     assert alt_sum_Hm_window(float(a), k, m) == pytest.approx(
                         via_moments, rel=1e-11)
+
+
+def _old_alt_window(a, k, m):
+    # the O(k^2) nested sum that nested_harmonic_sum(k, m, a, alternating=True) replaced
+    br = alt_recip_shift(a, m) if a == 0 else alt_polylog_moment(m, a)
+    sgn = (-1.0) ** (m - 1)
+    br += sgn * LN2 * param_harmonic(k - 1, m, a)
+    br += sgn * alt_hurwitz_zeta(1, a) * sum((-1.0) ** (i - 1) / (i + a) ** m for i in range(1, k))
+    br -= sgn * sum(
+        (-1.0) ** (i - 1) / (i + a) ** m
+        * sum((-1.0) ** (j - 1) / (j + a) for j in range(1, i + 1))
+        for i in range(1, k)
+    )
+    br += sum((-1.0) ** (j - 1) * alt_zeta(m + 1 - j) * param_harmonic(k - 1, j, a)
+              for j in range(1, m))
+    return br / k
+
+
+@pytest.mark.parametrize("k", (1, 2, 10, 101, 1024))
+def test_alt_window_matches_old_quadratic_form(k):
+    for a in (0, 1, 3):
+        for m in (1, 2, 3):
+            assert alt_sum_Hm_window(float(a), k, m) == pytest.approx(
+                _old_alt_window(float(a), k, m), rel=1e-12)
 
 
 @given(n=st.integers(min_value=1, max_value=10_000), s=st.integers(min_value=1, max_value=3))

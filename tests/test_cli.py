@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report files, round-trips, env overrides."""
 import json
+import time
 
 import pytest
 
@@ -18,6 +19,20 @@ def test_eval_both_methods(capsys):
     assert code == 0
     assert "closed" in out and "truncated" in out
     assert "value=1 " in out
+
+
+@pytest.mark.parametrize("argv, seconds", [
+    (["eq2.13", "--a", "0.5", "--k", "100000", "--m", "3"], 0.5),
+    (["eq2.22", "--a", "0.5", "--k", "1000000"], 4.0),
+    (["eq4.7", "--a", "1", "--k", "1000000", "--m", "2"], 4.0),
+])
+def test_eval_closed_large_window_in_bounded_time(argv, seconds, capsys):
+    # O(k) window sums: about 0.1, 0.8 and 0.8 s on a 2-core x86-64 host;
+    # the O(k^2) forms they replaced ran past 60 s on each
+    t0 = time.perf_counter()
+    code, out, _ = run(["eval", *argv, "--method", "closed"], capsys)
+    assert time.perf_counter() - t0 < seconds
+    assert code == 0 and "closed" in out
 
 
 def test_eval_telescoping(capsys):

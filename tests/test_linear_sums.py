@@ -28,7 +28,7 @@ from eulersum import (
     sum_shiftedH_over_nsq,
     sum_sq_diff_window,
 )
-from eulersum import catalog, linear_sums
+from eulersum import catalog, linear_sums, param_harmonic, shifted_harmonic, y_moment
 from eulersum.oracle import SeriesConfig, TailParams, truncated_series
 
 Z2 = riemann_zeta(2)
@@ -147,6 +147,40 @@ class TestWindows:
         assert sum_H1sq_window(a, k) == pytest.approx(want, rel=1e-7)
         want = _oracle(lambda ns, e: e.h1 * e.h2 / ((ns + a) * (ns + a + k)), 1, 2)
         assert sum_H1H2_window(a, k) == pytest.approx(want, rel=1e-7)
+
+
+# The O(k^2) and per-j y_moment window forms that the O(k) running sums
+# replaced, kept as references.
+def _old_Hm_window(a, k, m):
+    br = polylog_moment(m, a)
+    br += sum((-1.0) ** (j - 1) * riemann_zeta(m + 1 - j) * param_harmonic(k - 1, j, a)
+              for j in range(1, m))
+    sgn = (-1.0) ** (m - 1)
+    br += sgn * shifted_harmonic(a) * param_harmonic(k - 1, m, a)
+    br += sgn * sum(param_harmonic(i, 1, a) / (i + a) ** m for i in range(1, k))
+    return br / k
+
+
+def _old_H1sq_window(a, k):
+    br = Z2 * param_harmonic(k, 1, a - 1.0) - shifted_harmonic(a) * param_harmonic(k, 2, a - 1.0)
+    br -= sum(param_harmonic(i, 1, a) / (i + a) ** 2 for i in range(1, k))
+    br += sum((shifted_harmonic(a + j - 1.0) ** 2 + shifted_harmonic(a + j - 1.0, 2))
+              / (a + j - 1.0) for j in range(1, k + 1))
+    return br / k
+
+
+def _old_y_window(a, k, order):
+    return sum(y_moment(order, a + j - 1.0) / (a + j - 1.0) for j in range(1, k + 1)) / k
+
+
+@pytest.mark.parametrize("k", (1, 2, 10, 101, 1024))
+def test_windows_match_old_quadratic_forms(k):
+    for a in (0.05, 0.5, 2.5):
+        for m in (1, 2, 3):
+            assert sum_Hm_window(a, k, m) == pytest.approx(_old_Hm_window(a, k, m), rel=1e-12)
+        assert sum_H1sq_window(a, k) == pytest.approx(_old_H1sq_window(a, k), rel=1e-12)
+        assert sum_sq_diff_window(a, k) == pytest.approx(_old_y_window(a, k, 2), rel=1e-12)
+        assert cubic_stirling_window(a, k) == pytest.approx(_old_y_window(a, k, 3), rel=1e-12)
 
 
 class TestShiftedHOverSquares:

@@ -26,6 +26,7 @@ from eulersum import (
     w_m_0,
     w_m_1,
 )
+from eulersum import catalog
 from eulersum.oracle import SeriesConfig, TailParams, truncated_series
 from eulersum.wsums import precision_warning
 
@@ -239,4 +240,93 @@ def test_alt_domain_guards():
 
 def test_closed_form_k_cap():
     with pytest.raises(DomainError):
-        w_m_1(0.5, 31, 1)
+        w_m_1(0.5, 61, 1)
+    with pytest.raises(DomainError):
+        w_1_p(1.0, 0.5, 31, 1)
+
+
+# The exact shapes, as (catalog id, closed form, shift name, shifts, orders).
+_EXACT_SHAPES = (
+    ("eq3.11", w_m_0, "b", (0.5, 1.0, 2.5), (1, 2, 3)),
+    ("eq3.13", w_m_1, "a", (0.5, 1.0, 2.5), (1, 2, 3)),
+    ("eq3.15", w_11_0, "b", (0.5, 1.0, 2.5), ()),
+    ("eq3.16", w_111, "a", (0.5, 1.0, 2.5), ()),
+    ("eq4.12", w_alt_m_0, "a", (0, 1, 2), (1, 2, 3)),
+    ("eq4.13", w_alt_m_1, "a", (1, 2, 3), (1, 2, 3)),
+)
+
+
+@pytest.mark.parametrize("k", (20, 30, 45, 60))
+def test_exact_shapes_against_catalog_oracle(k):
+    # at k = 30 the float partial-fraction sums missed these oracles by up to 30%
+    cfg = SeriesConfig(target_tol=1e-14)
+    for ident_id, fn, shift, shifts, orders in _EXACT_SHAPES:
+        ident = catalog.get(ident_id)
+        for s in shifts:
+            for extra in ({"m": m} for m in orders) if orders else ({},):
+                params = {shift: s, "k": k, **extra}
+                want = ident.oracle(cfg, **params).value
+                assert fn(**params) == pytest.approx(want, rel=1e-10), params
+    want = catalog.get("w111").oracle(cfg, k=k).value
+    assert classical_w111(k) == pytest.approx(want, rel=1e-10)
+
+
+def _old_pf_sum(window, k, *, depth_shift=0):
+    # the float partial-fraction sum the W shapes used before: the weights
+    # times window sums, with its own rounding, 64 eps sum |A_r S_r|
+    if depth_shift:
+        pairs = zip(range(1, k), pf_coeffs_window(k).coeffs)
+    else:
+        pairs = zip(range(1, k + 1), pf_coeffs(k).coeffs)
+    terms = [c * window(r) for r, c in pairs]
+    return math.fsum(terms), 64.0 * np.finfo(float).eps * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_exact_shapes_match_old_partial_fractions(k):
+    from eulersum import alt_sum_Hm_window, sum_H1sq_window, sum_Hm_window
+
+    cases = []
+    for a in (0.5, 1.0, 2.5):
+        for m in (1, 2, 3):
+            cases.append((w_m_1(a, k, m), _old_pf_sum(lambda r: sum_Hm_window(a, r, m), k)))
+            if k >= 2:
+                cases.append((w_m_0(a, k, m), _old_pf_sum(
+                    lambda r: sum_Hm_window(a + 1.0, r, m), k, depth_shift=1)))
+        cases.append((w_111(a, k), _old_pf_sum(lambda r: sum_H1sq_window(a, r), k)))
+    for a in (1, 2, 3):
+        for m in (1, 2, 3):
+            cases.append((w_alt_m_1(a, k, m),
+                          _old_pf_sum(lambda r: alt_sum_Hm_window(a, r, m), k)))
+            if k >= 2:
+                cases.append((w_alt_m_0(a - 1, k, m), _old_pf_sum(
+                    lambda r: alt_sum_Hm_window(a, r, m), k, depth_shift=1)))
+    for got, (old, old_rounding) in cases:
+        assert abs(got - old) <= 1e-11 * abs(old) + old_rounding
+
+
+def _old_w_11_0(b, k, as_printed):
+    # the O(k^3) form w_11_0 had before the exact finite differences
+    from eulersum import param_harmonic, shifted_harmonic
+
+    h_factor = shifted_harmonic(b) if as_printed else shifted_harmonic(b + 1.0)
+    out = 0.0
+    for r in range(1, k):
+        c = float((-1) ** (r + 1) * math.comb(k - 1, r))
+        br = Z2 * param_harmonic(r, 1, b) - h_factor * param_harmonic(r, 2, b)
+        br -= sum(param_harmonic(i, 1, b + 1.0) / (i + b + 1.0) ** 2 for i in range(1, r))
+        br += sum((shifted_harmonic(b + j) ** 2 + shifted_harmonic(b + j, 2)) / (b + j)
+                  for j in range(1, r + 1))
+        out += c * br
+    return k * out
+
+
+def test_w_11_0_printed_variant_unchanged():
+    for b in (0.0, 0.5, 1.0, 2.5):
+        for k in (2, 3, 4, 5):
+            old = _old_w_11_0(b, k, as_printed=True)
+            assert w_11_0(b, k, as_printed=True) == pytest.approx(old, rel=1e-12)
+            # printed - corrected = k/(b+1) sum_{i<k} (-1)^(i-1) C(k-2, i-1)/(b+i)^2
+            diff = k / (b + 1.0) * sum((-1) ** (i - 1) * math.comb(k - 2, i - 1) / (b + i) ** 2
+                                       for i in range(1, k))
+            assert w_11_0(b, k, as_printed=True) - w_11_0(b, k) == pytest.approx(diff, rel=1e-12)
