@@ -3,28 +3,24 @@
 The package evaluates harmonic-number series (bilinear, window, and
 reciprocal-binomial shapes, plus alternating variants) through closed forms
 built from zeta values and shifted harmonic numbers, and checks every
-identity against brute-force oracles: truncated summation with analytic tail
-correction, alternating-series acceleration, and tanh-sinh quadrature.
+identity against independent oracles: truncated summation with an analytic
+tail correction, and tanh-sinh quadrature.
 """
 
 from .errors import ConvergenceError, DomainError, EulersumError, PoleError
 from .harmonic import (
-    HarmonicOrder,
-    StirlingRow,
     alt_harmonic_num,
     gen_binomial,
     harmonic_num,
     param_harmonic,
     shifted_harmonic,
     stirling1,
-    stirling_row,
     y_moment,
 )
 from .linear_sums import (
     GfKind,
     GfResult,
     GfSum,
-    WindowSumParams,
     cubic_stirling_window,
     gf_lhs,
     gf_rhs,
@@ -58,7 +54,6 @@ from .oracle import (
     TailParams,
     Variant,
     VerificationRecord,
-    accelerated_alternating,
     grid_verify,
     quadrature,
     truncated_series,
@@ -67,7 +62,6 @@ from .oracle import (
 from .specfun import (
     EULER_GAMMA,
     LN2,
-    ShiftParam,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
@@ -80,13 +74,9 @@ from .specfun import (
     riemann_zeta,
 )
 from .wsums import (
-    PartialFractionCoeffs,
-    WSumSpec,
-    classical_w,
     classical_w110,
     classical_w111,
     pf_coeffs,
-    pf_coeffs_window,
     w_1_p,
     w_11_0,
     w_111,

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .harmonic import nested_harmonic_sum, param_harmonic, shifted_harmonic
-from .specfun import LN2, alt_hurwitz_zeta, alt_zeta, as_shift, hurwitz_zeta
-
-
-def _zeta_shift(s: int, a: float) -> float:
-    return hurwitz_zeta(s, a + 1.0)
+from .linear_sums import _zeta_shift
+from .specfun import LN2, alt_hurwitz_zeta, alt_zeta, as_shift
 
 
 def _zbar_shift(s: int, a: float) -> float:

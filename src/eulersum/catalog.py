@@ -1,19 +1,31 @@
 """Identity catalog: every verifiable identity, keyed by id, with its closed
-form, an independent oracle, parameter validation, and a default grid.
+form, an independent oracle, a parameter schema, and a default grid.
+
+Each identity declares its parameters once, as an ordered mapping from name
+to kind (``positive``, ``nonnegative``, ``inside_unit``, ``unconstrained`` or
+``Integer(minimum)``), plus at most one cross-parameter ``check``.  Its
+``validate`` is derived from that declaration, and the CLI reads the same
+kinds to decide which flags it coerces to integers.
+
+Each of the 30 series identities declares its summand once, as a ``Summand``:
+the harmonic orders multiplied in the numerator (alternating or not), the
+(shift, power) factors of the denominator, and an optional reciprocal
+binomial 1/C(n+k+b, k).  The summand is the term the oracle sums, and it
+gives its own tail model: growth g = the number of H_n factors of a
+non-alternating numerator, degree d = the sum of the powers plus k.
+Difference numerators (the squared and cubic Stirling windows) are signed
+combinations of summands, each summed with its own tail, because a single
+log-power model cannot carry their constant offsets.
 
 Catalog oracles never call the closed forms they check.  Every series oracle,
-alternating numerators included, goes through chunked truncated summation
-with a log-power tail; no catalog oracle calls
-``oracle.accelerated_alternating``.  Integral identities go through tanh-sinh
-quadrature (``oracle.quadrature``: nested levels, each node evaluated once,
-the integrand's own series summed over all nodes of a level in numpy);
-generating-function series are summed directly with a geometric tail bound
-(``linear_sums.gf_lhs``), while their closed sides (``linear_sums.gf_rhs``)
-run neither that sum nor quadrature.
-Difference numerators (the squared and cubic Stirling windows) are split into
-separately-tailed pieces because a single log-power model cannot carry their
-constant offsets.  Every validate, closed and oracle call turns a raw
-overflow, division by zero or non-finite value into a DomainError.
+alternating numerators included, goes through ``oracle.truncated_series``.
+Integral identities go through tanh-sinh quadrature (``oracle.quadrature``:
+nested levels, each node evaluated once, the integrand's own series summed
+over all nodes of a level in numpy); generating-function series are summed
+directly with a geometric tail bound (``linear_sums.gf_lhs``), while their
+closed sides (``linear_sums.gf_rhs``) run neither that sum nor quadrature.
+Every validate, closed and oracle call turns a raw overflow, division by
+zero or non-finite value into a DomainError.
 """
 from __future__ import annotations
 
@@ -46,23 +58,54 @@ from .specfun import LN2, alt_zeta, riemann_zeta
 
 _LD = np.longdouble
 
-PARAM_TYPES: Mapping[str, type] = {
-    "a": float, "b": float, "c": float, "x": float, "y": float,
-    "k": int, "m": int, "s": int, "p": int, "n": int, "r": int,
-}
+
+# --------------------------------------------------------------------------
+# parameter kinds: each checks one value and raises DomainError
+# --------------------------------------------------------------------------
+
+def positive(name: str, value) -> None:
+    if not float(value) > 0.0:
+        raise DomainError(f"{name}={value} must be > 0")
+
+
+def nonnegative(name: str, value) -> None:
+    if float(value) < 0.0:
+        raise DomainError(f"{name}={value} must be >= 0")
+
+
+def inside_unit(name: str, value) -> None:
+    if not -1.0 < float(value) < 1.0:
+        raise DomainError(f"{name}={value} must lie strictly inside (-1, 1)")
+
+
+def unconstrained(name: str, value) -> None:
+    """A real parameter the identity accepts at any value."""
+
+
+@dataclass(frozen=True)
+class Integer:
+    """An integer parameter >= minimum; the CLI passes it as an int."""
+
+    minimum: int
+
+    def __call__(self, name: str, value) -> None:
+        v = float(value)
+        if not v.is_integer() or v < self.minimum:
+            raise DomainError(f"{name}={value} must be an integer >= {self.minimum}")
 
 
 @dataclass(frozen=True)
 class Identity:
     id: str
-    params: tuple[str, ...]
+    params: Mapping[str, Callable[[str, object], None]]  # name -> kind, in call order
     closed: Callable[..., float]          # (variant, **params) -> float
     oracle: Callable[..., EvalResult]     # (config, **params) -> EvalResult
     grid: tuple[dict, ...]
     tol: float = 1e-7
     has_printed_variant: bool = False
     description: str = ""
-    validate: Callable[..., None] = lambda **p: None
+    check: Callable[..., None] | None = None     # cross-parameter rule, run after the kinds
+    validate: Callable[..., None] | None = None  # derived from params and check
 
 
 CATALOG: dict[str, Identity] = {}
@@ -98,33 +141,98 @@ def _arithmetic_guard(ident_id: str, fn):
     return guarded
 
 
+def _validator(params: Mapping[str, Callable], check: Callable | None):
+    kinds = tuple(params.items())
+
+    def validate(**p):
+        for name, kind in kinds:
+            kind(name, p[name])
+        if check is not None:
+            check(**p)
+
+    return validate
+
+
 def _register(ident: Identity):
-    CATALOG[ident.id] = replace(ident, validate=_arithmetic_guard(ident.id, ident.validate),
-                                closed=_arithmetic_guard(ident.id, ident.closed),
-                                oracle=_arithmetic_guard(ident.id, ident.oracle))
+    CATALOG[ident.id] = replace(
+        ident,
+        validate=_arithmetic_guard(ident.id, _validator(ident.params, ident.check)),
+        closed=_arithmetic_guard(ident.id, ident.closed),
+        oracle=_arithmetic_guard(ident.id, ident.oracle),
+    )
 
 
-def _trunc(config, term, g, d) -> EvalResult:
-    return truncated_series(term, config, TailParams(growth=g, denom_degree=d))
+def _distinct(a, b):
+    if a == b:
+        raise DomainError("a and b must differ")
 
 
-def _trunc_combo(config, parts) -> EvalResult:
-    """Signed combination of separately-tailed truncated series."""
-    weight = sum(abs(c) for c, _, _, _ in parts)
-    cfg = replace(config, target_tol=config.target_tol / weight)
-    value = 0.0
-    est = 0.0
-    work = 0
-    for coef, term, g, d in parts:
-        res = truncated_series(term, cfg, TailParams(growth=g, denom_degree=d))
-        value += coef * res.value
-        est += abs(coef) * res.abs_error_estimate
-        work += res.work
-    if est > config.target_tol:
-        raise ConvergenceError(
-            f"combined series: certified error {est:.3e} exceeds target {config.target_tol:.3e}"
-        )
-    return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED, work=work)
+def _k_above_r(r, k, **_):
+    if float(k) < int(r) + 1:
+        raise DomainError(f"k={k} must be an integer >= {int(r) + 1}")
+
+
+def _no_resonance(a, b, k, **_):
+    wsums._check_resonance(float(a), float(b), int(k))
+
+
+# --------------------------------------------------------------------------
+# summands of the series identities
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Summand:
+    """c_n / prod_j (n + shift_j)^power_j, times 1/C(n+k+b, k) when binom = (k, b).
+
+    c_n is the product of H_n^(m) over `orders` (1 when empty), or of the
+    alternating H-bar_n^(m) when `alternating`.  A shift is a number, or a
+    tuple of numbers added to n in order: n + a + k is the shift (a, k).
+    Called with (ns, env) it gives the terms at the indices ns, as
+    truncated_series expects.
+    """
+
+    orders: tuple[int, ...] = ()
+    den: tuple[tuple, ...] = ()
+    binom: tuple[int, float] | None = None
+    alternating: bool = False
+
+    def tail(self) -> TailParams:
+        # H_n grows like ln n; H_n^(m), m > 1, and the alternating sums tend to constants
+        growth = 0 if self.alternating else self.orders.count(1)
+        degree = sum(int(power) for _, power in self.den)
+        if self.binom is not None:
+            degree += int(self.binom[0])
+        return TailParams(growth=growth, denom_degree=degree)
+
+    def __call__(self, ns, env):
+        num = None
+        for m in dict.fromkeys(self.orders):  # a repeated order is a power: H_n^2 = h1 ** 2
+            h = env.harmonic(int(m), self.alternating)
+            count = self.orders.count(m)
+            if count > 1:
+                h = h ** count
+            num = h if num is None else num * h
+        if self.binom is not None:
+            k, b = self.binom
+            rb = _rbinom(ns, int(k), float(b))
+            num = rb if num is None else num * rb
+        den = None
+        for shift, power in self.den:
+            x = _shifted(ns, shift)
+            if power != 1:
+                x = x ** int(power)
+            den = x if den is None else den * x
+        if den is None:
+            return num
+        return (1.0 if num is None else num) / den
+
+
+def _shifted(ns, shift):
+    if isinstance(shift, tuple):
+        for s in shift:
+            ns = ns + s
+        return ns
+    return ns + shift if shift else ns
 
 
 def _rbinom(ns, k: int, b: float):
@@ -135,21 +243,41 @@ def _rbinom(ns, k: int, b: float):
     return arr
 
 
-def _env_h(env, m: int, alternating: bool = False):
-    return env.harmonic(m, alternating)
+def _window(a, k) -> tuple:
+    """The factors of (n + a)(n + a + k)."""
+    return ((a, 1), ((a, k), 1))
 
 
-def _need_pos(name: str, value, strict=True):
-    v = float(value)
-    if (strict and not v > 0.0) or (not strict and v < 0.0):
-        cmp = ">" if strict else ">="
-        raise DomainError(f"{name}={value} must be {cmp} 0")
+def _trunc_combo(config, parts) -> EvalResult:
+    """Signed combination of separately-tailed truncated series, from
+    (coefficient, Summand) pairs."""
+    weight = sum(abs(c) for c, _ in parts)
+    cfg = replace(config, target_tol=config.target_tol / weight)
+    value = 0.0
+    est = 0.0
+    work = 0
+    for coef, summand in parts:
+        res = truncated_series(summand, cfg, summand.tail())
+        value += coef * res.value
+        est += abs(coef) * res.abs_error_estimate
+        work += res.work
+    if est > config.target_tol:
+        raise ConvergenceError(
+            f"combined series: certified error {est:.3e} exceeds target {config.target_tol:.3e}"
+        )
+    return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED, work=work)
 
 
-def _need_int(name: str, value, minimum: int):
-    v = float(value)
-    if not v.is_integer() or v < minimum:
-        raise DomainError(f"{name}={value} must be an integer >= {minimum}")
+def _series(summand: Callable[..., Summand | tuple]) -> Callable[..., EvalResult]:
+    """The oracle that sums summand(**params): a Summand, or (coefficient,
+    Summand) pairs."""
+    def oracle(config, **params):
+        spec = summand(**params)
+        if isinstance(spec, Summand):
+            return truncated_series(spec, config, spec.tail())
+        return _trunc_combo(config, spec)
+
+    return oracle
 
 
 # --------------------------------------------------------------------------
@@ -230,202 +358,158 @@ def _corrected_only(fn):
 
 _register(Identity(
     id="eq1.27",
-    params=("a", "s"),
+    params={"a": positive, "s": Integer(2)},
     description="sum H_n/(n+a)^s as zeta-shift products plus a reciprocal shift sum",
-    closed=_corrected_only(lambda a, s: linear_sums.sum_H1_power(a, s)),
-    oracle=lambda cfg, a, s: _trunc(cfg, lambda ns, e: e.h1 / (ns + a) ** s, g=1, d=int(s)),
-    validate=lambda a, s: (_need_pos("a", a), _need_int("s", s, 2)),
+    closed=_corrected_only(linear_sums.sum_H1_power),
+    oracle=_series(lambda a, s: Summand((1,), ((a, s),))),
     grid=_grid(a=_A5, s=(2, 3)),
 ))
 
 _register(Identity(
     id="eq1.28",
-    params=("a", "s"),
+    params={"a": positive, "s": Integer(1)},
     description="partial-fraction value of sum 1/(n (n+a)^s)",
-    closed=_corrected_only(lambda a, s: linear_sums.sum_recip_shift(a, s)),
-    oracle=lambda cfg, a, s: _trunc(
-        cfg, lambda ns, e: 1.0 / (ns * (ns + a) ** s), g=0, d=int(s) + 1),
-    validate=lambda a, s: (_need_pos("a", a), _need_int("s", s, 1)),
+    closed=_corrected_only(linear_sums.sum_recip_shift),
+    oracle=_series(lambda a, s: Summand((), ((0, 1), (a, s)))),
     grid=_grid(a=_A5, s=(1, 2)),
 ))
 
 _register(Identity(
     id="eq2.9",
-    params=("a", "b"),
+    params={"a": positive, "b": positive},
+    check=_distinct,
     description="bilinear sum H_n/((n+a)(n+b)); corrected middle-term sign",
     closed=lambda variant, a, b: linear_sums.sum_H1_bilinear(
         a, b, as_printed=variant is Variant.AS_PRINTED),
-    oracle=lambda cfg, a, b: _trunc(
-        cfg, lambda ns, e: e.h1 / ((ns + a) * (ns + b)), g=1, d=2),
-    validate=lambda a, b: (_need_pos("a", a), _need_pos("b", b),
-                           None if a != b else _raise("a and b must differ")),
+    oracle=_series(lambda a, b: Summand((1,), ((a, 1), (b, 1)))),
     has_printed_variant=True,
     grid=({"a": 0.5, "b": 1.0}, {"a": 1.0, "b": 2.0}, {"a": 1.5, "b": 2.5},
           {"a": 2.5, "b": 10.0 / 3.0}, {"a": 0.5, "b": 2.5}),
 ))
 
-
-def _raise(msg: str):
-    raise DomainError(msg)
-
-
 _register(Identity(
     id="eq2.13",
-    params=("a", "k", "m"),
+    params={"a": positive, "k": Integer(1), "m": Integer(1)},
     description="window sum of H_n^(m) over (n+a)(n+a+k)",
-    closed=_corrected_only(lambda a, k, m: linear_sums.sum_Hm_window(a, k, m)),
-    oracle=lambda cfg, a, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m)) / ((ns + a) * (ns + a + k)),
-        g=1 if int(m) == 1 else 0, d=2),
-    validate=lambda a, k, m: (_need_pos("a", a), _need_int("k", k, 1),
-                              _need_int("m", m, 1)),
+    closed=_corrected_only(linear_sums.sum_Hm_window),
+    oracle=_series(lambda a, k, m: Summand((m,), _window(a, k))),
     grid=_grid(a=(0.5, 2.5), k=(1, 2), m=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq2.14",
-    params=("a", "m"),
+    params={"a": positive, "m": Integer(1)},
     description="moment of Li_m: sum 1/(n^m (n+a))",
-    closed=_corrected_only(lambda a, m: linear_sums.polylog_moment(m, a)),
-    oracle=lambda cfg, a, m: _trunc(
-        cfg, lambda ns, e: 1.0 / (ns ** int(m) * (ns + a)), g=0, d=int(m) + 1),
-    validate=lambda a, m: (_need_pos("a", a), _need_int("m", m, 1)),
+    closed=_corrected_only(linear_sums.polylog_moment),
+    oracle=_series(lambda a, m: Summand((), ((0, m), (a, 1)))),
     grid=_grid(a=_A5, m=(2, 3)),
 ))
 
 _register(Identity(
     id="eq2.18",
-    params=("k", "m"),
+    params={"k": Integer(1), "m": Integer(1)},
     description="integer window sum H_n^(m)/(n(n+k))",
     closed=_corrected_only(lambda k, m: _display_2_18(int(k), int(m))),
-    oracle=lambda cfg, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m)) / (ns * (ns + k)),
-        g=1 if int(m) == 1 else 0, d=2),
-    validate=lambda k, m: (_need_int("k", k, 1), _need_int("m", m, 1)),
+    oracle=_series(lambda k, m: Summand((m,), ((0, 1), (k, 1)))),
     grid=_grid(k=(2, 5), m=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq2.19",
-    params=("r", "k", "m"),
+    params={"r": Integer(1), "k": Integer(1), "m": Integer(1)},
+    check=_k_above_r,
     description="integer window sum H_n^(m)/((n+r)(n+k))",
     closed=_corrected_only(lambda r, k, m: _display_2_19(int(r), int(k), int(m))),
-    oracle=lambda cfg, r, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m)) / ((ns + r) * (ns + k)),
-        g=1 if int(m) == 1 else 0, d=2),
-    validate=lambda r, k, m: (_need_int("r", r, 1), _need_int("k", k, int(r) + 1),
-                              _need_int("m", m, 1)),
+    oracle=_series(lambda r, k, m: Summand((m,), ((r, 1), (k, 1)))),
     grid=({"r": 1, "k": 2, "m": 1}, {"r": 1, "k": 2, "m": 2}, {"r": 1, "k": 3, "m": 3},
           {"r": 2, "k": 5, "m": 1}, {"r": 2, "k": 5, "m": 2}, {"r": 2, "k": 5, "m": 3}),
 ))
 
 _register(Identity(
     id="eq2.20",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="m=1 window sum, evaluated from the general window form "
                 "(printed display has an unbound order superscript)",
     closed=_corrected_only(lambda a, k: linear_sums.sum_Hm_window(a, k, 1)),
-    oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h1 / ((ns + a) * (ns + a + k)), g=1, d=2),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    oracle=_series(lambda a, k: Summand((1,), _window(a, k))),
     grid=_grid(a=(0.5, 2.5), k=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq2.21",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="window sum of H_n^(2) in shifted-harmonic form",
     closed=_corrected_only(lambda a, k: _display_2_21(float(a), int(k))),
-    oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h2 / ((ns + a) * (ns + a + k)), g=0, d=2),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    oracle=_series(lambda a, k: Summand((2,), _window(a, k))),
     grid=_grid(a=(0.5, 2.5), k=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq2.22",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="window sum of H_n^2",
-    closed=_corrected_only(lambda a, k: linear_sums.sum_H1sq_window(a, k)),
-    oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h1 ** 2 / ((ns + a) * (ns + a + k)), g=2, d=2),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    closed=_corrected_only(linear_sums.sum_H1sq_window),
+    oracle=_series(lambda a, k: Summand((1, 1), _window(a, k))),
     grid=_grid(a=_A3, k=(1, 2)),
 ))
 
 _register(Identity(
     id="eq2.27",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="window sum of H_n^2 - H_n^(2) equals the Y_2 window",
-    closed=_corrected_only(lambda a, k: linear_sums.sum_sq_diff_window(a, k)),
-    oracle=lambda cfg, a, k: _trunc_combo(cfg, [
-        (1.0, lambda ns, e: e.h1 ** 2 / ((ns + a) * (ns + a + k)), 2, 2),
-        (-1.0, lambda ns, e: e.h2 / ((ns + a) * (ns + a + k)), 0, 2),
-    ]),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    closed=_corrected_only(linear_sums.sum_sq_diff_window),
+    oracle=_series(lambda a, k: ((1.0, Summand((1, 1), _window(a, k))),
+                                 (-1.0, Summand((2,), _window(a, k))))),
     grid=_grid(a=_A3, k=(1, 2)),
 ))
 
 _register(Identity(
     id="eq2.28",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="window sum of H_n H_n^(2)",
-    closed=_corrected_only(lambda a, k: linear_sums.sum_H1H2_window(a, k)),
-    oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h1 * e.h2 / ((ns + a) * (ns + a + k)), g=1, d=2),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    closed=_corrected_only(linear_sums.sum_H1H2_window),
+    oracle=_series(lambda a, k: Summand((1, 2), _window(a, k))),
     grid=_grid(a=_A3, k=(1, 2)),
 ))
 
 _register(Identity(
     id="eq2.29",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="window sum of H_n^3",
-    closed=_corrected_only(lambda a, k: linear_sums.sum_H1cubed_window(a, k)),
-    oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h1 ** 3 / ((ns + a) * (ns + a + k)), g=3, d=2),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    closed=_corrected_only(linear_sums.sum_H1cubed_window),
+    oracle=_series(lambda a, k: Summand((1, 1, 1), _window(a, k))),
     tol=1e-6,
     grid=_grid(a=_A3, k=(1, 2)),
 ))
 
 _register(Identity(
     id="eq2.36",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="cubic Stirling window: H_n^3 - 3 H_n H_n^(2) + 2 H_n^(3)",
-    closed=_corrected_only(lambda a, k: linear_sums.cubic_stirling_window(a, k)),
-    oracle=lambda cfg, a, k: _trunc_combo(cfg, [
-        (1.0, lambda ns, e: e.h1 ** 3 / ((ns + a) * (ns + a + k)), 3, 2),
-        (-3.0, lambda ns, e: e.h1 * e.h2 / ((ns + a) * (ns + a + k)), 1, 2),
-        (2.0, lambda ns, e: e.h3 / ((ns + a) * (ns + a + k)), 0, 2),
-    ]),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    closed=_corrected_only(linear_sums.cubic_stirling_window),
+    oracle=_series(lambda a, k: ((1.0, Summand((1, 1, 1), _window(a, k))),
+                                 (-3.0, Summand((1, 2), _window(a, k))),
+                                 (2.0, Summand((3,), _window(a, k))))),
     tol=1e-6,
     grid=_grid(a=_A3, k=(1, 2)),
 ))
 
 _register(Identity(
     id="eq2.37",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="window sum of H_n^(3)",
     closed=_corrected_only(lambda a, k: linear_sums.sum_Hm_window(a, k, 3)),
-    oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h3 / ((ns + a) * (ns + a + k)), g=0, d=2),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    oracle=_series(lambda a, k: Summand((3,), _window(a, k))),
     grid=_grid(a=(0.5, 2.5), k=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq3.9",
-    params=("a", "b", "k", "p"),
+    params={"a": positive, "b": positive, "k": Integer(1), "p": Integer(1)},
+    check=_no_resonance,
     description="reciprocal-binomial sum of H_n with power factor",
-    closed=_corrected_only(lambda a, b, k, p: wsums.w_1_p(a, b, k, p)),
-    oracle=lambda cfg, a, b, k, p: _trunc(
-        cfg, lambda ns, e: e.h1 * _rbinom(ns, int(k), float(b)) / (ns + a) ** int(p),
-        g=1, d=int(k) + int(p)),
-    validate=lambda a, b, k, p: (_need_pos("a", a), _need_pos("b", b),
-                                 _need_int("k", k, 1), _need_int("p", p, 1),
-                                 wsums._check_resonance(float(a), float(b), int(k))),
+    closed=_corrected_only(wsums.w_1_p),
+    oracle=_series(lambda a, b, k, p: Summand((1,), ((a, p),), binom=(k, b))),
     grid=tuple(dict(base, **kp) for base in ({"a": 1.0, "b": 0.5}, {"a": 0.5, "b": 1.0},
                                              {"a": 2.0, "b": 0.25})
                for kp in ({"k": 2, "p": 1}, {"k": 2, "p": 2}, {"k": 3, "p": 1})),
@@ -433,86 +517,67 @@ _register(Identity(
 
 _register(Identity(
     id="eq3.11",
-    params=("b", "k", "m"),
+    params={"b": nonnegative, "k": Integer(2), "m": Integer(1)},
     description="reciprocal-binomial sum of H_n^(m), no power factor",
-    closed=_corrected_only(lambda b, k, m: wsums.w_m_0(b, k, m)),
-    oracle=lambda cfg, b, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m)) * _rbinom(ns, int(k), float(b)),
-        g=1 if int(m) == 1 else 0, d=int(k)),
-    validate=lambda b, k, m: (_need_pos("b", b, strict=False), _need_int("k", k, 2),
-                              _need_int("m", m, 1)),
+    closed=_corrected_only(wsums.w_m_0),
+    oracle=_series(lambda b, k, m: Summand((m,), binom=(k, b))),
     grid=_grid(b=(0.0, 0.5), k=(2, 3), m=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq3.13",
-    params=("a", "k", "m"),
+    params={"a": positive, "k": Integer(1), "m": Integer(1)},
     description="reciprocal-binomial sum of H_n^(m) with one power of (n+a)",
-    closed=_corrected_only(lambda a, k, m: wsums.w_m_1(a, k, m)),
-    oracle=lambda cfg, a, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m)) * _rbinom(ns, int(k), float(a)) / (ns + a),
-        g=1 if int(m) == 1 else 0, d=int(k) + 1),
-    validate=lambda a, k, m: (_need_pos("a", a), _need_int("k", k, 1),
-                              _need_int("m", m, 1)),
+    closed=_corrected_only(wsums.w_m_1),
+    oracle=_series(lambda a, k, m: Summand((m,), ((a, 1),), binom=(k, a))),
     grid=_grid(a=(0.5, 1.0), k=(1, 2), m=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq3.15",
-    params=("b", "k"),
+    params={"b": nonnegative, "k": Integer(2)},
     description="reciprocal-binomial sum of H_n^2; corrected H_(b+1) factor",
     closed=lambda variant, b, k: wsums.w_11_0(b, k, as_printed=variant is Variant.AS_PRINTED),
-    oracle=lambda cfg, b, k: _trunc(
-        cfg, lambda ns, e: e.h1 ** 2 * _rbinom(ns, int(k), float(b)), g=2, d=int(k)),
-    validate=lambda b, k: (_need_pos("b", b, strict=False), _need_int("k", k, 2)),
+    oracle=_series(lambda b, k: Summand((1, 1), binom=(k, b))),
     has_printed_variant=True,
     grid=_grid(b=(0.0, 0.5, 1.0), k=(2, 3)),
 ))
 
 _register(Identity(
     id="eq3.16",
-    params=("a", "k"),
+    params={"a": positive, "k": Integer(1)},
     description="reciprocal-binomial sum of H_n^2 with one power of (n+a)",
-    closed=_corrected_only(lambda a, k: wsums.w_111(a, k)),
-    oracle=lambda cfg, a, k: _trunc(
-        cfg, lambda ns, e: e.h1 ** 2 * _rbinom(ns, int(k), float(a)) / (ns + a),
-        g=2, d=int(k) + 1),
-    validate=lambda a, k: (_need_pos("a", a), _need_int("k", k, 1)),
+    closed=_corrected_only(wsums.w_111),
+    oracle=_series(lambda a, k: Summand((1, 1), ((a, 1),), binom=(k, a))),
     grid=_grid(a=_A3, k=(1, 2)),
 ))
 
 _register(Identity(
     id="w110",
-    params=("k",),
+    params={"k": Integer(2)},
     description="classical H_n^2/binom(n+k,k) value",
-    closed=_corrected_only(lambda k: wsums.classical_w110(k)),
-    oracle=lambda cfg, k: _trunc(
-        cfg, lambda ns, e: e.h1 ** 2 * _rbinom(ns, int(k), 0.0), g=2, d=int(k)),
-    validate=lambda k: _need_int("k", k, 2),
+    closed=_corrected_only(wsums.classical_w110),
+    oracle=_series(lambda k: Summand((1, 1), binom=(k, 0.0))),
     grid=_grid(k=(2, 3, 4, 5, 6)),
 ))
 
 _register(Identity(
     id="w111",
-    params=("k",),
+    params={"k": Integer(1)},
     description="classical H_n^2/(n binom(n+k,k)) value",
-    closed=_corrected_only(lambda k: wsums.classical_w111(k)),
-    oracle=lambda cfg, k: _trunc(
-        cfg, lambda ns, e: e.h1 ** 2 * _rbinom(ns, int(k), 0.0) / ns, g=2, d=int(k) + 1),
-    validate=lambda k: _need_int("k", k, 1),
+    closed=_corrected_only(wsums.classical_w111),
+    oracle=_series(lambda k: Summand((1, 1), ((0, 1),), binom=(k, 0.0))),
     grid=_grid(k=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq4.2",
-    params=("a", "b"),
+    params={"a": positive, "b": positive},
+    check=_distinct,
     description="alternating-numerator bilinear sum; symmetric half factors",
     closed=lambda variant, a, b: alt_sums.alt_sum_H1_bilinear(
         a, b, as_printed=variant is Variant.AS_PRINTED),
-    oracle=lambda cfg, a, b: _trunc(
-        cfg, lambda ns, e: e.hb1 / ((ns + a) * (ns + b)), g=0, d=2),
-    validate=lambda a, b: (_need_pos("a", a), _need_pos("b", b),
-                           None if a != b else _raise("a and b must differ")),
+    oracle=_series(lambda a, b: Summand((1,), ((a, 1), (b, 1)), alternating=True)),
     has_printed_variant=True,
     tol=1e-7,
     grid=({"a": 0.5, "b": 1.0}, {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 2.5}),
@@ -520,104 +585,70 @@ _register(Identity(
 
 _register(Identity(
     id="eq4.3",
-    params=("a", "s"),
+    params={"a": nonnegative, "s": Integer(2)},
     description="alternating-numerator power sum over (n+a)^s",
-    closed=_corrected_only(lambda a, s: alt_sums.alt_sum_H1_power(a, s)),
-    oracle=lambda cfg, a, s: _trunc(
-        cfg, lambda ns, e: e.hb1 / (ns + a) ** int(s), g=0, d=int(s)),
-    validate=lambda a, s: (_need_pos("a", a, strict=False), _need_int("s", s, 2)),
+    closed=_corrected_only(alt_sums.alt_sum_H1_power),
+    oracle=_series(lambda a, s: Summand((1,), ((a, s),), alternating=True)),
     grid=_grid(a=(0.0, 1.0, 2.0), s=(2, 3)),
 ))
 
 _register(Identity(
     id="eq4.5",
-    params=("a", "b", "k", "p"),
+    params={"a": positive, "b": positive, "k": Integer(1), "p": Integer(1)},
+    check=_no_resonance,
     description="alternating-numerator reciprocal-binomial sum with power factor",
-    closed=_corrected_only(lambda a, b, k, p: wsums.w_alt_1_p(a, b, k, p)),
-    oracle=lambda cfg, a, b, k, p: _trunc(
-        cfg, lambda ns, e: e.hb1 * _rbinom(ns, int(k), float(b)) / (ns + a) ** int(p),
-        g=0, d=int(k) + int(p)),
-    validate=lambda a, b, k, p: (_need_pos("a", a), _need_pos("b", b),
-                                 _need_int("k", k, 1), _need_int("p", p, 1),
-                                 wsums._check_resonance(float(a), float(b), int(k))),
+    closed=_corrected_only(wsums.w_alt_1_p),
+    oracle=_series(lambda a, b, k, p: Summand((1,), ((a, p),), binom=(k, b),
+                                              alternating=True)),
     grid=tuple(dict(base, k=2, p=p) for base in ({"a": 1.0, "b": 0.5}, {"a": 0.5, "b": 1.0})
                for p in (1, 2)),
 ))
 
 _register(Identity(
     id="eq4.7",
-    params=("a", "k", "m"),
+    params={"a": Integer(0), "k": Integer(1), "m": Integer(1)},
     description="alternating-numerator window sum; integer shifts only",
-    closed=_corrected_only(lambda a, k, m: alt_sums.alt_sum_Hm_window(a, k, m)),
-    oracle=lambda cfg, a, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m), alternating=True) / ((ns + a) * (ns + a + k)),
-        g=0, d=2),
-    validate=lambda a, k, m: (_need_int("a", a, 0), _need_int("k", k, 1),
-                              _need_int("m", m, 1)),
+    closed=_corrected_only(alt_sums.alt_sum_Hm_window),
+    oracle=_series(lambda a, k, m: Summand((m,), _window(a, k), alternating=True)),
     grid=_grid(a=(0, 1, 2), k=(1, 2), m=(1, 2)),
 ))
 
 _register(Identity(
     id="eq4.10",
-    params=("k", "m"),
+    params={"k": Integer(1), "m": Integer(1)},
     description="alternating window display specialized to zero shift",
     closed=_corrected_only(lambda k, m: _display_4_10(int(k), int(m))),
-    oracle=lambda cfg, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m), alternating=True) / (ns * (ns + k)), g=0, d=2),
-    validate=lambda k, m: (_need_int("k", k, 1), _need_int("m", m, 1)),
+    oracle=_series(lambda k, m: Summand((m,), ((0, 1), (k, 1)), alternating=True)),
     grid=_grid(k=(2, 5), m=(1, 2, 3)),
 ))
 
 _register(Identity(
     id="eq4.11",
-    params=("r", "k", "m"),
+    params={"r": Integer(1), "k": Integer(1), "m": Integer(1)},
+    check=_k_above_r,
     description="alternating window display specialized to integer shift r",
     closed=_corrected_only(lambda r, k, m: _display_4_11(int(r), int(k), int(m))),
-    oracle=lambda cfg, r, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m), alternating=True) / ((ns + r) * (ns + k)),
-        g=0, d=2),
-    validate=lambda r, k, m: (_need_int("r", r, 1), _need_int("k", k, int(r) + 1),
-                              _need_int("m", m, 1)),
+    oracle=_series(lambda r, k, m: Summand((m,), ((r, 1), (k, 1)), alternating=True)),
     grid=({"r": 1, "k": 2, "m": 1}, {"r": 1, "k": 2, "m": 2}, {"r": 1, "k": 3, "m": 1},
           {"r": 1, "k": 3, "m": 2}, {"r": 2, "k": 3, "m": 1}, {"r": 2, "k": 3, "m": 2}),
 ))
 
 _register(Identity(
     id="eq4.12",
-    params=("a", "k", "m"),
+    params={"a": Integer(0), "k": Integer(2), "m": Integer(1)},
     description="alternating-numerator reciprocal-binomial sum, no power factor",
-    closed=_corrected_only(lambda a, k, m: wsums.w_alt_m_0(a, k, m)),
-    oracle=lambda cfg, a, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m), alternating=True) * _rbinom(ns, int(k), float(a)),
-        g=0, d=int(k)),
-    validate=lambda a, k, m: (_need_int("a", a, 0), _need_int("k", k, 2),
-                              _need_int("m", m, 1)),
+    closed=_corrected_only(wsums.w_alt_m_0),
+    oracle=_series(lambda a, k, m: Summand((m,), binom=(k, a), alternating=True)),
     grid=_grid(a=(0, 1), k=(2, 3), m=(1, 2)),
 ))
 
 _register(Identity(
     id="eq4.13",
-    params=("a", "k", "m"),
+    params={"a": Integer(1), "k": Integer(1), "m": Integer(1)},
     description="alternating-numerator reciprocal-binomial sum with (n+a) factor",
-    closed=_corrected_only(lambda a, k, m: wsums.w_alt_m_1(a, k, m)),
-    oracle=lambda cfg, a, k, m: _trunc(
-        cfg, lambda ns, e: _env_h(e, int(m), alternating=True)
-        * _rbinom(ns, int(k), float(a)) / (ns + a),
-        g=0, d=int(k) + 1),
-    validate=lambda a, k, m: (_need_int("a", a, 1), _need_int("k", k, 1),
-                              _need_int("m", m, 1)),
+    closed=_corrected_only(wsums.w_alt_m_1),
+    oracle=_series(lambda a, k, m: Summand((m,), ((a, 1),), binom=(k, a), alternating=True)),
     grid=_grid(a=(1, 2), k=(1, 2), m=(1, 2)),
-))
-
-_register(Identity(
-    id="eq2.2",
-    params=("m", "a"),
-    description="log-power moment recurrence vs tanh-sinh quadrature",
-    closed=_corrected_only(lambda m, a: y_moment(int(m), float(a))),
-    oracle=lambda cfg, m, a: _ymoment_oracle(cfg, int(m), float(a)),
-    validate=lambda m, a: (_need_int("m", m, 0), _need_pos("a", a)),
-    tol=1e-10,
-    grid=_grid(m=(1, 2, 3, 4), a=(0.5, 1.0, 2.5, math.pi)),
 ))
 
 
@@ -629,6 +660,17 @@ def _ymoment_oracle(cfg, m: int, a: float) -> EvalResult:
         abs_error_estimate=res.abs_error_estimate * abs(a),
         method=res.method, work=res.work,
     )
+
+
+_register(Identity(
+    id="eq2.2",
+    params={"m": Integer(0), "a": positive},
+    description="log-power moment recurrence vs tanh-sinh quadrature",
+    closed=_corrected_only(lambda m, a: y_moment(int(m), float(a))),
+    oracle=lambda cfg, m, a: _ymoment_oracle(cfg, int(m), float(a)),
+    tol=1e-10,
+    grid=_grid(m=(1, 2, 3, 4), a=(0.5, 1.0, 2.5, math.pi)),
+))
 
 
 # generating-function / lemma identities: closed = displayed right side,
@@ -652,7 +694,7 @@ def _gf_oracle(kind: linear_sums.GfKind):
 _GF_RNG_SEED = 20240813
 
 
-def _gf_draws(n: int, names: tuple[str, ...], s_range=(1, 3), with_y=False) -> tuple[dict, ...]:
+def _gf_draws(n: int, names: tuple[str, ...], s_range=(1, 3)) -> tuple[dict, ...]:
     rng = np.random.default_rng(_GF_RNG_SEED + len(names) * 7 + n)
     out = []
     for _ in range(n):
@@ -670,106 +712,87 @@ def _gf_draws(n: int, names: tuple[str, ...], s_range=(1, 3), with_y=False) -> t
 
 _register(Identity(
     id="eq1.24",
-    params=("x", "y", "a", "s"),
+    params={"x": inside_unit, "y": inside_unit, "a": unconstrained, "s": Integer(1)},
     description="two-variable parametric product series identity",
     closed=_gf_closed(linear_sums.GfKind.LEMMA13_TWO_VAR),
     oracle=_gf_oracle(linear_sums.GfKind.LEMMA13_TWO_VAR),
-    validate=lambda x, y, a, s: (_need_open("x", x), _need_open("y", y),
-                                 _need_int("s", s, 1)),
     tol=1e-9,
     grid=_gf_draws(9, ("x", "y", "a", "s")),
 ))
 
 _register(Identity(
     id="eq1.25",
-    params=("x", "a", "s"),
+    params={"x": inside_unit, "a": unconstrained, "s": Integer(2)},
     description="one-variable parametric product series identity",
     closed=_gf_closed(linear_sums.GfKind.LEMMA13),
     oracle=_gf_oracle(linear_sums.GfKind.LEMMA13),
-    validate=lambda x, a, s: (_need_open("x", x), _need_int("s", s, 2)),
     tol=1e-9,
     grid=_gf_draws(9, ("x", "a", "s"), s_range=(2, 4)),
 ))
 
 _register(Identity(
     id="eq1.29",
-    params=("x",),
+    params={"x": inside_unit},
     description="generating function of H_n H_n^(2)",
     closed=_gf_closed(linear_sums.GfKind.HN_H2),
     oracle=_gf_oracle(linear_sums.GfKind.HN_H2),
-    validate=lambda x: _need_open("x", x),
     tol=1e-9,
     grid=tuple({"x": v} for v in (-0.8, -0.3, 0.25, 0.5, 0.8)),
 ))
 
 _register(Identity(
     id="eq1.30",
-    params=("x", "m"),
+    params={"x": inside_unit, "m": Integer(2)},
     description="generating function of H_n H_n^(m)",
     closed=_gf_closed(linear_sums.GfKind.HN_HM),
     oracle=_gf_oracle(linear_sums.GfKind.HN_HM),
-    validate=lambda x, m: (_need_open("x", x), _need_int("m", m, 2)),
     tol=1e-9,
     grid=_grid(x=(-0.8, 0.3, 0.7), m=(2, 3)),
 ))
 
 _register(Identity(
     id="eq1.31",
-    params=("x", "y", "p", "m"),
+    params={"x": inside_unit, "y": inside_unit, "p": Integer(1), "m": Integer(1)},
     description="reflection of nested double sums",
     closed=_gf_closed(linear_sums.GfKind.NESTED_REFLECT),
     oracle=_gf_oracle(linear_sums.GfKind.NESTED_REFLECT),
-    validate=lambda x, y, p, m: (_need_open("x", x), _need_open("y", y),
-                                 _need_int("p", p, 1), _need_int("m", m, 1)),
     tol=1e-9,
     grid=_gf_draws(8, ("x", "y", "p", "m"), s_range=(1, 2)),
 ))
 
 _register(Identity(
     id="eq2.25",
-    params=("x",),
+    params={"x": inside_unit},
     description="generating function of H_n^2 - H_n^(2)",
     closed=_gf_closed(linear_sums.GfKind.SQ_DIFF),
     oracle=_gf_oracle(linear_sums.GfKind.SQ_DIFF),
-    validate=lambda x: _need_open("x", x),
     tol=1e-9,
     grid=tuple({"x": v} for v in (-0.5, 0.25, 0.6, 0.85)),
 ))
 
 _register(Identity(
     id="eq1.19",
-    params=("x", "a", "b", "n", "m"),
+    params={"x": inside_unit, "a": positive, "b": positive, "n": Integer(1), "m": Integer(1)},
     description="moment integral of the shifted power series H_m(t,a)",
     closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT),
     oracle=lambda cfg, x, a, b, n, m: quadrature(
         Integrand.LEMMA_MOMENT, {"x": x, "a": a, "b": b, "n": n, "m": m},
         tol=max(1e-13, cfg.target_tol / 10.0)),
-    validate=lambda x, a, b, n, m: (_need_open("x", x), _need_pos("a", a),
-                                    _need_pos("b", b), _need_int("n", n, 1),
-                                    _need_int("m", m, 1)),
     tol=1e-9,
     grid=_grid(x=(0.3, 0.8), n=(1, 4), a=(0.5, 2.0), b=(0.5, 2.0), m=(2, 3)),
 ))
 
 _register(Identity(
     id="eq1.23",
-    params=("x", "b", "n", "m"),
+    params={"x": inside_unit, "b": positive, "n": Integer(1), "m": Integer(1)},
     description="moment integral of Li_m over (0, x)",
     closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT_ZERO),
     oracle=lambda cfg, x, b, n, m: quadrature(
         Integrand.LEMMA_MOMENT_ZERO, {"x": x, "b": b, "n": n, "m": m},
         tol=max(1e-13, cfg.target_tol / 10.0)),
-    validate=lambda x, b, n, m: (_need_open("x", x), _need_pos("b", b),
-                                 _need_int("n", n, 1), _need_int("m", m, 1)),
     tol=1e-9,
     grid=_grid(x=(0.3, 0.8), n=(1, 4), b=(0.5, 2.0), m=(2, 3)),
 ))
-
-
-def _need_open(name: str, value):
-    v = float(value)
-    if not -1.0 < v < 1.0:
-        raise DomainError(f"{name}={value} must lie strictly inside (-1, 1)")
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .oracle import (
     verify_identity,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 _ENV_MAX_TERMS = "EULERSUM_MAX_TERMS"
 
 
@@ -43,8 +43,6 @@ class ReportDocument:
             "config": {
                 "max_terms": self.config.max_terms,
                 "min_terms": self.config.min_terms,
-                "tail_mode": self.config.tail_mode.value,
-                "accel": self.config.accel.value,
                 "target_tol": self.config.target_tol,
             },
             "records": [_record_obj(r) for r in self.result.records],
@@ -113,14 +111,13 @@ def _base_config() -> SeriesConfig:
 def _coerce_params(ident: catalog.Identity, args: argparse.Namespace) -> dict:
     params = {}
     missing = []
-    for name in ident.params:
+    for name, kind in ident.params.items():
         raw = getattr(args, name, None)
         if raw is None:
             missing.append(name)
             continue
-        caster = catalog.PARAM_TYPES.get(name, float)
         value = float(raw)
-        if caster is int:
+        if isinstance(kind, catalog.Integer):
             if not value.is_integer():
                 raise DomainError(f"parameter --{name} must be an integer, got {raw}")
             params[name] = int(value)
@@ -282,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one catalog identity")
     p_eval.add_argument("identity", help="catalog id, e.g. eq2.13")
-    for name in sorted(catalog.PARAM_TYPES):
+    for name in sorted({name for ident in catalog.CATALOG.values() for name in ident.params}):
         p_eval.add_argument(f"--{name}", type=float, default=None)
     p_eval.add_argument("--method", choices=("closed", "oracle", "both"), default="closed")
     p_eval.add_argument("--as-printed", action="store_true", dest="as_printed")

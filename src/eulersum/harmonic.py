@@ -3,7 +3,6 @@ and the log-power moment recurrence Y_m(a)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, PoleError
@@ -18,25 +17,6 @@ from .specfun import (
 
 _STIRLING_MAX_N = 64
 _Y_MAX_M = 8
-
-
-@dataclass(frozen=True)
-class HarmonicOrder:
-    """Order s in H_n^(s); must be a positive integer."""
-
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1 or self.s != int(self.s):
-            raise DomainError(f"harmonic order must be a positive integer, got {self.s}")
-
-
-@dataclass(frozen=True)
-class StirlingRow:
-    """Row n of unsigned first-kind Stirling numbers, exact integers."""
-
-    n: int
-    values: tuple[int, ...]  # s(n, 0..n)
 
 
 def harmonic_num(n: int, s: int = 1) -> float:
@@ -152,13 +132,6 @@ def _stirling_row(n: int) -> tuple[int, ...]:
         right = prev[k] if k <= n - 1 else 0
         row[k] = left + (n - 1) * right
     return tuple(row)
-
-
-def stirling_row(n: int) -> StirlingRow:
-    """Exact row of unsigned first-kind Stirling numbers for n <= 64."""
-    if n < 0 or n > _STIRLING_MAX_N:
-        raise DomainError(f"stirling rows supported for 0 <= n <= {_STIRLING_MAX_N}")
-    return StirlingRow(n=n, values=_stirling_row(int(n)))
 
 
 def stirling1(n: int, k: int) -> int:

@@ -1,14 +1,15 @@
 """Independent ground-truth engines and the identity-verification driver.
 
-Three evaluation routes, none of which share code with the closed forms they
-check: chunked truncated summation with an analytic log-power tail,
-alternating-series acceleration, and tanh-sinh quadrature.
+Two evaluation routes, neither of which shares code with the closed forms it
+checks: chunked truncated summation with an analytic log-power tail, for
+series of any numerator (alternating ones included), and tanh-sinh
+quadrature.  From specfun this module takes only constants and zeta values
+(riemann_zeta, _zeta_nonpositive), none of the alternating-series, polylog
+and h_func evaluators the closed sides are built on.
 
 The quadrature nests its levels, so each node is evaluated once, and calls
 its integrand once per level on numpy arrays of nodes.  The integrands sum
-their own series (H_m(t, a), Li_m(t)) at all nodes together; they take only
-zeta constants from specfun, not the polylog and h_func evaluators the
-closed sides are built on.
+their own series (H_m(t, a), Li_m(t)) at all nodes together.
 """
 from __future__ import annotations
 
@@ -22,35 +23,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .specfun import (
-    EULER_GAMMA,
-    _zeta_nonpositive,
-    alternating_sum,
-    alternating_sum_by_averaging,
-    as_shift,
-    riemann_zeta,
-)
+from .specfun import EULER_GAMMA, _zeta_nonpositive, riemann_zeta
 
 _LD = np.longdouble
 _FLOAT_EPS = float(np.finfo(float).eps)
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
-class TailMode(str, enum.Enum):
-    NONE = "none"
-    EULER_MACLAURIN = "euler-maclaurin"
-    LOG_POWER_INTEGRAL = "log-power-integral"
-
-
-class AccelMode(str, enum.Enum):
-    NONE = "none"
-    ALTERNATING_CVZ = "alternating-cvz"
-
-
 class Method(str, enum.Enum):
     CLOSED_FORM = "closed"
     TRUNCATED = "truncated"
-    ACCELERATED = "accelerated"
     QUADRATURE = "quadrature"
 
 
@@ -69,8 +51,6 @@ class Status(str, enum.Enum):
 class SeriesConfig:
     max_terms: int = 10**6       # cap on the terms a truncated series may sum
     min_terms: int = 1 << 12     # first N of the doubling search
-    tail_mode: TailMode = TailMode.LOG_POWER_INTEGRAL
-    accel: AccelMode = AccelMode.ALTERNATING_CVZ
     target_tol: float = 1e-9
 
     def __post_init__(self):
@@ -213,8 +193,6 @@ def truncated_series(
     d = tail.denom_degree
     if d < 2:
         raise ConvergenceError(f"denominator degree {d} < 2: tail does not converge")
-    if config.tail_mode is TailMode.EULER_MACLAURIN:
-        g = 0
     n_cap = int(config.max_terms)
     steps = [min(int(config.min_terms), n_cap)]
     while steps[-1] < n_cap:
@@ -233,9 +211,6 @@ def truncated_series(
 
     def tail_corrected(n_stop: int) -> tuple[float, float]:
         s, t4 = checkpoints[n_stop]
-        if config.tail_mode is TailMode.NONE:
-            # conservative bound on the raw truncation error
-            return s, abs(t4[-1]) * n_stop / (d - 1)
         # two-parameter fit t(x) ~ model(x) * (lam + mu/x) from parity-averaged
         # pairs of trailing terms; the pair means keep alternating-numerator
         # oscillation out of the fit
@@ -283,39 +258,6 @@ def truncated_series(
         f"truncated series: certified error {est:.3e} exceeds target "
         f"{config.target_tol:.3e} at max_terms={n_cap}"
     )
-
-
-def accelerated_alternating(
-    abs_term: Callable[[int], float],
-    config: SeriesConfig,
-) -> EvalResult:
-    """sum_{n>=1} (-1)^(n-1) |t_n| for eventually-monotone magnitudes.
-
-    abs_term(n) is the magnitude at 1-based index n.  Two acceleration depths
-    certify the error; well under 1e-12 within a few dozen term evaluations.
-    """
-    if config.accel is AccelMode.NONE:
-        raise ConvergenceError("alternating series requires an acceleration mode")
-    needed = max(24.0, math.log(4.0 / config.target_tol) / math.log(3.0 + math.sqrt(8.0)) + 8)
-    n = min(int(needed) + 1, 10_000)
-
-    def a0(k: int) -> float:
-        return abs_term(k + 1)
-
-    coarse = alternating_sum(a0, n_terms=n - 6)
-    value = alternating_sum(a0, n_terms=n)
-    est = 2.0 * abs(value - coarse) + 256.0 * _FLOAT_EPS * abs(abs_term(1))
-    if est > config.target_tol:
-        raise ConvergenceError(
-            f"alternating acceleration: certified error {est:.3e} exceeds "
-            f"target {config.target_tol:.3e}"
-        )
-    return EvalResult(value=value, abs_error_estimate=est, method=Method.ACCELERATED, work=2 * n - 6)
-
-
-def alternating_cross_check(abs_term: Callable[[int], float]) -> float:
-    """Second, independent accelerator (averaged partial sums)."""
-    return alternating_sum_by_averaging(lambda k: abs_term(k + 1), levels=56)
 
 
 class Integrand(str, enum.Enum):
@@ -437,7 +379,10 @@ def _build_integrand(integrand_id: Integrand, params: Mapping[str, float]):
     if m < 1:
         raise DomainError(f"lemma moment requires integer m >= 1, got {m}")
     if integrand_id is Integrand.LEMMA_MOMENT:
-        a = as_shift(p["a"])
+        a = float(p["a"])
+        if not math.isfinite(a) or (a < 0.0 and a.is_integer()):
+            raise DomainError(f"lemma moment requires a finite shift a off the negative "
+                              f"integers, got {a}")
 
         def h_series(t):
             # H_m(t, a) = t^a sum_k t^k/(k+a)^m

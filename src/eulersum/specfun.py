@@ -7,7 +7,6 @@ concurrently.  Internal lookup tables are immutable after import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -37,23 +36,6 @@ _BERNOULLI = (
     -236364091.0 / 2730, 0.0, 8553103.0 / 6, 0.0, -23749461029.0 / 870, 0.0,
     8615841276005.0 / 14322, 0.0,
 )
-
-
-@dataclass(frozen=True)
-class ShiftParam:
-    """A real shift parameter excluded from the negative integers."""
-
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if not math.isfinite(v):
-            raise DomainError("shift parameter must be finite")
-        if _is_negative_integer(v):
-            raise DomainError(f"shift parameter {v} is a negative integer")
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -198,20 +180,6 @@ def alternating_sum(abs_term, n_terms: int = 36) -> float:
         s += c * abs_term(k)
         b *= (k + n_terms) * (k - n_terms) / ((k + 0.5) * (k + 1.0))
     return s / d
-
-
-def alternating_sum_by_averaging(abs_term, levels: int = 48) -> float:
-    """Same series by repeated averaging of partial sums (independent check)."""
-    rows = []
-    s = 0.0
-    sign = 1.0
-    for k in range(levels + 1):
-        s += sign * abs_term(k)
-        rows.append(s)
-        sign = -sign
-    while len(rows) > 1:
-        rows = [(rows[i] + rows[i + 1]) / 2.0 for i in range(len(rows) - 1)]
-    return rows[0]
 
 
 @lru_cache(maxsize=None)

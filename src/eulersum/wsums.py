@@ -15,7 +15,10 @@ values, H_a, ln 2).  The alternating shapes also need
 zbar(1, a) = (-1)^a (ln 2 - H-bar_a), whose two differences cancel by about
 2^k; it is held to 60 digits.  This covers w_m_0, w_m_1, w_11_0, w_111,
 w_alt_m_0, w_alt_m_1 and classical_w111, for k <= 60, in O(k) big-integer
-steps.
+steps.  Those integers reach about (m+1) bits(L) bits for a difference of
+order m; a shape whose integers would pass _EXACT_MAX_BITS (a shift with a
+long numerator, such as a = 1e300, or a large order m) raises DomainError
+rather than run for minutes.
 
 The power shapes w_1_p and w_alt_1_p (p >= 1 with two shifts) still sum the
 partial-fraction weights over bilinear and power sums in floating point.
@@ -25,7 +28,6 @@ the precision_warning advisory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .alt_sums import alt_sum_H1_bilinear, alt_sum_H1_power
 from .errors import DomainError
@@ -36,6 +38,7 @@ from .specfun import LN2, alt_zeta, as_shift, riemann_zeta
 _PF_MAX_K = 60
 _CLOSED_FORM_MAX_K = 30
 _PRECISION_WARN_K = 20
+_EXACT_MAX_BITS = 1 << 17  # integer size the exact W differences may reach
 
 _SCALE = 10**60
 _LN2_SCALED = 693147180559945309417232121458176568075500134360255254120680  # floor(ln 2 * 10^60)
@@ -45,65 +48,13 @@ _BERNOULLI_EXACT = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), 
                     (-3617, 510), (43867, 798), (-174611, 330))
 
 
-@dataclass(frozen=True)
-class WSumSpec:
-    """Shape of a reciprocal-binomial sum: orders, power p, shifts, parity."""
-
-    k: int
-    a: float
-    b: float
-    orders: tuple[int, ...]
-    p: int
-    alternating: bool = False
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise DomainError("binomial depth k must be >= 1")
-        if self.p < 0:
-            raise DomainError("power p must be >= 0")
-        if self.p + self.k <= 1:
-            raise DomainError("convergence requires p + k > 1")
-        orders = tuple(self.orders)
-        if orders == (1,):
-            supported = True  # any p
-        elif len(orders) == 1:
-            supported = self.p in (0, 1)
-        elif orders == (1, 1):
-            supported = self.p in (0, 1) and not self.alternating
-        else:
-            supported = False
-        if not supported:
-            raise DomainError(f"unsupported W-sum shape orders={self.orders} p={self.p}")
-
-
-@dataclass(frozen=True)
-class PartialFractionCoeffs:
-    """Weights A_r with 1/binom(n+k+a, k) = sum_r A_r/(n+a+r)."""
-
-    k: int
-    coeffs: tuple[float, ...]
-
-
-def pf_coeffs(k: int) -> PartialFractionCoeffs:
-    """Simple-pole expansion weights A_r = (-1)^(r+1) r C(k, r), r = 1..k."""
+def pf_coeffs(k: int) -> tuple[float, ...]:
+    """Simple-pole expansion weights A_r = (-1)^(r+1) r C(k, r), r = 1..k, with
+    1/binom(n+k+a, k) = sum_r A_r/(n+a+r)."""
     if not 1 <= k <= _PF_MAX_K:
         raise DomainError(f"pf_coeffs supports 1 <= k <= {_PF_MAX_K}")
     k = int(k)
-    return PartialFractionCoeffs(
-        k=k,
-        coeffs=tuple(float((-1) ** (r + 1) * r * math.comb(k, r)) for r in range(1, k + 1)),
-    )
-
-
-def pf_coeffs_window(k: int) -> PartialFractionCoeffs:
-    """Window expansion: 1/binom(n+k+a,k) = sum_r w_r/((n+a+1)(n+a+r+1)), k >= 2."""
-    if not 2 <= k <= _PF_MAX_K:
-        raise DomainError(f"pf_coeffs_window supports 2 <= k <= {_PF_MAX_K}")
-    k = int(k)
-    return PartialFractionCoeffs(
-        k=k,
-        coeffs=tuple(float(k * (-1) ** (r + 1) * r * math.comb(k - 1, r)) for r in range(1, k)),
-    )
+    return tuple(float((-1) ** (r + 1) * r * math.comb(k, r)) for r in range(1, k + 1))
 
 
 def _guard_k(k: int, minimum: int = 1, cap: int = _PF_MAX_K) -> int:
@@ -149,7 +100,7 @@ def w_1_p(a: float, b: float, k: int, p: int) -> float:
     p = int(p)
     _check_resonance(a, b, k)
     out = 0.0
-    for r, c in zip(range(1, k + 1), pf_coeffs(k).coeffs):
+    for r, c in zip(range(1, k + 1), pf_coeffs(k)):
         out += c * sum_H1_bilinear(a, b + r) / (a - b - r) ** (p - 1)
         out -= c * sum(
             sum_H1_power(a, j) / (a - b - r) ** (p + 1 - j) for j in range(2, p + 1)
@@ -163,22 +114,28 @@ def _weights(k: int) -> list[int]:
     return [(-1) ** i * math.comb(k - 1, i) for i in range(k)]
 
 
-def _reciprocals(a: float, k: int) -> tuple[list[int], int]:
+def _reciprocals(a: float, k: int, order: int) -> tuple[list[int], int]:
     """Integers u_i and L with 1/(a+i) = u_i/L exactly, for i < k.
 
     With a = N/D (a float is a dyadic rational), q_i = iD + N, L = prod q_i
-    and u_i = D L/q_i.
+    and u_i = D L/q_i.  A difference of (a+i)^-order terms works on integers
+    of about (order+1) bits(L) bits; past _EXACT_MAX_BITS that would run for
+    seconds to minutes, so it raises DomainError instead.
     """
     num, den = a.as_integer_ratio()
     q = [i * den + num for i in range(k)]
     big_l = math.prod(q)
+    bits = (order + 1) * big_l.bit_length()
+    if bits > _EXACT_MAX_BITS:
+        raise DomainError(f"exact W difference at a={a}, k={k}, order {order} needs "
+                          f"{bits}-bit integers, over the {_EXACT_MAX_BITS}-bit budget")
     return [den * (big_l // qi) for qi in q], big_l
 
 
 def _w_m_1(a: float, k: int, m: int) -> float:
     # W = sum_{j<m} (-1)^(j-1) zeta(m+1-j) D_j + s H_a D_m + s Delta[h_i/(a+i)^m]
     # with s = (-1)^(m-1), D_j = Delta[(a+i)^-j], h_i = sum_{1<=l<=i} 1/(a+l)
-    u, big_l = _reciprocals(a, k)
+    u, big_l = _reciprocals(a, k, m)
     diffs = [0] * (m + 1)
     nested = h = 0
     for i, (w, ui) in enumerate(zip(_weights(k), u)):
@@ -224,7 +181,7 @@ def _w_111(a: float, k: int, h_factor: float) -> float:
     #     + Delta[(h_i^2 + h2_i)/(a+i) - h_i/(a+i)^2]
     # with h_i, h2_i = sum_{1<=l<=i} 1/(a+l)^(1 or 2); h_factor stands in for
     # the H_a of the D_2 term
-    u, big_l = _reciprocals(a, k)
+    u, big_l = _reciprocals(a, k, 2)
     d1 = d2 = lin = quad = h = h2 = 0
     for i, (w, ui) in enumerate(zip(_weights(k), u)):
         if i:
@@ -274,7 +231,7 @@ def w_alt_1_p(a: float, b: float, k: int, p: int) -> float:
     p = int(p)
     _check_resonance(a, b, k)
     out = 0.0
-    for r, c in zip(range(1, k + 1), pf_coeffs(k).coeffs):
+    for r, c in zip(range(1, k + 1), pf_coeffs(k)):
         out += c * alt_sum_H1_bilinear(a, b + r) / (a - b - r) ** (p - 1)
         out -= c * sum(
             alt_sum_H1_power(a, j) / (a - b - r) ** (p + 1 - j) for j in range(2, p + 1)
@@ -309,7 +266,7 @@ def _w_alt_m_1(a: int, k: int, m: int) -> float:
     # hb_i = sum_{1<=l<=i} (-1)^(l-1)/(a+l).  The last sum's two parts are
     # each about 2^k times W; they cancel exactly with zbar(1, a) held to 60
     # digits.
-    u, big_l = _reciprocals(float(a), k)
+    u, big_l = _reciprocals(float(a), k, m)
     z = _alt_tail_scaled(a) * big_l
     diffs = [0] * (m + 1)
     rest = hb = 0
@@ -363,9 +320,7 @@ def classical_w111(k: int) -> float:
     latter in integers over 3 L^3 with L = lcm(1..k), so the alternating
     weights cancel exactly.
     """
-    if k < 1 or k != int(k):
-        raise DomainError(f"classical_w111 requires integer k >= 1, got {k}")
-    k = int(k)
+    k = _guard_k(k)
     big_l = math.lcm(*range(1, k + 1))
     z2 = rat = h1 = h2 = h3 = nested = 0  # h_s = L^s H_r^(s), nested = L^3 sum_{i<r} H_i/i^2
     for r in range(1, k + 1):
@@ -381,13 +336,3 @@ def classical_w111(k: int) -> float:
         y2 = h1 * h1 + h2
         rat += (-1) ** (r + 1) * math.comb(k, r) * (y3 - 3 * c * y2 - 3 * nested_r)
     return 3.0 * riemann_zeta(3) + riemann_zeta(2) * (z2 / big_l) + rat / (3 * big_l**3)
-
-
-def classical_w(k: int, kind: str) -> float:
-    """Dispatch for the two classical regressions: '110' (k>=2) or '111'."""
-    key = str(kind).strip().lower().replace("one", "1").replace("zero", "0").replace(",", "")
-    if key == "110":
-        return classical_w110(k)
-    if key == "111":
-        return classical_w111(k)
-    raise DomainError(f"unknown classical W kind {kind!r}; use '110' or '111'")

@@ -166,7 +166,7 @@ def test_criterion_5_known_value_regressions():
         ("product window", es.sum_H1H2_window(1.0, 1), 2.0 * Z3 - 1.0),
         ("alternating power sum", es.alt_sum_H1_power(0.0, 2),
          math.pi**2 * es.LN2 / 4.0 - Z3 / 4.0),
-        ("classical binomial value", es.classical_w(2, "110"), 2.0 * Z2 + 2.0),
+        ("classical binomial value", es.classical_w110(2), 2.0 * Z2 + 2.0),
         ("binomial closed form matches classical", es.w_11_0(0.0, 2), 2.0 * Z2 + 2.0),
     ]
     worst = max(abs(got - want) / abs(want) for _, got, want in checks)

@@ -54,6 +54,16 @@ def test_eval_unknown_identity(capsys):
     assert "unknown identity" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["eq2.13", "--a", "1", "--k", "1.5", "--m", "1"], "--k"),
+    (["eq4.13", "--a", "1.5", "--k", "2", "--m", "1"], "--a"),  # an integer shift
+])
+def test_eval_non_integer_for_declared_integer_exits_2(argv, flag, capsys):
+    code, out, err = run(["eval", *argv], capsys)
+    assert code == 2 and out == ""
+    assert f"parameter {flag} must be an integer" in err
+
+
 def test_eval_missing_params(capsys):
     code, _, err = run(["eval", "eq2.13", "--a", "1"], capsys)
     assert code == 2
@@ -65,7 +75,7 @@ def test_verify_single_identity_writes_json(tmp_path, capsys):
     code, out, _ = run(["verify", "--identity", "eq2.14", "--out", str(out_file)], capsys)
     assert code == 0
     payload = json.loads(out_file.read_text())
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     assert payload["config"]["min_terms"] == 4096
     assert payload["summary"]["confirmed"] == len(payload["records"])
     assert payload["summary"]["refuted"] == 0
@@ -267,3 +277,22 @@ def test_verify_arithmetic_failure_is_inconclusive_with_reason(tmp_path, capsys)
     assert [r["status"] for r in records] == ["INCONCLUSIVE"] * len(_ARITHMETIC_WITNESSES)
     for rec, (_, _, raw) in zip(records, _ARITHMETIC_WITNESSES):
         assert rec["reason"].startswith("DomainError") and raw in rec["reason"]
+
+
+def test_exact_w_shape_past_its_integer_budget_is_a_domain_error(tmp_path, capsys):
+    # the exact differences of eq3.13 would work on 7e6-bit integers here and
+    # ran past 25 s; the integer budget rejects the case at once
+    params = {"a": 1e300, "k": 7, "m": 1000}
+    t0 = time.perf_counter()
+    code, out, err = run(["eval", "eq3.13", "--method", "closed"]
+                         + [f"--{k}={v}" for k, v in params.items()], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and "budget" in err
+    gf = tmp_path / "grid.json"
+    gf.write_text(json.dumps([{"identity": "eq3.13", "params": params}]))
+    out_file = tmp_path / "out.json"
+    code, _, _ = run(["verify", "--grid", str(gf), "--out", str(out_file)], capsys)
+    assert code == 0
+    [rec] = json.loads(out_file.read_text())["records"]
+    assert rec["status"] == "INCONCLUSIVE"
+    assert rec["reason"].startswith("DomainError: exact W difference") and "budget" in rec["reason"]

@@ -18,7 +18,6 @@ from eulersum import (
     riemann_zeta,
     shifted_harmonic,
     stirling1,
-    stirling_row,
     y_moment,
 )
 from eulersum.harmonic import nested_harmonic_sum
@@ -144,12 +143,10 @@ def test_stirling_closed_forms_exact():
 
 def test_stirling_recurrence_and_bounds():
     for n in range(1, 40):
-        row = stirling_row(n).values
-        prev = stirling_row(n - 1).values
         for k in range(1, n + 1):
-            left = prev[k - 1] if k - 1 < len(prev) else 0
-            right = prev[k] if k < len(prev) else 0
-            assert row[k] == left + (n - 1) * right
+            left = stirling1(n - 1, k - 1)
+            right = stirling1(n - 1, k) if k <= n - 1 else 0
+            assert stirling1(n, k) == left + (n - 1) * right
     assert stirling1(5, 5) == 1
     assert stirling1(3, 1) == 2
     assert stirling1(4, 2) == 11

@@ -1,6 +1,8 @@
-"""Oracle engines: truncated summation, alternating acceleration, tanh-sinh
-quadrature, and the verification driver's status logic."""
+"""Oracle engines: truncated summation, tanh-sinh quadrature, and the
+verification driver's status logic."""
+import ast
 import dataclasses
+import inspect
 import math
 import time
 import tracemalloc
@@ -19,14 +21,12 @@ from eulersum import (
     Status,
     TailParams,
     Variant,
-    accelerated_alternating,
     grid_verify,
     quadrature,
     riemann_zeta,
     truncated_series,
     verify_identity,
 )
-from eulersum.oracle import alternating_cross_check
 from eulersum import catalog
 from eulersum import oracle as oracle_mod
 
@@ -113,26 +113,6 @@ def test_truncated_doubling_self_consistency():
     r2 = truncated_series(term, SeriesConfig(min_terms=2 * r1.work, target_tol=1e-6), tail)
     assert r2.work == 2 * r1.work
     assert abs(r1.value - r2.value) <= r1.abs_error_estimate + r2.abs_error_estimate
-
-
-def test_accelerated_alternating_values():
-    cfg = SeriesConfig(target_tol=1e-12)
-    res = accelerated_alternating(lambda n: 1.0 / n, cfg)
-    assert abs(res.value - LN2) <= 1e-12
-    res = accelerated_alternating(lambda n: 1.0 / (n * n), cfg)
-    assert abs(res.value - math.pi**2 / 12.0) <= 1e-13
-    assert res.work <= 10**4
-
-
-def test_accelerated_cross_check_agreement():
-    # two independent accelerators agree on shifted alternating series
-    cfg = SeriesConfig(target_tol=1e-11)
-    for a in (0.0, 0.5, 2.5):
-        for s in (1, 2, 3):
-            term = lambda n, a=a, s=s: 1.0 / (n + a) ** s
-            fast = accelerated_alternating(term, cfg).value
-            slow = alternating_cross_check(term)
-            assert abs(fast - slow) <= 1e-11
 
 
 def test_quadrature_values():
@@ -363,3 +343,18 @@ def test_catalog_validates_grids():
         ident = catalog.get(ident_id)
         for params in ident.grid:
             ident.validate(**params)
+
+
+def test_oracle_takes_only_constants_and_zeta_values_from_specfun():
+    # the oracles share no summation or special-function code with the closed
+    # sides, which specfun's evaluators (alternating_sum, polylog, ...) feed
+    tree = ast.parse(inspect.getsource(oracle_mod))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "specfun":
+                imported += [alias.name for alias in node.names]
+            elif node.module is None:
+                assert "specfun" not in [alias.name for alias in node.names]
+    assert imported
+    assert all(name.isupper() or "zeta" in name for name in imported), imported

@@ -11,7 +11,6 @@ from eulersum import (
     EULER_GAMMA,
     LN2,
     PoleError,
-    ShiftParam,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
@@ -23,6 +22,7 @@ from eulersum import (
     polylog,
     riemann_zeta,
 )
+from eulersum.specfun import as_shift
 
 mp.mp.dps = 30
 
@@ -215,7 +215,7 @@ def test_h_func():
 
 def test_shift_param_guards():
     with pytest.raises(DomainError):
-        ShiftParam(-2.0)
+        as_shift(-2.0)
     with pytest.raises(DomainError):
-        ShiftParam(math.inf)
-    assert float(ShiftParam(0.5)) == 0.5
+        as_shift(math.inf)
+    assert as_shift(0.5) == 0.5

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from eulersum import (
     DomainError,
-    WSumSpec,
-    classical_w,
     classical_w110,
     classical_w111,
     gen_binomial,
     pf_coeffs,
-    pf_coeffs_window,
     riemann_zeta,
     w_1_p,
     w_11_0,
@@ -47,9 +44,14 @@ def _oracle(term, g, d, n=10**6, tol=1e-9):
 
 
 def test_pf_coeffs_small():
-    assert pf_coeffs(1).coeffs == (1.0,)
-    assert pf_coeffs(2).coeffs == (2.0, -2.0)
-    assert pf_coeffs(3).coeffs == (3.0, -6.0, 3.0)
+    assert pf_coeffs(1) == (1.0,)
+    assert pf_coeffs(2) == (2.0, -2.0)
+    assert pf_coeffs(3) == (3.0, -6.0, 3.0)
+
+
+def _window_weights(k):
+    # w_r with 1/binom(n+k+a, k) = sum_{r<k} w_r/((n+a+1)(n+a+r+1)), k >= 2
+    return [float(k * (-1) ** (r + 1) * r * math.comb(k - 1, r)) for r in range(1, k)]
 
 
 def _exact_recon(k, a, n, window=False):
@@ -62,12 +64,12 @@ def _exact_recon(k, a, n, window=False):
     if window:
         recon = sum(
             Fraction(int(c)) / ((n + af + 1) * (n + r + 1 + af))
-            for r, c in zip(range(1, k), pf_coeffs_window(k).coeffs)
+            for r, c in zip(range(1, k), _window_weights(k))
         )
     else:
         recon = sum(
             Fraction(int(c)) / (n + af + r)
-            for r, c in zip(range(1, k + 1), pf_coeffs(k).coeffs)
+            for r, c in zip(range(1, k + 1), pf_coeffs(k))
         )
     binom = Fraction(1)
     for i in range(1, k + 1):
@@ -111,7 +113,7 @@ def test_pf_float_reconstruction_small_k():
             if k == 8 and n > 1:
                 continue
             a = 0.41
-            recon = sum(c / (n + a + r) for r, c in zip(range(1, k + 1), pf_coeffs(k).coeffs))
+            recon = sum(c / (n + a + r) for r, c in zip(range(1, k + 1), pf_coeffs(k)))
             assert recon * gen_binomial(n + k + a, float(k)) == pytest.approx(1.0, rel=1e-11)
 
 
@@ -133,26 +135,12 @@ def test_resonance_lattice():
             w_1_p(a, b, k, 1)  # evaluates fine
 
 
-def test_wsumspec_guards():
-    with pytest.raises(DomainError):
-        WSumSpec(k=1, a=0.5, b=0.5, orders=(1,), p=0)  # p + k <= 1
-    with pytest.raises(DomainError):
-        WSumSpec(k=2, a=0.5, b=0.5, orders=(1, 2), p=0)  # unsupported shape
-    WSumSpec(k=2, a=0.5, b=0.5, orders=(1, 1), p=1)
-
-
 def test_classical_values():
     assert classical_w110(2) == pytest.approx(2.0 * Z2 + 2.0, rel=1e-13)
     assert classical_w110(3) == pytest.approx(1.5 * Z2 - 9.0 / 8.0, rel=1e-13)
     assert classical_w111(1) == pytest.approx(3.0 * Z3, rel=1e-13)
-    assert classical_w(2, "110") == classical_w110(2)
-    assert classical_w(1, "111") == classical_w111(1)
-    assert classical_w(2, "OneOneZero") == classical_w110(2)
-    assert classical_w(3, "OneOneOne") == classical_w111(3)
     with pytest.raises(DomainError):
         classical_w110(1)
-    with pytest.raises(DomainError):
-        classical_w(2, "112")
 
 
 def test_classical_against_oracle():
@@ -243,6 +231,18 @@ def test_closed_form_k_cap():
         w_m_1(0.5, 61, 1)
     with pytest.raises(DomainError):
         w_1_p(1.0, 0.5, 31, 1)
+    with pytest.raises(DomainError):
+        classical_w111(61)
+
+
+def test_exact_shapes_integer_budget():
+    # a = 1e300 has a 997-bit numerator: L = prod (a+i) has about 60 000 bits
+    # at k = 60, so order 1 fits the budget and order 2 does not
+    assert math.isfinite(w_m_1(1e300, 60, 1))
+    for fn, args in ((w_m_1, (1e300, 60, 2)), (w_111, (1e300, 60)),
+                     (w_alt_m_1, (1e300, 60, 2)), (w_m_1, (1e300, 7, 1000))):
+        with pytest.raises(DomainError, match="budget"):
+            fn(*args)
 
 
 # The exact shapes, as (catalog id, closed form, shift name, shifts, orders).
@@ -275,9 +275,9 @@ def _old_pf_sum(window, k, *, depth_shift=0):
     # the float partial-fraction sum the W shapes used before: the weights
     # times window sums, with its own rounding, 64 eps sum |A_r S_r|
     if depth_shift:
-        pairs = zip(range(1, k), pf_coeffs_window(k).coeffs)
+        pairs = zip(range(1, k), _window_weights(k))
     else:
-        pairs = zip(range(1, k + 1), pf_coeffs(k).coeffs)
+        pairs = zip(range(1, k + 1), pf_coeffs(k))
     terms = [c * window(r) for r, c in pairs]
     return math.fsum(terms), 64.0 * np.finfo(float).eps * sum(abs(t) for t in terms)
 
