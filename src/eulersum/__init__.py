@@ -51,6 +51,7 @@ from .oracle import (
     Method,
     SeriesConfig,
     Status,
+    Summand,
     TailParams,
     Variant,
     VerificationRecord,

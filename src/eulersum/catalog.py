@@ -4,18 +4,20 @@ form, an independent oracle, a parameter schema, and a default grid.
 Each identity declares its parameters once, as an ordered mapping from name
 to kind (``positive``, ``nonnegative``, ``inside_unit``, ``unconstrained`` or
 ``Integer(minimum)``), plus at most one cross-parameter ``check``.  Its
-``validate`` is derived from that declaration, and the CLI reads the same
-kinds to decide which flags it coerces to integers.
+``validate`` is derived from that declaration after ``check_params`` (the
+declared names, each a real number but not a bool, as grid files are also
+checked), and the CLI reads the kinds to decide which flags are integers.
 
-Each of the 30 series identities declares its summand once, as a ``Summand``:
-the harmonic orders multiplied in the numerator (alternating or not), the
-(shift, power) factors of the denominator, and an optional reciprocal
-binomial 1/C(n+k+b, k).  The summand is the term the oracle sums, and it
-gives its own tail model: growth g = the number of H_n factors of a
-non-alternating numerator, degree d = the sum of the powers plus k.
-Difference numerators (the squared and cubic Stirling windows) are signed
-combinations of summands, each summed with its own tail, because a single
-log-power model cannot carry their constant offsets.
+Each of the 30 series identities declares its summand once, as an
+``oracle.Summand``: the harmonic orders multiplied in the numerator
+(alternating or not), the (shift, power) factors of the denominator, and an
+optional reciprocal binomial 1/C(n+k+b, k).  The catalog only declares
+summands; ``oracle.truncated_series`` sums them and takes the tail model
+from each: growth g = the number of H_n factors of a non-alternating
+numerator, degree d = the sum of the powers plus k.  Difference numerators
+(the squared and cubic Stirling windows) are signed combinations of
+summands, each summed with its own tail, because a single log-power model
+cannot carry their constant offsets.
 
 Catalog oracles never call the closed forms they check.  Every series oracle,
 alternating numerators included, goes through ``oracle.truncated_series``.
@@ -29,7 +31,9 @@ zero or non-finite value into a DomainError.
 """
 from __future__ import annotations
 
+import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -49,15 +53,12 @@ from .oracle import (
     EvalResult,
     Integrand,
     Method,
-    TailParams,
+    Summand,
     Variant,
     quadrature,
     truncated_series,
 )
 from .specfun import LN2, alt_zeta, riemann_zeta
-
-_LD = np.longdouble
-
 
 # --------------------------------------------------------------------------
 # parameter kinds: each checks one value and raises DomainError
@@ -141,10 +142,28 @@ def _arithmetic_guard(ident_id: str, fn):
     return guarded
 
 
-def _validator(params: Mapping[str, Callable], check: Callable | None):
-    kinds = tuple(params.items())
+def is_number(value) -> bool:
+    """A real number (an int, a float or a numpy scalar), but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_params(ident: Identity, params) -> None:
+    """Raise DomainError unless params maps exactly the declared names to numbers."""
+    if not (isinstance(params, Mapping) and params.keys() == ident.params.keys()
+            and all(map(is_number, params.values()))):
+        raise DomainError(f"{ident.id} takes numeric parameters {', '.join(ident.params)}; "
+                          f"got {json.dumps(params, default=repr)}")
+
+
+def _validator(ident: Identity):
+    kinds = tuple(ident.params.items())
+    names, plain, check = ident.params.keys(), frozenset((int, float)), ident.check
 
     def validate(**p):
+        # exact ints and floats skip check_params, which costs about as much
+        # as the kinds; it decides every other value (a bool is rejected)
+        if p.keys() != names or not plain.issuperset(map(type, p.values())):
+            check_params(ident, p)
         for name, kind in kinds:
             kind(name, p[name])
         if check is not None:
@@ -156,7 +175,7 @@ def _validator(params: Mapping[str, Callable], check: Callable | None):
 def _register(ident: Identity):
     CATALOG[ident.id] = replace(
         ident,
-        validate=_arithmetic_guard(ident.id, _validator(ident.params, ident.check)),
+        validate=_arithmetic_guard(ident.id, _validator(ident)),
         closed=_arithmetic_guard(ident.id, ident.closed),
         oracle=_arithmetic_guard(ident.id, ident.oracle),
     )
@@ -180,102 +199,33 @@ def _no_resonance(a, b, k, **_):
 # summands of the series identities
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Summand:
-    """c_n / prod_j (n + shift_j)^power_j, times 1/C(n+k+b, k) when binom = (k, b).
-
-    c_n is the product of H_n^(m) over `orders` (1 when empty), or of the
-    alternating H-bar_n^(m) when `alternating`.  A shift is a number, or a
-    tuple of numbers added to n in order: n + a + k is the shift (a, k).
-    Called with (ns, env) it gives the terms at the indices ns, as
-    truncated_series expects.
-    """
-
-    orders: tuple[int, ...] = ()
-    den: tuple[tuple, ...] = ()
-    binom: tuple[int, float] | None = None
-    alternating: bool = False
-
-    def tail(self) -> TailParams:
-        # H_n grows like ln n; H_n^(m), m > 1, and the alternating sums tend to constants
-        growth = 0 if self.alternating else self.orders.count(1)
-        degree = sum(int(power) for _, power in self.den)
-        if self.binom is not None:
-            degree += int(self.binom[0])
-        return TailParams(growth=growth, denom_degree=degree)
-
-    def __call__(self, ns, env):
-        num = None
-        for m in dict.fromkeys(self.orders):  # a repeated order is a power: H_n^2 = h1 ** 2
-            h = env.harmonic(int(m), self.alternating)
-            count = self.orders.count(m)
-            if count > 1:
-                h = h ** count
-            num = h if num is None else num * h
-        if self.binom is not None:
-            k, b = self.binom
-            rb = _rbinom(ns, int(k), float(b))
-            num = rb if num is None else num * rb
-        den = None
-        for shift, power in self.den:
-            x = _shifted(ns, shift)
-            if power != 1:
-                x = x ** int(power)
-            den = x if den is None else den * x
-        if den is None:
-            return num
-        return (1.0 if num is None else num) / den
-
-
-def _shifted(ns, shift):
-    if isinstance(shift, tuple):
-        for s in shift:
-            ns = ns + s
-        return ns
-    return ns + shift if shift else ns
-
-
-def _rbinom(ns, k: int, b: float):
-    # 1/binom(n+k+b, k) = k! / prod_{i=1..k} (n+b+i), stable for any n
-    arr = np.full(ns.shape, _LD(float(math.factorial(k))))
-    for i in range(1, k + 1):
-        arr = arr / (ns + (b + i))
-    return arr
-
-
 def _window(a, k) -> tuple:
     """The factors of (n + a)(n + a + k)."""
     return ((a, 1), ((a, k), 1))
 
 
-def _trunc_combo(config, parts) -> EvalResult:
-    """Signed combination of separately-tailed truncated series, from
-    (coefficient, Summand) pairs."""
-    weight = sum(abs(c) for c, _ in parts)
-    cfg = replace(config, target_tol=config.target_tol / weight)
-    value = 0.0
-    est = 0.0
-    work = 0
-    for coef, summand in parts:
-        res = truncated_series(summand, cfg, summand.tail())
-        value += coef * res.value
-        est += abs(coef) * res.abs_error_estimate
-        work += res.work
-    if est > config.target_tol:
-        raise ConvergenceError(
-            f"combined series: certified error {est:.3e} exceeds target {config.target_tol:.3e}"
-        )
-    return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED, work=work)
-
-
 def _series(summand: Callable[..., Summand | tuple]) -> Callable[..., EvalResult]:
-    """The oracle that sums summand(**params): a Summand, or (coefficient,
-    Summand) pairs."""
+    """The oracle that sums summand(**params): a Summand, or signed
+    (coefficient, Summand) pairs, each summed with its own tail and the
+    target split by the coefficients' total weight."""
     def oracle(config, **params):
         spec = summand(**params)
-        if isinstance(spec, Summand):
-            return truncated_series(spec, config, spec.tail())
-        return _trunc_combo(config, spec)
+        parts = ((1.0, spec),) if isinstance(spec, Summand) else spec
+        cfg = replace(config, target_tol=config.target_tol / sum(abs(c) for c, _ in parts))
+        value = est = 0.0
+        work = 0
+        for coef, part in parts:
+            # called through this module's global with config second: the
+            # benchmark's tracer (perfbench/tracing.py) patches it there
+            res = truncated_series(part, cfg)
+            value += coef * res.value
+            est += abs(coef) * res.abs_error_estimate
+            work += res.work
+        if est > config.target_tol:
+            raise ConvergenceError(f"combined series: certified error {est:.3e} exceeds "
+                                   f"target {config.target_tol:.3e}")
+        return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED,
+                          work=work)
 
     return oracle
 

@@ -12,10 +12,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 
 from . import catalog
-from .errors import ConvergenceError, DomainError, EulersumError, PoleError
+from .errors import DomainError, EulersumError
 from .oracle import (
     GridResult,
     IdentityCase,
@@ -30,29 +30,18 @@ SCHEMA_VERSION = "3"
 _ENV_MAX_TERMS = "EULERSUM_MAX_TERMS"
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    schema_version: str
-    config: SeriesConfig
-    result: GridResult
-    wall_time_ms: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": {
-                "max_terms": self.config.max_terms,
-                "min_terms": self.config.min_terms,
-                "target_tol": self.config.target_tol,
-            },
-            "records": [_record_obj(r) for r in self.result.records],
-            "summary": {
-                "confirmed": self.result.confirmed,
-                "refuted": self.result.refuted,
-                "inconclusive": self.result.inconclusive,
-                "wall_time_ms": self.wall_time_ms,
-            },
-        }
+def _report_obj(config: SeriesConfig, result: GridResult, wall_time_ms: int) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": asdict(config),
+        "records": [_record_obj(r) for r in result.records],
+        "summary": {
+            "confirmed": result.confirmed,
+            "refuted": result.refuted,
+            "inconclusive": result.inconclusive,
+            "wall_time_ms": wall_time_ms,
+        },
+    }
 
 
 def _record_obj(r) -> dict:
@@ -169,25 +158,21 @@ def _parse_grid_file(path: str, default_tol_by_id) -> list[IdentityCase]:
             raise DomainError(f"grid case {i}: expected an object with an 'identity' key")
         ident = catalog.get(entry["identity"])
         params = entry.get("params")
-        if (not isinstance(params, dict) or set(params) != set(ident.params)
-                or not all(_is_number(v) for v in params.values())):
-            raise DomainError(f"grid case {i}: {ident.id} takes numeric parameters "
-                              f"{', '.join(ident.params)}; got {json.dumps(params)}")
+        try:
+            catalog.check_params(ident, params)
+        except DomainError as exc:
+            raise DomainError(f"grid case {i}: {exc}") from None
         variant = entry.get("variant", "corrected")
         if variant not in variants:
             raise DomainError(f"grid case {i}: variant must be one of "
                               f"{', '.join(variants)}; got {variant!r}")
         tol = entry.get("tol", default_tol_by_id(ident))
-        if not _is_number(tol):
+        if not catalog.is_number(tol):
             raise DomainError(f"grid case {i}: tol must be a number; got {tol!r}")
         cases.append(IdentityCase(
             identity_id=ident.id, params=dict(params), tol=float(tol), variant=Variant(variant),
         ))
     return cases
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -203,10 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.monotonic()
     result = grid_verify(cases, config)
     wall_ms = int((time.monotonic() - start) * 1000)
-    report = ReportDocument(
-        schema_version=SCHEMA_VERSION, config=config, result=result, wall_time_ms=wall_ms,
-    )
-    payload = report.to_json_obj()
+    payload = _report_obj(config, result, wall_ms)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             if args.format == "json":
@@ -231,17 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_errata(args: argparse.Namespace) -> int:
     entries = catalog.ERRATA
     if args.format == "json":
-        payload = [
-            {
-                "identity": e.identity,
-                "issue": e.issue,
-                "witness": e.witness,
-                "expected_residual": e.expected_residual,
-                "kind": e.kind,
-            }
-            for e in entries
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps([asdict(e) for e in entries], indent=2, sort_keys=True))
     else:
         print(f"{'identity':<10} {'kind':<14} witness{'':<22} issue")
         for e in entries:
@@ -315,14 +287,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (DomainError, PoleError, ConvergenceError) as exc:
+    except EulersumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 2
-    except EulersumError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

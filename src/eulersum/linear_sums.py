@@ -43,22 +43,6 @@ from .specfun import (
 )
 
 
-@dataclass(frozen=True)
-class WindowSumParams:
-    """Parameters of a window denominator (n+a)(n+a+k) with numerator order m."""
-
-    a: float
-    k: int
-    m: int = 1
-
-    def __post_init__(self):
-        as_shift(self.a)
-        if self.k < 1 or self.k != int(self.k):
-            raise DomainError(f"window width k must be a positive integer, got {self.k}")
-        if self.m < 1 or self.m != int(self.m):
-            raise DomainError(f"numerator order m must be a positive integer, got {self.m}")
-
-
 def _zeta_shift(s: int, a: float) -> float:
     return hurwitz_zeta(s, a + 1.0)
 
@@ -119,17 +103,22 @@ def sum_H1_bilinear(a: float, b: float, *, as_printed: bool = False) -> float:
     )
 
 
-def _window_guard(a: float, k: int, m: int = 1) -> WindowSumParams:
-    p = WindowSumParams(a=float(a), k=int(k), m=int(m))
-    if not p.a > 0:
-        raise DomainError(f"window sums require a > 0, got a={p.a}")
-    return p
+def _window_guard(a: float, k: int, m: int = 1) -> tuple[float, int, int]:
+    # a, k and the numerator order m of a window sum over (n+a)(n+a+k)
+    a, k, m = float(a), int(k), int(m)
+    as_shift(a)
+    if k < 1:
+        raise DomainError(f"window width k must be a positive integer, got {k}")
+    if m < 1:
+        raise DomainError(f"numerator order m must be a positive integer, got {m}")
+    if not a > 0:
+        raise DomainError(f"window sums require a > 0, got a={a}")
+    return a, k, m
 
 
 def sum_Hm_window(a: float, k: int, m: int) -> float:
     """sum H_n^(m)/((n+a)(n+a+k)) for a > 0, k >= 1, m >= 1."""
-    p = _window_guard(a, k, m)
-    a, k, m = p.a, p.k, p.m
+    a, k, m = _window_guard(a, k, m)
     br = polylog_moment(m, a)
     br += sum(
         (-1.0) ** (j - 1) * riemann_zeta(m + 1 - j) * param_harmonic(k - 1, j, a)
@@ -162,14 +151,13 @@ def _y_window(a: float, k: int, order: int) -> float:
 
 def sum_sq_diff_window(a: float, k: int) -> float:
     """sum (H_n^2 - H_n^(2))/((n+a)(n+a+k)) = (1/k) sum_j Y_2(a+j-1)/(a+j-1)."""
-    p = _window_guard(a, k)
-    return _y_window(p.a, p.k, 2) / p.k
+    a, k, _ = _window_guard(a, k)
+    return _y_window(a, k, 2) / k
 
 
 def sum_H1sq_window(a: float, k: int) -> float:
     """sum H_n^2/((n+a)(n+a+k)) for a > 0, k >= 1."""
-    p = _window_guard(a, k)
-    a, k = p.a, p.k
+    a, k, _ = _window_guard(a, k)
     br = riemann_zeta(2) * param_harmonic(k, 1, a - 1.0)
     br -= _h_shift(a) * param_harmonic(k, 2, a - 1.0)
     br -= nested_harmonic_sum(k, 2, a)
@@ -219,8 +207,7 @@ def sum_shiftedH_over_nsq(c: float, n_terms: int = 16) -> float:
 
 def sum_H1H2_window(a: float, k: int) -> float:
     """sum H_n H_n^(2)/((n+a)(n+a+k)) for a > 0, k >= 1."""
-    p = _window_guard(a, k)
-    a, k = p.a, p.k
+    a, k, _ = _window_guard(a, k)
     br = 0.0
     for i in range(k):
         al = a + i
@@ -233,8 +220,8 @@ def sum_H1H2_window(a: float, k: int) -> float:
 
 def cubic_stirling_window(a: float, k: int) -> float:
     """sum (H_n^3 - 3 H_n H_n^(2) + 2 H_n^(3))/((n+a)(n+a+k)), the Y_3 window."""
-    p = _window_guard(a, k)
-    return _y_window(p.a, p.k, 3) / p.k
+    a, k, _ = _window_guard(a, k)
+    return _y_window(a, k, 3) / k
 
 
 def sum_H1cubed_window(a: float, k: int) -> float:

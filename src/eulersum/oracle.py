@@ -1,11 +1,13 @@
 """Independent ground-truth engines and the identity-verification driver.
 
 Two evaluation routes, neither of which shares code with the closed forms it
-checks: chunked truncated summation with an analytic log-power tail, for
-series of any numerator (alternating ones included), and tanh-sinh
-quadrature.  From specfun this module takes only constants and zeta values
-(riemann_zeta, _zeta_nonpositive), none of the alternating-series, polylog
-and h_func evaluators the closed sides are built on.
+checks: truncated summation with an analytic log-power tail, and tanh-sinh
+quadrature.  The series engine sums a declared ``Summand`` (harmonic numbers,
+alternating ones included, over shifted powers and an optional reciprocal
+binomial) and reads its tail model from the summand.  From specfun this
+module takes only constants and zeta values (riemann_zeta,
+_zeta_nonpositive), none of the alternating-series, polylog and h_func
+evaluators the closed sides are built on.
 
 The quadrature nests its levels, so each node is evaluated once, and calls
 its integrand once per level on numpy arrays of nodes.  The integrands sum
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -31,7 +32,6 @@ _LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
 class Method(str, enum.Enum):
-    CLOSED_FORM = "closed"
     TRUNCATED = "truncated"
     QUADRATURE = "quadrature"
 
@@ -105,58 +105,87 @@ class TailParams:
             raise DomainError("tail growth power must be 0..3")
 
 
-_HARMONIC_ATTR = re.compile(r"h(b?)([1-9][0-9]*)")  # h3 -> H_n^(3), hb2 -> alternating
+_CHUNK = 1 << 20  # most indices summed in one block
 
 
-class SeriesEnv:
-    """Per-chunk cumulative harmonic arrays with carries across chunks.
+@dataclass(frozen=True)
+class Summand:
+    """c_n / prod_j (n + shift_j)^power_j, times 1/C(n+k+b, k) when binom = (k, b).
 
-    Term callables receive (ns, env) where ns is the 1-based index block and
-    env.harmonic(m) is H_n^(m), env.harmonic(m, alternating=True) the
-    alternating sum_{j<=n} (-1)^(j-1)/j^m, for any order m >= 1 and each valid
-    for exactly that block.  The attributes h<m> and hb<m> (h1, hb2, ...) name
-    the same arrays.
+    c_n is the product of H_n^(m) over `orders` (1 when empty), or of the
+    alternating H-bar_n^(m) = sum_{j<=n} (-1)^(j-1)/j^m when `alternating`.
+    A shift is a number, or a tuple of numbers added to n in order: n + a + k
+    is the shift (a, k).  truncated_series sums it and takes its tail model
+    from tail().
     """
 
-    def __init__(self):
-        self._carry: dict[tuple[int, bool], np.longdouble] = {}
-        self._ns = None
-        self._ns_int = None
-        self._cache: dict[tuple[int, bool], np.ndarray] = {}
-        self._named: list[str] = []
+    orders: tuple[int, ...] = ()
+    den: tuple[tuple, ...] = ()
+    binom: tuple[int, float] | None = None
+    alternating: bool = False
 
-    def _set_chunk(self, ns_int: np.ndarray, ns: np.ndarray):
-        self._ns_int = ns_int
-        self._ns = ns
-        self._cache = {}
-        for name in self._named:
-            delattr(self, name)
-        self._named = []
-
-    def harmonic(self, m: int, alternating: bool = False) -> np.ndarray:
-        key = (m, alternating)
-        arr = self._cache.get(key)
-        if arr is None:
+    def __post_init__(self):
+        for m in self.orders:
             if m < 1 or m != int(m):
                 raise DomainError(f"harmonic order must be an integer >= 1, got {m}")
-            terms = self._ns ** _LD(-m) if m > 1 else 1.0 / self._ns
-            if alternating:
-                sign = np.where(self._ns_int & 1 == 1, _LD(1.0), _LD(-1.0))
-                terms = terms * sign
-            arr = self._carry.get(key, _LD(0.0)) + np.cumsum(terms)
-            self._carry[key] = arr[-1]
-            self._cache[key] = arr
-        return arr
 
-    def __getattr__(self, name: str):
-        match = _HARMONIC_ATTR.fullmatch(name)
-        if match is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        arr = self.harmonic(int(match.group(2)), alternating=bool(match.group(1)))
-        # stored until the next chunk, so later reads skip this lookup
-        setattr(self, name, arr)
-        self._named.append(name)
-        return arr
+    def tail(self) -> TailParams:
+        # H_n grows like ln n; H_n^(m), m > 1, and the alternating sums tend to constants
+        growth = 0 if self.alternating else self.orders.count(1)
+        degree = sum(int(power) for _, power in self.den) + int(self.binom[0] if self.binom else 0)
+        return TailParams(growth=growth, denom_degree=degree)
+
+    def terms(self, ns: np.ndarray, harmonics: Mapping[int, np.ndarray]) -> np.ndarray:
+        """The terms at the indices ns, given harmonics[m] = H_n^(m) (H-bar_n^(m)
+        when alternating) at the same indices for each order m in `orders`."""
+        num = None
+        for m in dict.fromkeys(self.orders):  # a repeated order is a power: H_n^2 = h1 ** 2
+            h = harmonics[int(m)]
+            count = self.orders.count(m)
+            if count > 1:
+                h = h ** count
+            num = h if num is None else num * h
+        if self.binom is not None:
+            k, b = self.binom
+            rb = _rbinom(ns, int(k), float(b))
+            num = rb if num is None else num * rb
+        den = None
+        for shift, power in self.den:
+            x = ns
+            for s in shift if isinstance(shift, tuple) else (shift,):
+                if s:  # n + 0 is n
+                    x = x + s
+            if power != 1:
+                x = x ** int(power)
+            den = x if den is None else den * x
+        if den is None:
+            return num
+        return (1.0 if num is None else num) / den
+
+
+def _rbinom(ns, k: int, b: float):
+    # 1/binom(n+k+b, k) = k! / prod_{i=1..k} (n+b+i), stable for any n
+    arr = np.full(ns.shape, _LD(float(math.factorial(k))))
+    for i in range(1, k + 1):
+        arr = arr / (ns + (b + i))
+    return arr
+
+
+def _block_terms(summand: Summand, ns_int: np.ndarray,
+                 prefix: dict[int, np.longdouble]) -> np.ndarray:
+    """The summand's terms on the block ns_int; prefix maps each numerator
+    order to its harmonic sum before the block and is moved past it."""
+    ns = ns_int.astype(_LD)
+    harmonics = {}
+    if summand.alternating:
+        sign = np.where(ns_int & 1 == 1, _LD(1.0), _LD(-1.0))
+    for m, carry in prefix.items():
+        inv = ns ** _LD(-m) if m > 1 else 1.0 / ns
+        if summand.alternating:
+            inv = inv * sign
+        harmonics[m] = h = carry + np.cumsum(inv)
+        prefix[m] = h[-1]
+    return summand.terms(ns, harmonics)
 
 
 def _log_power_integral(g: int, d: int, x0: float) -> float:
@@ -171,24 +200,22 @@ def _model(x: float, g: int, d: int) -> float:
     return (math.log(x) + EULER_GAMMA) ** g / x**d
 
 
-def truncated_series(
-    term_fn: Callable[[np.ndarray, SeriesEnv], np.ndarray],
-    config: SeriesConfig,
-    tail: TailParams,
-    chunk: int = 1 << 20,
-) -> EvalResult:
-    """Partial sum over n = 1..N plus an analytic tail correction, with N
-    doubled from config.min_terms until the certified error meets the target.
+def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
+    """Partial sum of the summand over n = 1..N plus an analytic tail
+    correction, with N doubled from config.min_terms until the certified
+    error meets the target.
 
-    The tail is the scaled log-power model integral from the midpoint
-    N + 1/2; the error estimate is twice the disagreement with the same
-    evaluation truncated at N/2, plus drift and roundoff floors.  Each
-    doubling extends the running prefix sums, and the previous N is the new
-    N/2 checkpoint.  config.max_terms caps N; the last step stops exactly at
-    the cap.  Raises ConvergenceError when the estimate at the cap still
+    The sum runs in blocks of at most _CHUNK indices, with one running
+    harmonic prefix sum per numerator order.  The tail is the summand's
+    log-power model (summand.tail()) integrated from the midpoint N + 1/2;
+    the error estimate is twice the disagreement with the same evaluation
+    truncated at N/2, plus drift and roundoff floors.  Each doubling extends
+    the running sums, and the previous N is the new N/2 checkpoint.
+    config.max_terms caps N; the last step stops exactly at the cap.  Raises ConvergenceError when the estimate at the cap still
     misses config.target_tol or when the denominator degree would leave a
     divergent tail.
     """
+    tail = summand.tail()
     g = tail.growth
     d = tail.denom_degree
     if d < 2:
@@ -204,7 +231,7 @@ def truncated_series(
     boundaries = sorted({b for n in steps for b in (half(n), n)})
     evaluate = set(steps)
 
-    env = SeriesEnv()
+    prefix = {int(m): _LD(0.0) for m in summand.orders}
     total = _LD(0.0)
     abs_total = _LD(0.0)
     checkpoints: dict[int, tuple[float, tuple[float, ...]]] = {}  # N -> (sum, last 4 terms)
@@ -234,11 +261,8 @@ def truncated_series(
     buf = np.zeros(0, dtype=_LD)
     for boundary in boundaries:
         while start <= boundary:
-            stop = min(boundary, start + chunk - 1)
-            ns_int = np.arange(start, stop + 1, dtype=np.int64)
-            ns = ns_int.astype(_LD)
-            env._set_chunk(ns_int, ns)
-            t = term_fn(ns, env)
+            stop = min(boundary, start + _CHUNK - 1)
+            t = _block_terms(summand, np.arange(start, stop + 1, dtype=np.int64), prefix)
             total += t.sum()
             abs_total += np.abs(t).sum()
             buf = np.concatenate([buf, t[-4:]])[-4:]
@@ -428,8 +452,11 @@ def _tanh_sinh_nodes(level: int, nested: bool) -> tuple[np.ndarray, np.ndarray, 
     return nodes
 
 
-def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: float,
-              max_level: int = 12) -> tuple[float, float, int]:
+_TANH_SINH_MAX_LEVEL = 12  # finest level; the step is 2^-12
+
+
+def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              tol: float) -> tuple[float, float, int]:
     """Integrate f(x, 1-x) over (0, 1) with nested tanh-sinh levels.
 
     f takes arrays of nodes and returns the integrand at each; it receives
@@ -442,7 +469,7 @@ def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: float,
     """
     prev = None
     work = 0
-    for level in range(3, max_level + 1):
+    for level in range(3, _TANH_SINH_MAX_LEVEL + 1):
         x, omx, w = _tanh_sinh_nodes(level, nested=prev is not None)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             added = 2.0 ** (-level) * float((w * f(x, omx)).sum())
@@ -457,7 +484,8 @@ def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: float,
             est = 2.0 * abs(value - prev) + 16.0 * _FLOAT_EPS * max(1.0, abs(value))
             return value, est, work
         prev = value
-    raise ConvergenceError(f"tanh-sinh did not reach tol={tol:.1e} by level {max_level}")
+    raise ConvergenceError(
+        f"tanh-sinh did not reach tol={tol:.1e} by level {_TANH_SINH_MAX_LEVEL}")
 
 
 def quadrature(integrand_id: Integrand | str, params: Mapping[str, float],

@@ -145,10 +145,15 @@ def _w_m_1(a: float, k: int, m: int) -> float:
             w *= ui
             diffs[j] += w
         nested += h * w
-    d = [n / big_l**j for j, n in enumerate(diffs)]
+    try:
+        d = [n / big_l**j for j, n in enumerate(diffs)]
+        nested = nested / big_l ** (m + 1)
+    except OverflowError as exc:
+        raise DomainError(f"exact W difference at a={a}, k={k}, order {m} is outside "
+                          f"double-precision range (OverflowError: {exc})") from exc
     s = (-1.0) ** (m - 1)
     out = sum((-1.0) ** (j - 1) * riemann_zeta(m + 1 - j) * d[j] for j in range(1, m))
-    return out + s * (shifted_harmonic(a) * d[m] + nested / big_l ** (m + 1))
+    return out + s * (shifted_harmonic(a) * d[m] + nested)
 
 
 def _order(m: int, name: str) -> int:
@@ -277,10 +282,15 @@ def _w_alt_m_1(a: int, k: int, m: int) -> float:
             w *= ui
             diffs[j] += w
         rest += (-1) ** i * w * (z - hb * _SCALE)
-    d = [n / big_l**j for j, n in enumerate(diffs)]
+    try:
+        d = [n / big_l**j for j, n in enumerate(diffs)]
+        rest = rest / (_SCALE * big_l ** (m + 1))
+    except OverflowError as exc:
+        raise DomainError(f"exact W difference at a={a}, k={k}, order {m} is outside "
+                          f"double-precision range (OverflowError: {exc})") from exc
     s = (-1.0) ** (m - 1)
     out = sum((-1.0) ** (j - 1) * alt_zeta(m + 1 - j) * d[j] for j in range(1, m))
-    return out + s * (LN2 * d[m] - rest / (_SCALE * big_l ** (m + 1)))
+    return out + s * (LN2 * d[m] - rest)
 
 
 def w_alt_m_0(a: float, k: int, m: int) -> float:

@@ -3,9 +3,18 @@ and summand specs with the terms and tail models derived from them."""
 import numpy as np
 import pytest
 
-from eulersum import DomainError, TailParams, catalog
-from eulersum.catalog import Summand, _window
-from eulersum.oracle import SeriesEnv
+from eulersum import (
+    DomainError,
+    IdentityCase,
+    SeriesConfig,
+    Status,
+    Summand,
+    TailParams,
+    catalog,
+    oracle,
+    verify_identity,
+)
+from eulersum.catalog import _window
 
 # values outside each real kind; an Integer(n) kind is broken by n - 1 and n + 1/2
 _BREAKING = {
@@ -61,27 +70,69 @@ def test_summand_tail_rule(summand, growth, degree):
 
 # each spec against the hand-written term it replaced, with the same operations
 _TERMS = [
-    (Summand((), ((0, 1), (10 / 3, 1))), lambda ns, e: 1.0 / (ns * (ns + 10 / 3) ** 1)),
-    (Summand((), ((0, 2), (0.3, 1))), lambda ns, e: 1.0 / (ns ** 2 * (ns + 0.3))),
-    (Summand((1,), ((0.7, 3),)), lambda ns, e: e.h1 / (ns + 0.7) ** 3),
+    (Summand((), ((0, 1), (10 / 3, 1))), lambda ns, h: 1.0 / (ns * (ns + 10 / 3) ** 1)),
+    (Summand((), ((0, 2), (0.3, 1))), lambda ns, h: 1.0 / (ns ** 2 * (ns + 0.3))),
+    (Summand((1,), ((0.7, 3),)), lambda ns, h: h[1] / (ns + 0.7) ** 3),
     (Summand((2,), _window(10 / 3, 2)),
-     lambda ns, e: e.h2 / ((ns + 10 / 3) * (ns + 10 / 3 + 2))),
-    (Summand((1, 1), _window(0.3, 1)), lambda ns, e: e.h1 ** 2 / ((ns + 0.3) * (ns + 0.3 + 1))),
-    (Summand((1, 2), ((0, 1), (5, 1))), lambda ns, e: e.h1 * e.h2 / (ns * (ns + 5))),
-    (Summand((1, 1, 1), _window(0.5, 1)), lambda ns, e: e.h1 ** 3 / ((ns + 0.5) * (ns + 1.5))),
+     lambda ns, h: h[2] / ((ns + 10 / 3) * (ns + 10 / 3 + 2))),
+    (Summand((1, 1), _window(0.3, 1)), lambda ns, h: h[1] ** 2 / ((ns + 0.3) * (ns + 0.3 + 1))),
+    (Summand((1, 2), ((0, 1), (5, 1))), lambda ns, h: h[1] * h[2] / (ns * (ns + 5))),
+    (Summand((1, 1, 1), _window(0.5, 1)), lambda ns, h: h[1] ** 3 / ((ns + 0.5) * (ns + 1.5))),
     (Summand((1,), ((1.1, 1),), binom=(3, 0.3)),
-     lambda ns, e: e.h1 * catalog._rbinom(ns, 3, 0.3) / (ns + 1.1)),
-    (Summand((2,), ((0, 1), (3, 1)), alternating=True), lambda ns, e: e.hb2 / (ns * (ns + 3))),
+     lambda ns, h: h[1] * oracle._rbinom(ns, 3, 0.3) / (ns + 1.1)),
+    (Summand((2,), ((0, 1), (3, 1)), alternating=True), lambda ns, h: h[2] / (ns * (ns + 3))),
 ]
 
 
 @pytest.mark.parametrize("summand, term", _TERMS)
 def test_summand_term_matches_hand_written_term(summand, term):
-    env, ref = SeriesEnv(), SeriesEnv()
+    # two consecutive blocks: the engine's harmonic sums in the second must
+    # continue the first's, as the explicit prefix arrays here do
+    prefix = {m: np.longdouble(0.0) for m in summand.orders}
+    carry = dict(prefix)
     for start in (1, 5001):
         ns_int = np.arange(start, start + 5000, dtype=np.int64)
         ns = ns_int.astype(np.longdouble)
-        env._set_chunk(ns_int, ns)
-        ref._set_chunk(ns_int, ns)
-        assert np.array_equal(summand(ns, env), term(ns, ref))
+        sign = np.where(ns_int % 2 == 1, 1.0, -1.0) if summand.alternating else 1.0
+        h = {}
+        for m in carry:
+            h[m] = carry[m] + np.cumsum((ns ** np.longdouble(-m) if m > 1 else 1.0 / ns) * sign)
+            carry[m] = h[m][-1]
+        assert np.array_equal(oracle._block_terms(summand, ns_int, prefix), term(ns, h))
 
+
+@pytest.mark.parametrize("params", [
+    {"a": 1.0},                        # a missing name
+    {"a": 1.0, "b": 2.0, "c": 3.0},    # an unknown name
+    {"a": "x", "b": 2.0},
+    {"a": None, "b": 2.0},
+    {"a": True, "b": 2.0},             # a bool is not a number
+], ids=["missing", "unknown", "string", "none", "bool"])
+def test_malformed_parameters_are_inconclusive_with_a_reason(params):
+    record = verify_identity(IdentityCase("eq2.9", params, 1e-7))
+    assert record.status is Status.INCONCLUSIVE
+    assert record.reason.startswith("DomainError: eq2.9 takes numeric parameters a, b; got ")
+    with pytest.raises(DomainError, match="takes numeric parameters a, b"):
+        catalog.get("eq2.9").validate(**params)
+
+
+@pytest.mark.parametrize("ident_id, params, n_calls", [
+    ("eq2.9", {"a": 0.5, "b": 1.0}, 1),   # one Summand
+    ("eq2.27", {"a": 0.5, "k": 1}, 2),    # a signed combination of two
+])
+def test_series_oracles_call_the_catalog_global_with_config_second(monkeypatch, ident_id,
+                                                                   params, n_calls):
+    # the benchmark's per-layer trace patches catalog.truncated_series and
+    # reads the SeriesConfig from args[1]
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return oracle.truncated_series(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "truncated_series", recorder)
+    catalog.get(ident_id).oracle(SeriesConfig(target_tol=1e-8), **params)
+    assert len(calls) == n_calls
+    for args, kwargs in calls:
+        assert isinstance(args[0], Summand) and isinstance(args[1], SeriesConfig)
+        assert not kwargs

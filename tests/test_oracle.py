@@ -19,7 +19,7 @@ from eulersum import (
     LN2,
     SeriesConfig,
     Status,
-    TailParams,
+    Summand,
     Variant,
     grid_verify,
     quadrature,
@@ -49,8 +49,7 @@ def test_eval_result_guard():
 
 def test_truncated_basel():
     cfg = SeriesConfig(target_tol=1e-12)
-    res = truncated_series(lambda ns, e: 1.0 / (ns * ns), cfg,
-                           TailParams(growth=0, denom_degree=2))
+    res = truncated_series(Summand(den=((0, 2),)), cfg)
     assert abs(res.value - riemann_zeta(2)) <= 1e-12
     assert res.abs_error_estimate <= 1e-12
     assert res.work < 10**6
@@ -58,30 +57,29 @@ def test_truncated_basel():
 
 def test_truncated_known_window():
     cfg = SeriesConfig(target_tol=1e-9)
-    res = truncated_series(lambda ns, e: e.h1 / ((ns + 1.0) * (ns + 2.0)), cfg,
-                           TailParams(growth=1, denom_degree=2))
+    res = truncated_series(Summand((1,), ((1.0, 1), (2.0, 1))), cfg)
     assert abs(res.value - 1.0) <= 1e-9
 
 
 def test_truncated_rejects_divergent():
     cfg = SeriesConfig()
     with pytest.raises(ConvergenceError):
-        truncated_series(lambda ns, e: 1.0 / ns, cfg, TailParams(growth=0, denom_degree=1))
+        truncated_series(Summand(den=((0, 1),)), cfg)
 
 
 _HONEST_SHAPES = [
-    (lambda ns, e: 1.0 / (ns * ns), 0, 2, riemann_zeta(2)),
-    (lambda ns, e: e.h1 / ((ns + 1.0) * (ns + 2.0)), 1, 2, 1.0),
-    (lambda ns, e: e.h1 / (ns + 1.0) ** 2, 1, 2, riemann_zeta(3)),
-    (lambda ns, e: e.hb1 / ((ns + 1.0) * (ns + 2.0)), 0, 2, 2.0 * LN2 - 1.0),
+    (Summand(den=((0, 2),)), riemann_zeta(2)),
+    (Summand((1,), ((1.0, 1), (2.0, 1))), 1.0),
+    (Summand((1,), ((1.0, 2),)), riemann_zeta(3)),
+    (Summand((1,), ((1.0, 1), (2.0, 1)), alternating=True), 2.0 * LN2 - 1.0),
 ]
 
 
 def test_truncated_error_estimate_is_honest():
     # true error must sit inside the reported estimate on assorted shapes
     cfg = SeriesConfig(target_tol=1e-6)
-    for term, g, d, truth in _HONEST_SHAPES:
-        res = truncated_series(term, cfg, TailParams(growth=g, denom_degree=d))
+    for summand, truth in _HONEST_SHAPES:
+        res = truncated_series(summand, cfg)
         assert abs(res.value - truth) <= res.abs_error_estimate
 
 
@@ -90,9 +88,8 @@ def test_truncated_adaptive_doubling():
     # below that N raises instead of returning an uncertified value
     for min_terms, tol in ((4096, 1e-10), (1000, 1e-12)):
         cfg = SeriesConfig(min_terms=min_terms, target_tol=tol)
-        for term, g, d, truth in _HONEST_SHAPES:
-            tail = TailParams(growth=g, denom_degree=d)
-            res = truncated_series(term, cfg, tail)
+        for summand, truth in _HONEST_SHAPES:
+            res = truncated_series(summand, cfg)
             ratio = res.work // min_terms
             assert res.work == min_terms * ratio and ratio & (ratio - 1) == 0
             assert res.abs_error_estimate <= tol
@@ -101,16 +98,15 @@ def test_truncated_adaptive_doubling():
                 capped = SeriesConfig(min_terms=min_terms, max_terms=res.work // 2,
                                       target_tol=tol)
                 with pytest.raises(ConvergenceError):
-                    truncated_series(term, capped, tail)
+                    truncated_series(summand, capped)
 
 
 def test_truncated_doubling_self_consistency():
     # the chosen N and a run forced to start at twice it agree within the
     # combined reported estimates
-    term = lambda ns, e: e.h1**2 / ((ns + 0.5) * (ns + 2.5))
-    tail = TailParams(growth=2, denom_degree=2)
-    r1 = truncated_series(term, SeriesConfig(target_tol=1e-6), tail)
-    r2 = truncated_series(term, SeriesConfig(min_terms=2 * r1.work, target_tol=1e-6), tail)
+    summand = Summand((1, 1), ((0.5, 1), (2.5, 1)))
+    r1 = truncated_series(summand, SeriesConfig(target_tol=1e-6))
+    r2 = truncated_series(summand, SeriesConfig(min_terms=2 * r1.work, target_tol=1e-6))
     assert r2.work == 2 * r1.work
     assert abs(r1.value - r2.value) <= r1.abs_error_estimate + r2.abs_error_estimate
 

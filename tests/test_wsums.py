@@ -24,23 +24,16 @@ from eulersum import (
     w_m_1,
 )
 from eulersum import catalog
-from eulersum.oracle import SeriesConfig, TailParams, truncated_series
+from eulersum.oracle import SeriesConfig, Summand, truncated_series
 from eulersum.wsums import precision_warning
 
 Z2 = riemann_zeta(2)
 Z3 = riemann_zeta(3)
 
 
-def _rbinom_term(ns, k, b):
-    out = np.full(ns.shape, np.longdouble(float(math.factorial(k))))
-    for i in range(1, k + 1):
-        out = out / (ns + b + i)
-    return out
-
-
-def _oracle(term, g, d, n=10**6, tol=1e-9):
+def _oracle(summand, n=10**6, tol=1e-9):
     cfg = SeriesConfig(max_terms=n, target_tol=tol)
-    return truncated_series(term, cfg, TailParams(growth=g, denom_degree=d)).value
+    return truncated_series(summand, cfg).value
 
 
 def test_pf_coeffs_small():
@@ -145,11 +138,10 @@ def test_classical_values():
 
 def test_classical_against_oracle():
     for k in (1, 2, 3):
-        want = _oracle(lambda ns, e, k=k: e.h1**2 * _rbinom_term(ns, k, 0.0) / ns,
-                       2, k + 1)
+        want = _oracle(Summand((1, 1), ((0, 1),), binom=(k, 0.0)))
         assert classical_w111(k) == pytest.approx(want, rel=1e-8)
     for k in (2, 3, 4):
-        want = _oracle(lambda ns, e, k=k: e.h1**2 * _rbinom_term(ns, k, 0.0), 2, k)
+        want = _oracle(Summand((1, 1), binom=(k, 0.0)))
         assert classical_w110(k) == pytest.approx(want, rel=1e-8)
 
 
@@ -166,54 +158,39 @@ def test_w_11_0_printed_variant():
 def test_w_1_p_against_oracle():
     for (a, b) in ((1.0, 0.5), (0.5, 1.0), (2.0, 0.25)):
         for (k, p) in ((2, 1), (3, 2)):
-            want = _oracle(
-                lambda ns, e, a=a, b=b, k=k, p=p:
-                e.h1 * _rbinom_term(ns, k, b) / (ns + a) ** p, 1, k + p)
+            want = _oracle(Summand((1,), ((a, p),), binom=(k, b)))
             assert w_1_p(a, b, k, p) == pytest.approx(want, rel=1e-8)
 
 
 def test_w_m_0_against_oracle():
     for (b, k, m) in ((0.0, 2, 1), (0.5, 3, 2), (1.0, 2, 3)):
-        want = _oracle(
-            lambda ns, e, b=b, k=k, m=m:
-            getattr(e, f"h{m}") * _rbinom_term(ns, k, b),
-            1 if m == 1 else 0, k)
+        want = _oracle(Summand((m,), binom=(k, b)))
         assert w_m_0(b, k, m) == pytest.approx(want, rel=1e-8)
 
 
 def test_w_m_1_values_and_oracle():
     assert w_m_1(1.0, 1, 1) == pytest.approx(1.0, rel=1e-12)
     for (a, k, m) in ((1.0, 2, 1), (0.5, 2, 2)):
-        want = _oracle(
-            lambda ns, e, a=a, k=k, m=m:
-            getattr(e, f"h{m}") * _rbinom_term(ns, k, a) / (ns + a),
-            1 if m == 1 else 0, k + 1)
+        want = _oracle(Summand((m,), ((a, 1),), binom=(k, a)))
         assert w_m_1(a, k, m) == pytest.approx(want, rel=1e-8)
 
 
 def test_w_111_values_and_oracle():
     assert w_111(1.0, 1) == pytest.approx(Z2 + 1.0, rel=1e-12)
     for (a, k) in ((1.0, 2), (2.5, 3)):
-        want = _oracle(
-            lambda ns, e, a=a, k=k: e.h1**2 * _rbinom_term(ns, k, a) / (ns + a), 2, k + 1)
+        want = _oracle(Summand((1, 1), ((a, 1),), binom=(k, a)))
         assert w_111(a, k) == pytest.approx(want, rel=1e-8)
 
 
 def test_w_alt_shapes_against_oracle():
     for (a, b, k, p) in ((1.0, 0.5, 2, 1), (0.5, 1.0, 2, 2)):
-        want = _oracle(
-            lambda ns, e, a=a, b=b, k=k, p=p:
-            e.hb1 * _rbinom_term(ns, k, b) / (ns + a) ** p, 0, k + p)
+        want = _oracle(Summand((1,), ((a, p),), binom=(k, b), alternating=True))
         assert w_alt_1_p(a, b, k, p) == pytest.approx(want, rel=1e-8)
     for (a, k, m) in ((0, 2, 1), (1, 3, 2)):
-        want = _oracle(
-            lambda ns, e, a=a, k=k, m=m:
-            getattr(e, f"hb{m}") * _rbinom_term(ns, k, float(a)), 0, k)
+        want = _oracle(Summand((m,), binom=(k, float(a)), alternating=True))
         assert w_alt_m_0(a, k, m) == pytest.approx(want, rel=1e-8)
     for (a, k, m) in ((1, 1, 1), (1, 2, 2), (2, 2, 1)):
-        want = _oracle(
-            lambda ns, e, a=a, k=k, m=m:
-            getattr(e, f"hb{m}") * _rbinom_term(ns, k, float(a)) / (ns + a), 0, k + 1)
+        want = _oracle(Summand((m,), ((a, 1),), binom=(k, float(a)), alternating=True))
         assert w_alt_m_1(a, k, m) == pytest.approx(want, rel=1e-8)
 
 
@@ -330,3 +307,12 @@ def test_w_11_0_printed_variant_unchanged():
             diff = k / (b + 1.0) * sum((-1) ** (i - 1) * math.comb(k - 2, i - 1) / (b + i) ** 2
                                        for i in range(1, k))
             assert w_11_0(b, k, as_printed=True) - w_11_0(b, k) == pytest.approx(diff, rel=1e-12)
+
+
+def test_exact_difference_past_double_range_is_a_domain_error():
+    # at a < 1 the order-m differences grow like a^-m: at a = 1/2 and m = 1100
+    # Delta[(a+i)^-m] / L^m no longer fits a double
+    with pytest.raises(DomainError, match="outside double-precision range"):
+        w_m_1(0.5, 2, 1100)
+    with pytest.raises(DomainError, match="outside double-precision range"):
+        w_m_0(-0.5, 3, 1100)
