@@ -37,8 +37,6 @@ import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-import numpy as np
-
 from . import alt_sums, linear_sums, wsums
 from .errors import ConvergenceError, DomainError
 from .harmonic import (
@@ -151,8 +149,12 @@ def check_params(ident: Identity, params) -> None:
     """Raise DomainError unless params maps exactly the declared names to numbers."""
     if not (isinstance(params, Mapping) and params.keys() == ident.params.keys()
             and all(map(is_number, params.values()))):
+        try:
+            shown = json.dumps(params, default=repr)
+        except TypeError:  # a key json cannot write, such as a tuple
+            shown = repr(params)
         raise DomainError(f"{ident.id} takes numeric parameters {', '.join(ident.params)}; "
-                          f"got {json.dumps(params, default=repr)}")
+                          f"got {shown}")
 
 
 def _validator(ident: Identity):
@@ -641,25 +643,9 @@ def _gf_oracle(kind: linear_sums.GfKind):
     return oracle
 
 
-_GF_RNG_SEED = 20240813
-
-
-def _gf_draws(n: int, names: tuple[str, ...], s_range=(1, 3)) -> tuple[dict, ...]:
-    rng = np.random.default_rng(_GF_RNG_SEED + len(names) * 7 + n)
-    out = []
-    for _ in range(n):
-        d = {}
-        for name in names:
-            if name in ("x", "y"):
-                d[name] = round(float(rng.uniform(-0.88, 0.88)), 6)
-            elif name == "a":
-                d[name] = round(float(rng.uniform(0.05, 3.0)), 6)
-            elif name in ("s", "m", "p"):
-                d[name] = int(rng.integers(s_range[0], s_range[1] + 1))
-        out.append(d)
-    return tuple(out)
-
-
+# The grids of eq1.24, eq1.25 and eq1.31 are fixed draws: x, y uniform on
+# (-0.88, 0.88) and a on (0.05, 3), rounded to 6 digits, and integer s, m, p,
+# taken once from a seeded generator and written out here.
 _register(Identity(
     id="eq1.24",
     params={"x": inside_unit, "y": inside_unit, "a": unconstrained, "s": Integer(1)},
@@ -667,7 +653,17 @@ _register(Identity(
     closed=_gf_closed(linear_sums.GfKind.LEMMA13_TWO_VAR),
     oracle=_gf_oracle(linear_sums.GfKind.LEMMA13_TWO_VAR),
     tol=1e-9,
-    grid=_gf_draws(9, ("x", "y", "a", "s")),
+    grid=(
+        {"x": -0.486724, "y": 0.239049, "a": 0.698685, "s": 3},
+        {"x": -0.669345, "y": -0.736856, "a": 1.554072, "s": 3},
+        {"x": 0.336332, "y": 0.521161, "a": 2.042753, "s": 2},
+        {"x": -0.412456, "y": 0.298178, "a": 0.337561, "s": 2},
+        {"x": 0.491414, "y": 0.854201, "a": 2.071836, "s": 3},
+        {"x": 0.059439, "y": -0.392302, "a": 0.488526, "s": 2},
+        {"x": 0.334868, "y": -0.168546, "a": 2.123333, "s": 1},
+        {"x": 0.019625, "y": 0.20526, "a": 2.656019, "s": 3},
+        {"x": -0.578334, "y": 0.597977, "a": 1.065578, "s": 1},
+    ),
 ))
 
 _register(Identity(
@@ -677,7 +673,17 @@ _register(Identity(
     closed=_gf_closed(linear_sums.GfKind.LEMMA13),
     oracle=_gf_oracle(linear_sums.GfKind.LEMMA13),
     tol=1e-9,
-    grid=_gf_draws(9, ("x", "a", "s"), s_range=(2, 4)),
+    grid=(
+        {"x": 0.815548, "a": 1.177015, "s": 4},
+        {"x": -0.781434, "a": 2.829458, "s": 4},
+        {"x": 0.433087, "a": 1.179545, "s": 4},
+        {"x": 0.02595, "a": 2.553903, "s": 2},
+        {"x": 0.182473, "a": 0.695192, "s": 4},
+        {"x": 0.7339, "a": 0.95186, "s": 2},
+        {"x": -0.205319, "a": 1.05394, "s": 2},
+        {"x": 0.197061, "a": 0.10501, "s": 3},
+        {"x": 0.313055, "a": 0.628808, "s": 3},
+    ),
 ))
 
 _register(Identity(
@@ -707,7 +713,16 @@ _register(Identity(
     closed=_gf_closed(linear_sums.GfKind.NESTED_REFLECT),
     oracle=_gf_oracle(linear_sums.GfKind.NESTED_REFLECT),
     tol=1e-9,
-    grid=_gf_draws(8, ("x", "y", "p", "m"), s_range=(1, 2)),
+    grid=(
+        {"x": -0.309731, "y": -0.346662, "p": 2, "m": 1},
+        {"x": 0.188488, "y": -0.553266, "p": 2, "m": 1},
+        {"x": -0.168185, "y": -0.518769, "p": 2, "m": 1},
+        {"x": 0.459639, "y": 0.323265, "p": 1, "m": 2},
+        {"x": 0.811596, "y": -0.573377, "p": 2, "m": 2},
+        {"x": -0.185632, "y": -0.060703, "p": 2, "m": 2},
+        {"x": 0.195283, "y": -0.200256, "p": 2, "m": 2},
+        {"x": -0.819852, "y": -0.325524, "p": 2, "m": 2},
+    ),
 ))
 
 _register(Identity(

@@ -12,23 +12,24 @@ evaluators the closed sides are built on.
 The quadrature nests its levels, so each node is evaluated once, and calls
 its integrand once per level on numpy arrays of nodes.  The integrands sum
 their own series (H_m(t, a), Li_m(t)) at all nodes together.
+
+numpy is imported inside the engine functions, not at module level: the
+catalog and the CLI import this module, and a closed-form evaluation
+(``eulersum eval --method closed``) never needs arrays.
 """
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, PoleError
 from .specfun import EULER_GAMMA, _zeta_nonpositive, riemann_zeta
 
-_LD = np.longdouble
-_FLOAT_EPS = float(np.finfo(float).eps)
-_LD_EPS = float(np.finfo(np.longdouble).eps)
+_FLOAT_EPS = sys.float_info.epsilon
 
 
 class Method(str, enum.Enum):
@@ -105,7 +106,20 @@ class TailParams:
             raise DomainError("tail growth power must be 0..3")
 
 
-_CHUNK = 1 << 20  # most indices summed in one block
+_CHUNK = 1 << 11
+"""Most indices truncated_series sums in one block.
+
+Small blocks keep each block's temporaries (about ten arrays of 16-byte
+longdoubles, 32 KiB each at 2^11) inside the malloc heap.  With blocks of
+2^20 the temporaries of a few-thousand-term sum pushed the heap top past
+glibc's trim threshold on every call; free() handed the pages back and the
+next call faulted them in again.  In a process that had made no large
+allocation before, on a 2-vCPU x86-64 host, that cost about 5000 minor
+page faults per pass over 45 eq1.19 quadrature cases and eight 8192-term
+series, against fewer than ten, and made them 38 % and 22 % slower (with
+_SERIES_BLOCK at its old 2^16).  The blocks are summed in order, so the
+block size moves the value only by longdouble roundoff.
+"""
 
 
 @dataclass(frozen=True)
@@ -165,7 +179,9 @@ class Summand:
 
 def _rbinom(ns, k: int, b: float):
     # 1/binom(n+k+b, k) = k! / prod_{i=1..k} (n+b+i), stable for any n
-    arr = np.full(ns.shape, _LD(float(math.factorial(k))))
+    import numpy as np
+
+    arr = np.full(ns.shape, np.longdouble(float(math.factorial(k))))
     for i in range(1, k + 1):
         arr = arr / (ns + (b + i))
     return arr
@@ -175,12 +191,15 @@ def _block_terms(summand: Summand, ns_int: np.ndarray,
                  prefix: dict[int, np.longdouble]) -> np.ndarray:
     """The summand's terms on the block ns_int; prefix maps each numerator
     order to its harmonic sum before the block and is moved past it."""
-    ns = ns_int.astype(_LD)
+    import numpy as np
+
+    ld = np.longdouble
+    ns = ns_int.astype(ld)
     harmonics = {}
     if summand.alternating:
-        sign = np.where(ns_int & 1 == 1, _LD(1.0), _LD(-1.0))
+        sign = np.where(ns_int & 1 == 1, ld(1.0), ld(-1.0))
     for m, carry in prefix.items():
-        inv = ns ** _LD(-m) if m > 1 else 1.0 / ns
+        inv = ns ** ld(-m) if m > 1 else 1.0 / ns
         if summand.alternating:
             inv = inv * sign
         harmonics[m] = h = carry + np.cumsum(inv)
@@ -215,6 +234,8 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     misses config.target_tol or when the denominator degree would leave a
     divergent tail.
     """
+    import numpy as np
+
     tail = summand.tail()
     g = tail.growth
     d = tail.denom_degree
@@ -231,9 +252,11 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     boundaries = sorted({b for n in steps for b in (half(n), n)})
     evaluate = set(steps)
 
-    prefix = {int(m): _LD(0.0) for m in summand.orders}
-    total = _LD(0.0)
-    abs_total = _LD(0.0)
+    ld = np.longdouble
+    ld_eps = float(np.finfo(ld).eps)
+    prefix = {int(m): ld(0.0) for m in summand.orders}
+    total = ld(0.0)
+    abs_total = ld(0.0)
     checkpoints: dict[int, tuple[float, tuple[float, ...]]] = {}  # N -> (sum, last 4 terms)
 
     def tail_corrected(n_stop: int) -> tuple[float, float]:
@@ -258,7 +281,7 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
         return s + correction, floor
 
     start = 1
-    buf = np.zeros(0, dtype=_LD)
+    buf = np.zeros(0, dtype=ld)
     for boundary in boundaries:
         while start <= boundary:
             stop = min(boundary, start + _CHUNK - 1)
@@ -273,7 +296,7 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
         value_half, _ = tail_corrected(half(boundary))
         value, tail_floor = tail_corrected(boundary)
         scale = max(float(abs_total), abs(value))
-        roundoff = 128.0 * _LD_EPS * math.sqrt(boundary) * scale + 16.0 * _FLOAT_EPS * scale
+        roundoff = 128.0 * ld_eps * math.sqrt(boundary) * scale + 16.0 * _FLOAT_EPS * scale
         est = 2.0 * abs(value - value_half) + tail_floor + roundoff
         if est <= config.target_tol:
             return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED,
@@ -291,7 +314,14 @@ class Integrand(str, enum.Enum):
     LEMMA_MOMENT_ZERO = "lemma_moment_zero"    # Li_m(t) t^(n+b-1) on (0,x)
 
 
-_SERIES_BLOCK = 1 << 16  # elements in one nodes-by-terms block of _node_series
+_SERIES_BLOCK = 1 << 13
+"""Most elements in one nodes-by-terms block of _node_series.
+
+At 2^13 float64 elements a block's power and partial-sum arrays take 64 KiB
+each, small enough to stay inside the malloc heap (see _CHUNK).  Each node's
+sum is added along k in order and carried from block to block, so the
+values do not depend on the block size.
+"""
 
 
 def _node_series(t: np.ndarray, den: Callable[[np.ndarray], np.ndarray],
@@ -306,6 +336,8 @@ def _node_series(t: np.ndarray, den: Callable[[np.ndarray], np.ndarray],
     memory.  Raises ConvergenceError when a node needs more than max_terms
     terms.
     """
+    import numpy as np
+
     out = np.zeros_like(t)
     idx = np.flatnonzero(t)
     tt = t[idx]
@@ -339,6 +371,8 @@ def _node_series(t: np.ndarray, den: Callable[[np.ndarray], np.ndarray],
 @lru_cache(maxsize=None)
 def _u_expansion_zetas(m: int) -> np.ndarray:
     # zeta(m - k) for k = 0..m+29, with 0 at the pole k = m - 1
+    import numpy as np
+
     return np.array([0.0 if k == m - 1 else
                      riemann_zeta(m - k) if m - k >= 2 else _zeta_nonpositive(m - k)
                      for k in range(m + 30)])
@@ -347,6 +381,8 @@ def _u_expansion_zetas(m: int) -> np.ndarray:
 def _polylog_from_u(m: int, u: np.ndarray) -> np.ndarray:
     # Li_m(e^-u) = (-u)^(m-1)/(m-1)! (H_(m-1) - ln u) + sum_k zeta(m-k) (-u)^k/k!,
     # valid for 0 < u < 2*pi; used where e^-u > 3/4
+    import numpy as np
+
     z = _u_expansion_zetas(m)
     powers = np.cumprod(-u[:, None] / np.arange(1.0, z.size), axis=1)  # (-u)^k/k!, k >= 1
     h = sum(1.0 / i for i in range(1, m))
@@ -357,6 +393,8 @@ def _polylog_from_u(m: int, u: np.ndarray) -> np.ndarray:
 def _polylog_nodes(m: int, t: np.ndarray, omt: np.ndarray) -> np.ndarray:
     """Li_m(t), m >= 2, at nodes t in [0, 1) with omt = 1 - t; near 1 the
     expansion in u = -ln t takes u from omt."""
+    import numpy as np
+
     out = np.empty_like(t)
     near = t > 0.75
     out[near] = _polylog_from_u(m, -np.log1p(-omt[near]))
@@ -366,6 +404,8 @@ def _polylog_nodes(m: int, t: np.ndarray, omt: np.ndarray) -> np.ndarray:
 
 def _lemma_integrand(x0: float, series: Callable[[np.ndarray], np.ndarray], power: float):
     # series(t) t^power on (0, x0), as x0 times a function of u = t/x0 on (0, 1)
+    import numpy as np
+
     def f(u, omu):
         t = x0 * u
         out = np.zeros_like(t)
@@ -378,6 +418,8 @@ def _lemma_integrand(x0: float, series: Callable[[np.ndarray], np.ndarray], powe
 
 def _build_integrand(integrand_id: Integrand, params: Mapping[str, float]):
     """The integrand as f(x, 1 - x), taking and returning arrays over the nodes."""
+    import numpy as np
+
     p = dict(params)
     if integrand_id is Integrand.LOG_POW_MOMENT:
         a, m = float(p["a"]), int(p["m"])
@@ -429,6 +471,8 @@ def _tanh_sinh_nodes(level: int, nested: bool) -> tuple[np.ndarray, np.ndarray, 
     only odd j, the nodes this level adds to level - 1: the cut-offs are
     monotone in t, so levels 3..L nested hold exactly the nodes of level L.
     """
+    import numpy as np
+
     h = 2.0 ** (-level)
     t = np.arange(math.ceil(math.asinh(700.0 / math.pi) / h) + 2) * h
     pis = 0.5 * math.pi * np.sinh(t)
@@ -467,6 +511,8 @@ def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     (value, abs_error_estimate, nodes evaluated), each node evaluated once.
     Raises DomainError when the integrand overflows or is undefined at a node.
     """
+    import numpy as np
+
     prev = None
     work = 0
     for level in range(3, _TANH_SINH_MAX_LEVEL + 1):
@@ -529,13 +575,20 @@ def verify_identity(case: IdentityCase, config: SeriesConfig | None = None) -> V
     CONFIRMED when the residual meets the tolerance (relative above 1,
     absolute below); REFUTED only when the oracle's own certified error is at
     least ten times smaller than the tolerance; INCONCLUSIVE otherwise,
-    including when preconditions fail or the oracle cannot converge.
+    including when preconditions fail or the oracle cannot converge, and
+    when the case's parameters are not a mapping of names to numbers or its
+    tol is not a finite number > 0.  Raises DomainError for an unknown id.
     """
     from . import catalog
 
     ident = catalog.get(case.identity_id)
-    oracle_cfg = replace(config or SeriesConfig(), target_tol=case.tol / 10.0)
     try:
+        if not isinstance(case.params, Mapping) or not all(isinstance(k, str)
+                                                           for k in case.params):
+            catalog.check_params(ident, case.params)
+        if not (catalog.is_number(case.tol) and 0.0 < case.tol < math.inf):
+            raise DomainError(f"tol must be a finite number > 0, got {case.tol!r}")
+        oracle_cfg = replace(config or SeriesConfig(), target_tol=case.tol / 10.0)
         ident.validate(**case.params)
         closed = ident.closed(case.variant, **case.params)
     except (DomainError, PoleError, ConvergenceError) as exc:

@@ -16,9 +16,12 @@ zbar(1, a) = (-1)^a (ln 2 - H-bar_a), whose two differences cancel by about
 2^k; it is held to 60 digits.  This covers w_m_0, w_m_1, w_11_0, w_111,
 w_alt_m_0, w_alt_m_1 and classical_w111, for k <= 60, in O(k) big-integer
 steps.  Those integers reach about (m+1) bits(L) bits for a difference of
-order m; a shape whose integers would pass _EXACT_MAX_BITS (a shift with a
-long numerator, such as a = 1e300, or a large order m) raises DomainError
-rather than run for minutes.
+order m, and the m powers L^j cost about (m+1)^2 bits(L) bit operations; a
+shape past _EXACT_MAX_BITS or _EXACT_MAX_WORK (a shift with a long
+numerator, such as a = 1e300, or a large order m) raises DomainError rather
+than run for seconds to minutes.  The float sum that w_m_1 and w_m_0 make of
+the differences cancels for a < 1 and a large order (terms of about a^-m);
+when its roundoff could reach 1e-9 of the result it raises DomainError too.
 
 The power shapes w_1_p and w_alt_1_p (p >= 1 with two shifts) still sum the
 partial-fraction weights over bilinear and power sums in floating point.
@@ -28,6 +31,7 @@ the precision_warning advisory.
 from __future__ import annotations
 
 import math
+import sys
 
 from .alt_sums import alt_sum_H1_bilinear, alt_sum_H1_power
 from .errors import DomainError
@@ -39,6 +43,8 @@ _PF_MAX_K = 60
 _CLOSED_FORM_MAX_K = 30
 _PRECISION_WARN_K = 20
 _EXACT_MAX_BITS = 1 << 17  # integer size the exact W differences may reach
+_EXACT_MAX_WORK = 1 << 22  # (order+1)^2 bits(L): the cost of the powers L^j
+_MAX_ROUNDOFF = 1e-9       # largest eps * sum|terms| / |W| a float W sum may have
 
 _SCALE = 10**60
 _LN2_SCALED = 693147180559945309417232121458176568075500134360255254120680  # floor(ln 2 * 10^60)
@@ -119,8 +125,10 @@ def _reciprocals(a: float, k: int, order: int) -> tuple[list[int], int]:
 
     With a = N/D (a float is a dyadic rational), q_i = iD + N, L = prod q_i
     and u_i = D L/q_i.  A difference of (a+i)^-order terms works on integers
-    of about (order+1) bits(L) bits; past _EXACT_MAX_BITS that would run for
-    seconds to minutes, so it raises DomainError instead.
+    of about (order+1) bits(L) bits and takes the powers L^j, j <= order, at
+    about (order+1)^2 bits(L) bit operations; past _EXACT_MAX_BITS or
+    _EXACT_MAX_WORK that would run for seconds to minutes, so it raises
+    DomainError instead.
     """
     num, den = a.as_integer_ratio()
     q = [i * den + num for i in range(k)]
@@ -129,6 +137,10 @@ def _reciprocals(a: float, k: int, order: int) -> tuple[list[int], int]:
     if bits > _EXACT_MAX_BITS:
         raise DomainError(f"exact W difference at a={a}, k={k}, order {order} needs "
                           f"{bits}-bit integers, over the {_EXACT_MAX_BITS}-bit budget")
+    if (order + 1) * bits > _EXACT_MAX_WORK:
+        raise DomainError(f"exact W difference at a={a}, k={k}, order {order} needs "
+                          f"{order + 1} powers of a {big_l.bit_length()}-bit integer, "
+                          f"over the budget of {_EXACT_MAX_WORK} bit operations")
     return [den * (big_l // qi) for qi in q], big_l
 
 
@@ -152,8 +164,14 @@ def _w_m_1(a: float, k: int, m: int) -> float:
         raise DomainError(f"exact W difference at a={a}, k={k}, order {m} is outside "
                           f"double-precision range (OverflowError: {exc})") from exc
     s = (-1.0) ** (m - 1)
-    out = sum((-1.0) ** (j - 1) * riemann_zeta(m + 1 - j) * d[j] for j in range(1, m))
-    return out + s * (shifted_harmonic(a) * d[m] + nested)
+    terms = [(-1.0) ** (j - 1) * riemann_zeta(m + 1 - j) * d[j] for j in range(1, m)]
+    last = shifted_harmonic(a) * d[m]
+    out = sum(terms) + s * (last + nested)
+    size = sum(map(abs, terms)) + abs(last) + abs(nested)
+    if sys.float_info.epsilon * size > _MAX_ROUNDOFF * abs(out):
+        raise DomainError(f"W sum at a={a}, k={k}, order {m} cancels: its terms reach "
+                          f"{size:.3e} against a sum of {out:.3e}, past double precision")
+    return out
 
 
 def _order(m: int, name: str) -> int:

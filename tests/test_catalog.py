@@ -116,6 +116,55 @@ def test_malformed_parameters_are_inconclusive_with_a_reason(params):
         catalog.get("eq2.9").validate(**params)
 
 
+@pytest.mark.parametrize("params, tol, reason", [
+    ([0.5, 1.0], 1e-7, "eq2.9 takes numeric parameters a, b; got [0.5, 1.0]"),
+    ({(1,): 0.5}, 1e-7, "eq2.9 takes numeric parameters a, b; got {(1,): 0.5}"),
+    ({"a": 0.5, "b": 1.0}, "x", "tol must be a finite number > 0, got 'x'"),
+    ({"a": 0.5, "b": 1.0}, -1.0, "tol must be a finite number > 0, got -1.0"),
+    ({"a": 0.5, "b": 1.0}, float("nan"), "tol must be a finite number > 0, got nan"),
+    ({"a": 0.5, "b": 1.0}, float("inf"), "tol must be a finite number > 0, got inf"),
+], ids=["list", "tuple-key", "string-tol", "negative-tol", "nan-tol", "inf-tol"])
+def test_malformed_case_is_inconclusive_with_a_reason(params, tol, reason):
+    # a raw TypeError (the first three) or a DomainError raised from
+    # SeriesConfig (the next two) escaped verify_identity before, and an
+    # infinite tol confirmed any residual
+    record = verify_identity(IdentityCase("eq2.9", params, tol))
+    assert record.status is Status.INCONCLUSIVE
+    assert record.reason == "DomainError: " + reason
+    assert record.terms == 0
+
+
+def _seeded_draws(n: int, names: tuple[str, ...], s_range=(1, 3)) -> tuple[dict, ...]:
+    # the generator the eq1.24, eq1.25 and eq1.31 grids were drawn with
+    rng = np.random.default_rng(20240813 + len(names) * 7 + n)
+    out = []
+    for _ in range(n):
+        d = {}
+        for name in names:
+            if name in ("x", "y"):
+                d[name] = round(float(rng.uniform(-0.88, 0.88)), 6)
+            elif name == "a":
+                d[name] = round(float(rng.uniform(0.05, 3.0)), 6)
+            else:
+                d[name] = int(rng.integers(s_range[0], s_range[1] + 1))
+        out.append(d)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("ident_id, draw", [
+    ("eq1.24", (9, ("x", "y", "a", "s"))),
+    ("eq1.25", (9, ("x", "a", "s"), (2, 4))),
+    ("eq1.31", (8, ("x", "y", "p", "m"), (1, 2))),
+])
+def test_generating_function_grids_are_the_seeded_draws(ident_id, draw):
+    grid = catalog.get(ident_id).grid
+    want = _seeded_draws(*draw)
+    assert grid == want
+    for row, wanted in zip(grid, want):
+        assert list(row) == list(wanted)
+        assert all(type(v) is type(wanted[k]) for k, v in row.items())
+
+
 @pytest.mark.parametrize("ident_id, params, n_calls", [
     ("eq2.9", {"a": 0.5, "b": 1.0}, 1),   # one Summand
     ("eq2.27", {"a": 0.5, "k": 1}, 2),    # a signed combination of two

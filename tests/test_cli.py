@@ -1,9 +1,15 @@
 """CLI surface: exit codes, report files, round-trips, env overrides."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import eulersum
+from eulersum import catalog
 from eulersum.cli import main
 
 
@@ -296,3 +302,45 @@ def test_exact_w_shape_past_its_integer_budget_is_a_domain_error(tmp_path, capsy
     [rec] = json.loads(out_file.read_text())["records"]
     assert rec["status"] == "INCONCLUSIVE"
     assert rec["reason"].startswith("DomainError: exact W difference") and "budget" in rec["reason"]
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    # a new interpreter that imports this checkout's eulersum
+    src = str(pathlib.Path(eulersum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy loads on the first oracle evaluation, never on import
+    proc = _fresh_python("import sys, eulersum, eulersum.cli, eulersum.catalog\n"
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_eval_closed_runs_with_numpy_blocked():
+    # eval --method closed answers every identity where numpy cannot be
+    # imported at all; the oracle side of the same process cannot
+    proc = _fresh_python("""
+import json, sys
+sys.modules["numpy"] = None
+from eulersum import catalog
+from eulersum.cli import main
+codes = {}
+for ident_id in catalog.ids():
+    params = catalog.get(ident_id).grid[0]
+    codes[ident_id] = main(["eval", ident_id, "--method", "closed"]
+                           + [f"--{k}={v}" for k, v in params.items()])
+try:
+    main(["eval", "eq2.13", "--a=1", "--k=1", "--m=1", "--method", "oracle"])
+except ImportError:
+    codes["oracle blocked"] = True
+print(json.dumps(codes))
+""")
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes.pop("oracle blocked") is True
+    assert codes.keys() == set(catalog.ids()) and len(codes) == 39
+    assert set(codes.values()) == {0}

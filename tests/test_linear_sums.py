@@ -413,10 +413,13 @@ def test_gf_closed_sides_use_no_oracle(monkeypatch):
             assert math.isfinite(ident.closed(catalog.Variant.CORRECTED, **params))
 
 
-@pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums"])
+@pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums",
+                                    "catalog", "cli", "oracle", "__init__"])
 def test_closed_form_modules_import_no_numpy(module):
     # closed forms are finite formulas; an array import here means a
-    # brute-force series has come back into the closed-form layer
+    # brute-force series has come back into the closed-form layer.  The
+    # catalog, the CLI and the oracle module are imported by every run, so
+    # they import numpy only inside the engine functions that use it.
     import eulersum
 
     path = pathlib.Path(eulersum.__file__).with_name(f"{module}.py")

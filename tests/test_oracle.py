@@ -111,6 +111,21 @@ def test_truncated_doubling_self_consistency():
     assert abs(r1.value - r2.value) <= r1.abs_error_estimate + r2.abs_error_estimate
 
 
+def test_truncated_block_size_moves_values_only_by_roundoff(monkeypatch):
+    # the blocks are small to keep their arrays in the malloc heap; the work
+    # is the same at the old 2^20 and the new block size, and the values
+    # differ only in longdouble roundoff, far inside the certified bound
+    cfg = SeriesConfig(min_terms=10_000, target_tol=1e-10)
+    chunk = oracle_mod._CHUNK
+    small = [truncated_series(summand, cfg) for summand, _ in _HONEST_SHAPES]
+    monkeypatch.setattr(oracle_mod, "_CHUNK", 1 << 20)
+    large = [truncated_series(summand, cfg) for summand, _ in _HONEST_SHAPES]
+    for s, g in zip(small, large):
+        assert s.work == g.work and s.work // 2 > chunk
+        assert abs(s.value - g.value) <= 1e-3 * g.abs_error_estimate
+        assert s.abs_error_estimate == pytest.approx(g.abs_error_estimate, rel=1e-6)
+
+
 def test_quadrature_values():
     res = quadrature(Integrand.LOG_POW_MOMENT, {"a": 1.0, "m": 2}, tol=1e-12)
     assert abs(res.value - 2.0) <= 1e-12
@@ -232,6 +247,20 @@ def test_integrands_match_scalar_specfun(x0, m):
     want = np.array([u**0.5 * (specfun._polylog_from_u(m, -math.log1p(-v)) if u > 0.75
                                else specfun.polylog(m, u)) for u, v in zip(x, omx)])
     assert np.allclose(got, want, rtol=8 * eps, atol=0)
+
+
+def test_node_series_values_do_not_depend_on_the_block_size(monkeypatch):
+    # each node is summed along k in order, carried across blocks, so the
+    # block size changes no bit; level 11 has more nodes than one small block
+    x, _, _ = oracle_mod._tanh_sinh_nodes(11, nested=True)
+    t = 0.95 * x
+    assert t.size > oracle_mod._SERIES_BLOCK
+    dens = (lambda k: k**2, lambda k: (k + 0.7) ** 3)
+    small = [oracle_mod._node_series(t, den, max_terms=200_000) for den in dens]
+    monkeypatch.setattr(oracle_mod, "_SERIES_BLOCK", 1 << 16)
+    large = [oracle_mod._node_series(t, den, max_terms=200_000) for den in dens]
+    for s, g in zip(small, large):
+        assert np.array_equal(s, g)
 
 
 def test_lemma_oracles_near_one():

@@ -1,6 +1,7 @@
 """Reciprocal-binomial machinery: partial-fraction exactness, resonance
 guards, classical regressions, and oracle agreement for every W shape."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -214,12 +215,21 @@ def test_closed_form_k_cap():
 
 def test_exact_shapes_integer_budget():
     # a = 1e300 has a 997-bit numerator: L = prod (a+i) has about 60 000 bits
-    # at k = 60, so order 1 fits the budget and order 2 does not
+    # at k = 60, so order 1 fits the budget and order 2 does not.  A tiny L
+    # with a large order fits the size budget but not the (m+1)^2 bits(L)
+    # cost of the powers L^j: those ran 1.6-2.6 s before that budget.
     assert math.isfinite(w_m_1(1e300, 60, 1))
     for fn, args in ((w_m_1, (1e300, 60, 2)), (w_111, (1e300, 60)),
-                     (w_alt_m_1, (1e300, 60, 2)), (w_m_1, (1e300, 7, 1000))):
-        with pytest.raises(DomainError, match="budget"):
-            fn(*args)
+                     (w_alt_m_1, (1e300, 60, 2)), (w_m_1, (1e300, 7, 1000)),
+                     (w_m_1, (1.0, 2, 40000)), (w_m_0, (0.0, 3, 40000)),
+                     (w_alt_m_1, (3, 10, 4000))):
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError, match="budget"):
+                fn(*args)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.01, (fn.__name__, args)
 
 
 # The exact shapes, as (catalog id, closed form, shift name, shifts, orders).
@@ -316,3 +326,20 @@ def test_exact_difference_past_double_range_is_a_domain_error():
         w_m_1(0.5, 2, 1100)
     with pytest.raises(DomainError, match="outside double-precision range"):
         w_m_0(-0.5, 3, 1100)
+
+
+def test_w_m_1_cancellation_past_double_precision_is_a_domain_error():
+    # at a = 1/2 the float sum of the exact differences has terms of about
+    # 2^m; at m = 40 they reach 2e12 against W = 0.027, and m = 1000 printed
+    # 5.9e285 against the oracle's 0.0270
+    with pytest.raises(DomainError, match="cancels"):
+        w_m_1(0.5, 10, 40)
+    with pytest.raises(DomainError, match="cancels"):
+        w_m_0(-0.5, 11, 40)
+    with pytest.raises(DomainError):
+        w_m_1(0.5, 10, 1000)
+    # the catalog grids sit far inside the limit (eps sum|terms| / W <= 1.4e-13)
+    for ident_id in ("eq3.11", "eq3.13"):
+        ident = catalog.get(ident_id)
+        for params in ident.grid:
+            assert math.isfinite(ident.closed(catalog.Variant.CORRECTED, **params))
