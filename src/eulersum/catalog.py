@@ -21,11 +21,13 @@ cannot carry their constant offsets.
 
 Catalog oracles never call the closed forms they check.  Every series oracle,
 alternating numerators included, goes through ``oracle.truncated_series``.
-Integral identities go through tanh-sinh quadrature (``oracle.quadrature``:
-nested levels, each node evaluated once, the integrand's own series summed
-over all nodes of a level in numpy); generating-function series are summed
-directly with a geometric tail bound (``linear_sums.gf_lhs``), while their
-closed sides (``linear_sums.gf_rhs``) run neither that sum nor quadrature.
+The log-power moment eq2.2 is the one integral left to tanh-sinh quadrature
+(``oracle.quadrature``: nested levels, each node evaluated once).  The moment
+integrals eq1.19 and eq1.23 are integrated term by term into one positive
+series, summed with an a-priori geometric or power-law tail bound
+(``oracle.moment_series``).  Generating-function series are summed directly
+with a geometric tail bound (``linear_sums.gf_lhs``).  The closed sides of
+all of these (``linear_sums.gf_rhs``) run none of those sums nor quadrature.
 Every validate, closed and oracle call turns a raw overflow, division by
 zero or non-finite value into a DomainError.
 """
@@ -53,6 +55,7 @@ from .oracle import (
     Method,
     Summand,
     Variant,
+    moment_series,
     quadrature,
     truncated_series,
 )
@@ -626,7 +629,7 @@ _register(Identity(
 
 
 # generating-function / lemma identities: closed = displayed right side,
-# oracle = direct summation of the left side (quadrature for eq1.19, eq1.23)
+# oracle = direct summation of the left side (term by term for eq1.19, eq1.23)
 def _gf_closed(kind: linear_sums.GfKind):
     def closed(variant: Variant, **p):
         return linear_sums.gf_rhs(kind, **p)
@@ -740,9 +743,7 @@ _register(Identity(
     params={"x": inside_unit, "a": positive, "b": positive, "n": Integer(1), "m": Integer(1)},
     description="moment integral of the shifted power series H_m(t,a)",
     closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT),
-    oracle=lambda cfg, x, a, b, n, m: quadrature(
-        Integrand.LEMMA_MOMENT, {"x": x, "a": a, "b": b, "n": n, "m": m},
-        tol=max(1e-13, cfg.target_tol / 10.0)),
+    oracle=lambda cfg, x, a, b, n, m: moment_series(x, a, n + b, m, cfg.target_tol / 10.0),
     tol=1e-9,
     grid=_grid(x=(0.3, 0.8), n=(1, 4), a=(0.5, 2.0), b=(0.5, 2.0), m=(2, 3)),
 ))
@@ -752,9 +753,7 @@ _register(Identity(
     params={"x": inside_unit, "b": positive, "n": Integer(1), "m": Integer(1)},
     description="moment integral of Li_m over (0, x)",
     closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT_ZERO),
-    oracle=lambda cfg, x, b, n, m: quadrature(
-        Integrand.LEMMA_MOMENT_ZERO, {"x": x, "b": b, "n": n, "m": m},
-        tol=max(1e-13, cfg.target_tol / 10.0)),
+    oracle=lambda cfg, x, b, n, m: moment_series(x, 0.0, n + b, m, cfg.target_tol / 10.0),
     tol=1e-9,
     grid=_grid(x=(0.3, 0.8), n=(1, 4), b=(0.5, 2.0), m=(2, 3)),
 ))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -84,6 +85,17 @@ def _csv_lines(result: GridResult) -> list[str]:
             r.status.value,
         ]))
     return lines
+
+
+def _tol(text: str) -> float:
+    """The --tol value: a finite number > 0 (argparse reports anything else)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _base_config() -> SeriesConfig:
@@ -255,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
         p_eval.add_argument(f"--{name}", type=float, default=None)
     p_eval.add_argument("--method", choices=("closed", "oracle", "both"), default="closed")
     p_eval.add_argument("--as-printed", action="store_true", dest="as_printed")
-    p_eval.add_argument("--tol", type=float, default=1e-8)
+    p_eval.add_argument("--tol", type=_tol, default=1e-8)
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--identity", default="all")
     p_verify.add_argument("--grid", default="builtin",
                           help="'builtin' or a path to a JSON case file")
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_tol, default=None,
                           help="override per-identity tolerances")
     p_verify.add_argument("--variant", choices=("corrected", "as-printed", "both"),
                           default="corrected")

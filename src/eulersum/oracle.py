@@ -1,7 +1,8 @@
 """Independent ground-truth engines and the identity-verification driver.
 
-Two evaluation routes, neither of which shares code with the closed forms it
-checks: truncated summation with an analytic log-power tail, and tanh-sinh
+Three evaluation routes, none of which shares code with the closed forms it
+checks: truncated summation with an analytic log-power tail, the moment
+series of eq1.19 and eq1.23 with a geometric tail bound, and tanh-sinh
 quadrature.  The series engine sums a declared ``Summand`` (harmonic numbers,
 alternating ones included, over shifted powers and an optional reciprocal
 binomial) and reads its tail model from the summand.  From specfun this
@@ -107,7 +108,7 @@ class TailParams:
 
 
 _CHUNK = 1 << 11
-"""Most indices truncated_series sums in one block.
+"""Most indices truncated_series and moment_series sum in one block.
 
 Small blocks keep each block's temporaries (about ten arrays of 16-byte
 longdoubles, 32 KiB each at 2^11) inside the malloc heap.  With blocks of
@@ -305,6 +306,84 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
         f"truncated series: certified error {est:.3e} exceeds target "
         f"{config.target_tol:.3e} at max_terms={n_cap}"
     )
+
+
+_MOMENT_MAX_TERMS = 200_000  # most terms moment_series sums
+
+
+def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalResult:
+    """sum_{k>=1} x^(k+a+c) / ((k+a)^m (k+a+c)) for 0 < x < 1, a >= 0, c > 0.
+
+    It is the integral of H_m(t, a) t^(c-1) over (0, x), and at a = 0 that of
+    Li_m(t) t^(c-1), integrated term by term: the left sides of eq1.19 and
+    eq1.23 with c = n + b.  The terms are positive and each is at most x times
+    the one before, so the rest after K terms is at most t_(K+1)/(1-x); as
+    k+a+c >= k+a it is also at most x^(K+1+a+c) / (m (K+a)^m).  K is fixed in
+    log space before anything is summed: the count at which x^(K+1+a+c)/(1-x)
+    alone is at most target/2, or, when that is more than one block, the
+    least count at which the smaller of the two bounds is.
+
+    The terms are summed in float64 blocks of at most _CHUNK indices and the
+    block sums with math.fsum.  The bound is that tail plus a first-order
+    roundoff bound of the per-term operations and the block sums, plus
+    sys.float_info.min per term for terms below the normal range (an
+    underflowed power or an overflowed (k+a)^m gives 0), so it is > 0 even
+    when the sum underflows to 0.  Raises DomainError outside the domain and
+    ConvergenceError when more than _MOMENT_MAX_TERMS terms are needed.
+    """
+    if not 0.0 < x < 1.0:
+        raise DomainError("lemma moment requires 0 < x < 1")
+    if not (m >= 1 and float(m).is_integer()):
+        raise DomainError(f"lemma moment requires integer m >= 1, got {m}")
+    if not (math.isfinite(a) and a >= 0.0 and math.isfinite(c) and c > 0.0):
+        raise DomainError(f"moment series requires finite a >= 0 and c > 0, got a={a}, c={c}")
+    if not target > 0.0:
+        raise DomainError("moment series target must be > 0")
+    m = int(m)
+    lx, l1x = math.log(x), math.log1p(-x)
+    log_target = math.log(target) - math.log(2.0)
+
+    def log_tail(k: int) -> float:
+        e = (k + 1 + a + c) * lx
+        geometric = e - m * math.log(k + 1 + a) - math.log(k + 1 + a + c) - l1x
+        power = e - math.log(m) - m * math.log(k + a)
+        return min(geometric, power)
+
+    # the geometric bound with its denominators dropped needs at most k0 terms
+    k0 = (log_target + l1x) / lx - 1.0 - a - c
+    terms = max(1, math.ceil(k0)) if k0 < _MOMENT_MAX_TERMS else _MOMENT_MAX_TERMS
+    if log_tail(terms) > log_target:
+        terms = _MOMENT_MAX_TERMS
+        if log_tail(terms) > log_target:
+            raise ConvergenceError(f"moment series needs more than {_MOMENT_MAX_TERMS} "
+                                   f"terms at x={x!r}")
+    if terms > _CHUNK:
+        # past one block, spare terms cost more than bisecting for the least count
+        lo = 0  # log_tail(lo) misses the target, or lo = 0; log_tail(terms) meets it
+        while terms - lo > 1:
+            mid = (lo + terms) // 2
+            lo, terms = (lo, mid) if log_tail(mid) <= log_target else (mid, terms)
+
+    import numpy as np
+
+    sums = []
+    with np.errstate(over="ignore", under="ignore"):
+        for start in range(1, terms + 1, _CHUNK):
+            ka = np.arange(start, min(start + _CHUNK, terms + 1), dtype=float) + a
+            kac = ka + c
+            sums.append(float((x ** kac / (ka ** m * kac)).sum()))
+    value = math.fsum(sums)
+    # relative error per term, in units of eps: the two roundings of the
+    # exponent k+a+c become (k+a+c)|ln x| in x^(k+a+c) (at most 745 where the
+    # power did not underflow), k+a's rounding becomes m/2 in (k+a)^m, the two
+    # pows add at most 4 ulp each and the adds, product and quotient 2 more;
+    # fsum adds 1/2 and summing a block of n terms at most n/2
+    log_power = min(745.0, -(terms + a + c) * lx)
+    roundoff = (_FLOAT_EPS * (log_power + m + 12.0 + min(terms, _CHUNK)) * value
+                + terms * sys.float_info.min)
+    tail = math.exp(log_tail(terms) + 1e-9)  # e^1e-9 covers the log-space rounding
+    return EvalResult(value=value, abs_error_estimate=tail + roundoff,
+                      method=Method.TRUNCATED, work=terms)
 
 
 class Integrand(str, enum.Enum):

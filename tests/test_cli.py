@@ -70,6 +70,21 @@ def test_eval_non_integer_for_declared_integer_exits_2(argv, flag, capsys):
     assert f"parameter {flag} must be an integer" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "eq2.13", "--a", "1", "--k", "1", "--m", "1", "--method", "both"],
+    ["verify", "--identity", "eq2.13"],
+])
+def test_tol_must_be_finite_and_positive(argv, tol, capsys):
+    # a zero tol made every verify case INCONCLUSIVE and inf certified any
+    # oracle value, each with exit 0; now argparse refuses them
+    code, out, err = run([*argv, f"--tol={tol}"], capsys)
+    assert code == 2 and out == ""
+    assert "argument --tol: must be a finite number > 0" in err
+    code, out, _ = run([*argv, "--tol=1e-6"], capsys)
+    assert code == 0 and "INCONCLUSIVE" not in out
+
+
 def test_eval_missing_params(capsys):
     code, _, err = run(["eval", "eq2.13", "--a", "1"], capsys)
     assert code == 2

@@ -392,15 +392,16 @@ _GF_IDENTITIES = ("eq1.19", "eq1.23", "eq1.24", "eq1.25", "eq1.29", "eq1.30", "e
 
 
 def test_gf_closed_sides_use_no_oracle(monkeypatch):
-    # a closed side that quietly runs quadrature or sums its left side is no
-    # independent check of the oracle
+    # a closed side that quietly runs quadrature, the moment series or sums
+    # its left side is no independent check of the oracle
     from eulersum import linear_sums, oracle
 
     def refuse(*args, **kwargs):
         raise AssertionError("closed side called an oracle routine")
 
-    monkeypatch.setattr(oracle, "quadrature", refuse)
-    monkeypatch.setattr(catalog, "quadrature", refuse)
+    for module in (oracle, catalog):
+        monkeypatch.setattr(module, "quadrature", refuse)
+        monkeypatch.setattr(module, "moment_series", refuse)
     monkeypatch.setattr(linear_sums, "gf_lhs", refuse)
     for kind in list(linear_sums._LHS):
         monkeypatch.setitem(linear_sums._LHS, kind, refuse)
@@ -411,6 +412,8 @@ def test_gf_closed_sides_use_no_oracle(monkeypatch):
         ident = catalog.get(ident_id)
         for params in ident.grid:
             assert math.isfinite(ident.closed(catalog.Variant.CORRECTED, **params))
+        with pytest.raises(AssertionError, match="oracle routine"):  # the patches bite
+            ident.oracle(SeriesConfig(), **ident.grid[0])
 
 
 @pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums",
