@@ -253,7 +253,7 @@ class GfKind(str, enum.Enum):
 class GfResult:
     lhs: float
     rhs: float
-    work: int = 0  # terms the direct sum used, or quadrature nodes
+    work: int = 0  # terms the direct sum or the moment series used
 
     @property
     def residual(self) -> float:
@@ -544,13 +544,6 @@ _RHS = {
     GfKind.MOMENT_IDENT_ZERO: _rhs_moment_ident_zero,
 }
 
-# the moment kinds' left sides are integrals, left to oracle.quadrature
-_MOMENT_INTEGRAND = {
-    GfKind.MOMENT_IDENT: "lemma_moment",
-    GfKind.MOMENT_IDENT_ZERO: "lemma_moment_zero",
-}
-
-
 def gf_rhs(kind: GfKind | str, **params) -> float:
     """The displayed right side of a generating-function or moment identity."""
     kind = GfKind(kind)
@@ -561,19 +554,24 @@ def gf_lhs(kind: GfKind | str, **params) -> GfSum:
     """The left side of a series kind, summed directly with a certified bound."""
     kind = GfKind(kind)
     if kind not in _LHS:
-        raise DomainError(f"{kind.value} has an integral left side; use oracle.quadrature")
+        raise DomainError(f"{kind.value} has an integral left side; use oracle.moment_series")
     return _LHS[kind](*_gf_args(kind, params))
 
 
 def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
-    """Both sides of a generating-function/moment identity: gf_lhs, or tanh-sinh
-    quadrature for the moment kinds, against gf_rhs."""
+    """Both sides of a generating-function/moment identity: gf_lhs, or for the
+    moment kinds their integral summed term by term (oracle.moment_series),
+    against gf_rhs."""
     kind = GfKind(kind)
     rhs = gf_rhs(kind, **params)
     if kind in _LHS:
         lhs = gf_lhs(kind, **params)
         return GfResult(lhs=lhs.value, rhs=rhs, work=lhs.work)
-    from .oracle import quadrature
+    from .oracle import moment_series
 
-    quad = quadrature(_MOMENT_INTEGRAND[kind], params, tol=1e-12)
-    return GfResult(lhs=quad.value, rhs=rhs, work=quad.work)
+    if kind is GfKind.MOMENT_IDENT:
+        x, a, b, n, m = _gf_args(kind, params)
+    else:
+        (x, b, n, m), a = _gf_args(kind, params), 0.0
+    lhs = moment_series(x, a, n + b, m, 1e-12)
+    return GfResult(lhs=lhs.value, rhs=rhs, work=lhs.work)

@@ -319,9 +319,9 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
     eq1.23 with c = n + b.  The terms are positive and each is at most x times
     the one before, so the rest after K terms is at most t_(K+1)/(1-x); as
     k+a+c >= k+a it is also at most x^(K+1+a+c) / (m (K+a)^m).  K is fixed in
-    log space before anything is summed: the count at which x^(K+1+a+c)/(1-x)
-    alone is at most target/2, or, when that is more than one block, the
-    least count at which the smaller of the two bounds is.
+    log space before anything is summed: the least count at which the smaller
+    of the two bounds is at most target/2, found by bisection below the count
+    at which x^(K+1+a+c)/(1-x) alone is (or below _MOMENT_MAX_TERMS).
 
     The terms are summed in float64 blocks of at most _CHUNK indices and the
     block sums with math.fsum.  The bound is that tail plus a first-order
@@ -329,7 +329,12 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
     sys.float_info.min per term for terms below the normal range (an
     underflowed power or an overflowed (k+a)^m gives 0), so it is > 0 even
     when the sum underflows to 0.  Raises DomainError outside the domain and
-    ConvergenceError when more than _MOMENT_MAX_TERMS terms are needed.
+    ConvergenceError when more than _MOMENT_MAX_TERMS terms are needed: for
+    any m, wherever the smaller bound at K = 200 000 exceeds target/2.  As
+    x -> 1 the power-law bound there tends to 1/(m 200000^m), so at target
+    1e-11 (eq1.19's and eq1.23's oracles at tol 1e-9) m = 1 fails from
+    x ~ 0.99994 and m = 2 from x ~ 0.999995, while m >= 3 always converges;
+    smaller targets lose a region near 1 for every m.
     """
     if not 0.0 < x < 1.0:
         raise DomainError("lemma moment requires 0 < x < 1")
@@ -357,12 +362,10 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
         if log_tail(terms) > log_target:
             raise ConvergenceError(f"moment series needs more than {_MOMENT_MAX_TERMS} "
                                    f"terms at x={x!r}")
-    if terms > _CHUNK:
-        # past one block, spare terms cost more than bisecting for the least count
-        lo = 0  # log_tail(lo) misses the target, or lo = 0; log_tail(terms) meets it
-        while terms - lo > 1:
-            mid = (lo + terms) // 2
-            lo, terms = (lo, mid) if log_tail(mid) <= log_target else (mid, terms)
+    lo = 0  # log_tail(lo) misses the target, or lo = 0; log_tail(terms) meets it
+    while terms - lo > 1:
+        mid = (lo + terms) // 2
+        lo, terms = (lo, mid) if log_tail(mid) <= log_target else (mid, terms)
 
     import numpy as np
 

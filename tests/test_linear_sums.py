@@ -265,7 +265,7 @@ class TestGeneratingFunctions:
             assert gf_rhs(GfKind.SQ_DIFF, x=x) >= 0.0
 
     def test_moment_identities(self):
-        # the moment kinds' left sides are integrals: gf_two_sided runs quadrature
+        # the moment kinds' left sides are integrals: gf_two_sided sums them term by term
         for x in (0.3, 0.8):
             for n in (1, 4):
                 for m in (2, 3):
@@ -275,8 +275,8 @@ class TestGeneratingFunctions:
                                         x=x, b=0.5, n=n, m=m).residual <= 1e-9
 
     def test_work_counts(self):
-        # direct sums report the terms they summed, moment kinds their
-        # quadrature nodes, and the catalog's direct-sum oracles pass it on
+        # direct sums and the moment kinds' series report the terms they
+        # summed, and the catalog's direct-sum oracles pass it on
         near, far = (gf_two_sided(GfKind.HN_H2, x=x).work for x in (0.1, -0.8))
         assert 0 < near < far < 1000
         moment = gf_two_sided(GfKind.MOMENT_IDENT, x=0.3, a=0.5, b=2.0, n=1, m=2)

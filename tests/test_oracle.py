@@ -346,7 +346,6 @@ print(work[0], resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def test_lemma_oracles_near_one():
     # x -> 1: the moment series run long but in bounded blocks
-    mpmath = pytest.importorskip("mpmath")
     lemma = catalog.get("eq1.19")
     cfg = SeriesConfig(target_tol=lemma.tol / 10.0)
     params = {"x": 0.999, "a": 0.5, "b": 0.5, "n": 1, "m": 2}
@@ -360,9 +359,14 @@ def test_lemma_oracles_near_one():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+    # closer to 1 the m = 2 power-law bound at the 200 000-term cap, about
+    # 1/(2 * 200000^2), misses target/2 = 5e-12
+    with pytest.raises(ConvergenceError):
+        catalog.get("eq1.23").oracle(cfg, x=0.999999, b=0.5, n=1, m=2)
     # at 0.99999 the power-law tail bound stops both series near 1.5e5 terms;
     # mpmath's default nsum misses these sums by about 6e-9, Euler-Maclaurin
     # (method 'e') does not
+    mpmath = pytest.importorskip("mpmath")
     x = 0.99999
     shifted = lemma.oracle(cfg, **dict(params, x=x))
     zero = catalog.get("eq1.23").oracle(cfg, x=x, b=0.5, n=1, m=2)
