@@ -253,7 +253,7 @@ class GfKind(str, enum.Enum):
 class GfResult:
     lhs: float
     rhs: float
-    work: int = 0  # terms the direct sum or the moment series used
+    work: int = 0  # terms the direct sum used
 
     @property
     def residual(self) -> float:
@@ -559,19 +559,9 @@ def gf_lhs(kind: GfKind | str, **params) -> GfSum:
 
 
 def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
-    """Both sides of a generating-function/moment identity: gf_lhs, or for the
-    moment kinds their integral summed term by term (oracle.moment_series),
-    against gf_rhs."""
+    """Both sides of a series kind, gf_lhs against gf_rhs.  Raises DomainError
+    for the moment kinds, whose left sides are integrals (gf_lhs)."""
     kind = GfKind(kind)
     rhs = gf_rhs(kind, **params)
-    if kind in _LHS:
-        lhs = gf_lhs(kind, **params)
-        return GfResult(lhs=lhs.value, rhs=rhs, work=lhs.work)
-    from .oracle import moment_series
-
-    if kind is GfKind.MOMENT_IDENT:
-        x, a, b, n, m = _gf_args(kind, params)
-    else:
-        (x, b, n, m), a = _gf_args(kind, params), 0.0
-    lhs = moment_series(x, a, n + b, m, 1e-12)
+    lhs = gf_lhs(kind, **params)
     return GfResult(lhs=lhs.value, rhs=rhs, work=lhs.work)

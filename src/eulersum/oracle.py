@@ -3,16 +3,16 @@
 Three evaluation routes, none of which shares code with the closed forms it
 checks: truncated summation with an analytic log-power tail, the moment
 series of eq1.19 and eq1.23 with a geometric tail bound, and tanh-sinh
-quadrature.  The series engine sums a declared ``Summand`` (harmonic numbers,
-alternating ones included, over shifted powers and an optional reciprocal
-binomial) and reads its tail model from the summand.  From specfun this
-module takes only constants and zeta values (riemann_zeta,
-_zeta_nonpositive), none of the alternating-series, polylog and h_func
+quadrature of the one integrand a catalog oracle still runs, eq2.2's
+log-power moment x^(a-1) ln^m(1-x) on (0, 1).  The series engine sums a
+declared ``Summand`` (harmonic numbers, alternating ones included, over
+shifted powers and an optional reciprocal binomial) and reads its tail model
+from the summand.  From specfun this module takes only the constant
+EULER_GAMMA, none of the zeta, alternating-series, polylog and h_func
 evaluators the closed sides are built on.
 
 The quadrature nests its levels, so each node is evaluated once, and calls
-its integrand once per level on numpy arrays of nodes.  The integrands sum
-their own series (H_m(t, a), Li_m(t)) at all nodes together.
+its integrand once per level on numpy arrays of nodes.
 
 numpy is imported inside the engine functions, not at module level: the
 catalog and the CLI import this module, and a closed-form evaluation
@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .specfun import EULER_GAMMA, _zeta_nonpositive, riemann_zeta
+from .specfun import EULER_GAMMA
 
 _FLOAT_EPS = sys.float_info.epsilon
 
@@ -115,11 +115,9 @@ longdoubles, 32 KiB each at 2^11) inside the malloc heap.  With blocks of
 2^20 the temporaries of a few-thousand-term sum pushed the heap top past
 glibc's trim threshold on every call; free() handed the pages back and the
 next call faulted them in again.  In a process that had made no large
-allocation before, on a 2-vCPU x86-64 host, that cost about 5000 minor
-page faults per pass over 45 eq1.19 quadrature cases and eight 8192-term
-series, against fewer than ten, and made them 38 % and 22 % slower (with
-_SERIES_BLOCK at its old 2^16).  The blocks are summed in order, so the
-block size moves the value only by longdouble roundoff.
+allocation before, on a 2-vCPU x86-64 host, that made eight 8192-term
+series 22 % slower.  The blocks are summed in order, so the block size moves
+the value only by longdouble roundoff.
 """
 
 
@@ -231,9 +229,11 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     the error estimate is twice the disagreement with the same evaluation
     truncated at N/2, plus drift and roundoff floors.  Each doubling extends
     the running sums, and the previous N is the new N/2 checkpoint.
-    config.max_terms caps N; the last step stops exactly at the cap.  Raises ConvergenceError when the estimate at the cap still
-    misses config.target_tol or when the denominator degree would leave a
-    divergent tail.
+    config.max_terms caps N; the last step stops exactly at the cap.
+
+    Raises ConvergenceError when the estimate at the cap still misses
+    config.target_tol or when the denominator degree would leave a divergent
+    tail.
     """
     import numpy as np
 
@@ -391,156 +391,25 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
 
 class Integrand(str, enum.Enum):
     LOG_POW_MOMENT = "log_pow_moment"          # x^(a-1) ln^m(1-x) on (0,1)
-    POLYLOG_MOMENT = "polylog_moment"          # x^(a-1) Li_m(x) on (0,1)
-    LEMMA_MOMENT = "lemma_moment"              # H_m(t,a) t^(n+b-1) on (0,x)
-    LEMMA_MOMENT_ZERO = "lemma_moment_zero"    # Li_m(t) t^(n+b-1) on (0,x)
-
-
-_SERIES_BLOCK = 1 << 13
-"""Most elements in one nodes-by-terms block of _node_series.
-
-At 2^13 float64 elements a block's power and partial-sum arrays take 64 KiB
-each, small enough to stay inside the malloc heap (see _CHUNK).  Each node's
-sum is added along k in order and carried from block to block, so the
-values do not depend on the block size.
-"""
-
-
-def _node_series(t: np.ndarray, den: Callable[[np.ndarray], np.ndarray],
-                 max_terms: int) -> np.ndarray:
-    """sum_{k>=1} t^k / den(k) at every node t in [0, 1), added in k order.
-
-    A node stops at the first k where t^k is at most 1e-18 (|partial sum| +
-    1e-300); where den >= 1 past that k, the rest is at most 1e-18/(1-t) of
-    the sum.  The powers and partial sums are built in blocks of at most
-    _SERIES_BLOCK elements over the nodes still running, each block carrying
-    the last power and sum into the next, so a node near 1 costs time but not
-    memory.  Raises ConvergenceError when a node needs more than max_terms
-    terms.
-    """
-    import numpy as np
-
-    out = np.zeros_like(t)
-    idx = np.flatnonzero(t)
-    tt = t[idx]
-    power = np.ones_like(tt)
-    acc = np.zeros_like(tt)
-    k0 = 0
-    while idx.size:
-        if k0 >= max_terms:
-            raise ConvergenceError(
-                f"node series needs more than {max_terms} terms at t={tt.max():.16g}")
-        # first block: the terms the largest t needs; later ones double the count
-        want = max(math.ceil(46.0 / -math.log(tt.max())) + 8 - k0, k0)
-        width = max(1, min(_SERIES_BLOCK // idx.size, max_terms - k0, want))
-        pw = np.empty((idx.size, width))
-        pw[:, 0] = power * tt
-        pw[:, 1:] = tt[:, None]
-        np.cumprod(pw, axis=1, out=pw)
-        part = pw / den(np.arange(k0 + 1.0, k0 + width + 1.0))
-        part[:, 0] += acc
-        np.cumsum(part, axis=1, out=part)
-        done = pw <= 1e-18 * (np.abs(part) + 1e-300)
-        hit = done.any(axis=1)
-        rows = np.flatnonzero(hit)
-        out[idx[rows]] = part[rows, done[rows].argmax(axis=1)]
-        run = ~hit
-        idx, tt, power, acc = idx[run], tt[run], pw[run, -1], part[run, -1]
-        k0 += width
-    return out
-
-
-@lru_cache(maxsize=None)
-def _u_expansion_zetas(m: int) -> np.ndarray:
-    # zeta(m - k) for k = 0..m+29, with 0 at the pole k = m - 1
-    import numpy as np
-
-    return np.array([0.0 if k == m - 1 else
-                     riemann_zeta(m - k) if m - k >= 2 else _zeta_nonpositive(m - k)
-                     for k in range(m + 30)])
-
-
-def _polylog_from_u(m: int, u: np.ndarray) -> np.ndarray:
-    # Li_m(e^-u) = (-u)^(m-1)/(m-1)! (H_(m-1) - ln u) + sum_k zeta(m-k) (-u)^k/k!,
-    # valid for 0 < u < 2*pi; used where e^-u > 3/4
-    import numpy as np
-
-    z = _u_expansion_zetas(m)
-    powers = np.cumprod(-u[:, None] / np.arange(1.0, z.size), axis=1)  # (-u)^k/k!, k >= 1
-    h = sum(1.0 / i for i in range(1, m))
-    return ((-u) ** (m - 1) / math.factorial(m - 1) * (h - np.log(u)) + z[0]
-            + (powers * z[1:]).sum(axis=1))
-
-
-def _polylog_nodes(m: int, t: np.ndarray, omt: np.ndarray) -> np.ndarray:
-    """Li_m(t), m >= 2, at nodes t in [0, 1) with omt = 1 - t; near 1 the
-    expansion in u = -ln t takes u from omt."""
-    import numpy as np
-
-    out = np.empty_like(t)
-    near = t > 0.75
-    out[near] = _polylog_from_u(m, -np.log1p(-omt[near]))
-    out[~near] = _node_series(t[~near], lambda k: k**m, max_terms=10_000)
-    return out
-
-
-def _lemma_integrand(x0: float, series: Callable[[np.ndarray], np.ndarray], power: float):
-    # series(t) t^power on (0, x0), as x0 times a function of u = t/x0 on (0, 1)
-    import numpy as np
-
-    def f(u, omu):
-        t = x0 * u
-        out = np.zeros_like(t)
-        pos = t > 0.0
-        out[pos] = series(t[pos]) * t[pos] ** power * x0
-        return out
-
-    return f
 
 
 def _build_integrand(integrand_id: Integrand, params: Mapping[str, float]):
     """The integrand as f(x, 1 - x), taking and returning arrays over the nodes."""
     import numpy as np
 
-    p = dict(params)
-    if integrand_id is Integrand.LOG_POW_MOMENT:
-        a, m = float(p["a"]), int(p["m"])
-        if not a > 0:
-            raise DomainError("log-power moment requires a > 0")
-        if m > 6:
-            raise DomainError("log-power moment supports m <= 6")
-        return lambda x, omx: x ** (a - 1.0) * np.log(omx) ** m
-    if integrand_id is Integrand.POLYLOG_MOMENT:
-        a, m = float(p["a"]), int(p["m"])
-        if not a > 0:
-            raise DomainError("polylog moment requires a > 0")
-        if not 1 <= m <= 6:
-            raise DomainError("polylog moment supports 1 <= m <= 6")
-        if m == 1:
-            return lambda x, omx: -x ** (a - 1.0) * np.log(omx)
-        return lambda x, omx: x ** (a - 1.0) * _polylog_nodes(m, x, omx)
-    if integrand_id not in (Integrand.LEMMA_MOMENT, Integrand.LEMMA_MOMENT_ZERO):
-        raise DomainError(f"unknown integrand id {integrand_id!r}")
-    x0, b, n, m = float(p["x"]), float(p["b"]), int(p["n"]), int(p["m"])
-    if not 0.0 < x0 < 1.0:
-        raise DomainError("lemma moment requires 0 < x < 1")
-    if m < 1:
-        raise DomainError(f"lemma moment requires integer m >= 1, got {m}")
-    if integrand_id is Integrand.LEMMA_MOMENT:
-        a = float(p["a"])
-        if not math.isfinite(a) or (a < 0.0 and a.is_integer()):
-            raise DomainError(f"lemma moment requires a finite shift a off the negative "
-                              f"integers, got {a}")
+    from .catalog import is_number
 
-        def h_series(t):
-            # H_m(t, a) = t^a sum_k t^k/(k+a)^m
-            return t**a * _node_series(t, lambda k: (k + a) ** m, max_terms=200_000)
-
-        return _lemma_integrand(x0, h_series, n + b - 1.0)
-    if m == 1:
-        return _lemma_integrand(x0, lambda t: -np.log1p(-t), n + b - 1.0)
-    # 1 - t is exact for t >= 1/2, so over all of the u-expansion's range t > 3/4
-    return _lemma_integrand(x0, lambda t: _polylog_nodes(m, t, 1.0 - t), n + b - 1.0)
+    a, m = params.get("a"), params.get("m")
+    # the comparison and m % 1 stay exact for an int past the float range
+    if not (is_number(a) and abs(a) <= sys.float_info.max and is_number(m) and m % 1 == 0):
+        raise DomainError(f"log-power moment requires a finite number a and an integer m, "
+                          f"got a={a!r}, m={m!r}")
+    a, m = float(a), int(m)
+    if not a > 0:
+        raise DomainError("log-power moment requires a > 0")
+    if m > 6:
+        raise DomainError("log-power moment supports m <= 6")
+    return lambda x, omx: x ** (a - 1.0) * np.log(omx) ** m
 
 
 @lru_cache(maxsize=None)
@@ -618,7 +487,13 @@ def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def quadrature(integrand_id: Integrand | str, params: Mapping[str, float],
                tol: float = 1e-11) -> EvalResult:
-    """Tanh-sinh quadrature for the catalog integrands, singular endpoints included."""
+    """Tanh-sinh quadrature of a catalog integrand, singular endpoints included.
+
+    Raises DomainError for an unknown id, a tol below 1e-13, or params the
+    integrand does not take: for LOG_POW_MOMENT, a missing "a" or "m", an "a"
+    that is not a finite number > 0, or an "m" that is not an integer <= 6 (a
+    bool is not a number here).
+    """
     if tol < 1e-13:
         raise DomainError("quadrature tol must be >= 1e-13")
     try:

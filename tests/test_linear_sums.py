@@ -29,7 +29,7 @@ from eulersum import (
     sum_sq_diff_window,
 )
 from eulersum import catalog, linear_sums, param_harmonic, shifted_harmonic, y_moment
-from eulersum.oracle import SeriesConfig, Summand, truncated_series
+from eulersum.oracle import SeriesConfig, Summand, moment_series, truncated_series
 
 Z2 = riemann_zeta(2)
 Z3 = riemann_zeta(3)
@@ -85,12 +85,14 @@ class TestPolylogMoment:
         assert polylog_moment(3, 1.0) == pytest.approx(Z3 - Z2 + 1.0, rel=1e-13)
 
     def test_against_quadrature(self):
-        from eulersum.oracle import Integrand, quadrature
-
+        # int_0^1 x^(a-1) Li_m(x) dx at 30 digits
+        mpmath = pytest.importorskip("mpmath")
         for m in (1, 2, 3, 4):
             for a in (0.5, 1.0, 2.5):
-                q = quadrature(Integrand.POLYLOG_MOMENT, {"a": a, "m": m}, tol=1e-12)
-                assert polylog_moment(m, a) == pytest.approx(q.value, abs=1e-10)
+                with mpmath.workdps(30):
+                    want = float(mpmath.quad(lambda x: x ** (a - 1) * mpmath.polylog(m, x),
+                                             [0, 1]))
+                assert polylog_moment(m, a) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestBilinear:
@@ -265,22 +267,23 @@ class TestGeneratingFunctions:
             assert gf_rhs(GfKind.SQ_DIFF, x=x) >= 0.0
 
     def test_moment_identities(self):
-        # the moment kinds' left sides are integrals: gf_two_sided sums them term by term
+        # the moment kinds' left sides are integrals, summed term by term
         for x in (0.3, 0.8):
             for n in (1, 4):
                 for m in (2, 3):
-                    assert gf_two_sided(GfKind.MOMENT_IDENT,
-                                        x=x, a=0.5, b=2.0, n=n, m=m).residual <= 1e-9
-                    assert gf_two_sided(GfKind.MOMENT_IDENT_ZERO,
-                                        x=x, b=0.5, n=n, m=m).residual <= 1e-9
+                    rhs = gf_rhs(GfKind.MOMENT_IDENT, x=x, a=0.5, b=2.0, n=n, m=m)
+                    lhs = moment_series(x, 0.5, n + 2.0, m, 1e-12)
+                    assert abs(lhs.value - rhs) <= 1e-9
+                    rhs = gf_rhs(GfKind.MOMENT_IDENT_ZERO, x=x, b=0.5, n=n, m=m)
+                    lhs = moment_series(x, 0.0, n + 0.5, m, 1e-12)
+                    assert abs(lhs.value - rhs) <= 1e-9
 
     def test_work_counts(self):
         # direct sums and the moment kinds' series report the terms they
         # summed, and the catalog's direct-sum oracles pass it on
         near, far = (gf_two_sided(GfKind.HN_H2, x=x).work for x in (0.1, -0.8))
         assert 0 < near < far < 1000
-        moment = gf_two_sided(GfKind.MOMENT_IDENT, x=0.3, a=0.5, b=2.0, n=1, m=2)
-        assert moment.work > 0
+        assert moment_series(0.3, 0.5, 1 + 2.0, 2, 1e-12).work > 0
         params = catalog.get("eq1.24").grid[0]
         oracle = catalog.get("eq1.24").oracle(SeriesConfig(), **params)
         assert oracle.work == gf_two_sided(GfKind.LEMMA13_TWO_VAR, **params).work > 0
@@ -289,8 +292,9 @@ class TestGeneratingFunctions:
         for side in (gf_lhs, gf_rhs):
             with pytest.raises(DomainError):
                 side(GfKind.LEMMA13, x=1.0, a=0.3, s=3)
-        with pytest.raises(DomainError):
-            gf_lhs(GfKind.MOMENT_IDENT_ZERO, x=0.3, b=0.5, n=1, m=2)
+        for side in (gf_lhs, gf_two_sided):
+            with pytest.raises(DomainError):
+                side(GfKind.MOMENT_IDENT_ZERO, x=0.3, b=0.5, n=1, m=2)
 
 
 def _mp_gf_lhs(mpmath, kind, x, y=0.0, a=0.0, s=2, m=2, p=1):
@@ -434,3 +438,22 @@ def test_closed_form_modules_import_no_numpy(module):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums"])
+def test_closed_form_modules_import_no_oracle(module):
+    # a closed form that reaches into the oracle, at module level or inside a
+    # function, is no independent check of it
+    import eulersum
+
+    path = pathlib.Path(eulersum.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+    assert "oracle" not in imported
