@@ -161,6 +161,10 @@ def _parse_grid_file(path: str, default_tol_by_id) -> list[IdentityCase]:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DomainError(f"grid file {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"grid file {path} is not valid UTF-8: {exc}") from exc
+        except RecursionError:
+            raise DomainError(f"grid file {path} nests too deeply to parse") from None
     if not isinstance(raw, list):
         raise DomainError("grid file must contain a JSON list of cases")
     variants = tuple(v.value for v in Variant)

@@ -7,7 +7,10 @@ quadrature of the one integrand a catalog oracle still runs, eq2.2's
 log-power moment x^(a-1) ln^m(1-x) on (0, 1).  The series engine sums a
 declared ``Summand`` (harmonic numbers, alternating ones included, over
 shifted powers and an optional reciprocal binomial) and reads its tail model
-from the summand.  From specfun this module takes only the constant
+from the summand.  Only its running harmonic prefix sums are longdouble;
+each is rounded to float64 once, and the terms and their sums are float64,
+with a roundoff bound derived from the operations of one term and the depth
+of the block sums.  From specfun this module takes only the constant
 EULER_GAMMA, none of the zeta, alternating-series, polylog and h_func
 evaluators the closed sides are built on.
 
@@ -110,14 +113,15 @@ class TailParams:
 _CHUNK = 1 << 11
 """Most indices truncated_series and moment_series sum in one block.
 
-Small blocks keep each block's temporaries (about ten arrays of 16-byte
-longdoubles, 32 KiB each at 2^11) inside the malloc heap.  With blocks of
-2^20 the temporaries of a few-thousand-term sum pushed the heap top past
-glibc's trim threshold on every call; free() handed the pages back and the
-next call faulted them in again.  In a process that had made no large
-allocation before, on a 2-vCPU x86-64 host, that made eight 8192-term
-series 22 % slower.  The blocks are summed in order, so the block size moves
-the value only by longdouble roundoff.
+Small blocks keep each block's temporaries (a few float64 arrays, 16 KiB
+each at 2^11, and one or two longdouble arrays of 32 KiB for the harmonic
+prefix sums) inside the malloc heap.  With blocks of 2^20 the temporaries of
+a few-thousand-term sum pushed the heap top past glibc's trim threshold on
+every call; free() handed the pages back and the next call faulted them in
+again.  In a process that had made no large allocation before, on a 2-vCPU
+x86-64 host, that made eight 8192-term series 22 % slower.  The harmonic
+prefix sums run across the blocks in order, so the block size moves only
+the float64 block sums, by roundoff.
 """
 
 
@@ -149,14 +153,12 @@ class Summand:
         return TailParams(growth=growth, denom_degree=degree)
 
     def terms(self, ns: np.ndarray, harmonics: Mapping[int, np.ndarray]) -> np.ndarray:
-        """The terms at the indices ns, given harmonics[m] = H_n^(m) (H-bar_n^(m)
-        when alternating) at the same indices for each order m in `orders`."""
+        """The float64 terms at the float64 indices ns, given harmonics[m] =
+        H_n^(m) (H-bar_n^(m) when alternating) at the same indices for each
+        order m in `orders`."""
         num = None
-        for m in dict.fromkeys(self.orders):  # a repeated order is a power: H_n^2 = h1 ** 2
-            h = harmonics[int(m)]
-            count = self.orders.count(m)
-            if count > 1:
-                h = h ** count
+        for m in dict.fromkeys(self.orders):  # a repeated order is a power: H_n^2 = h1 * h1
+            h = _ipow(harmonics[int(m)], self.orders.count(m))
             num = h if num is None else num * h
         if self.binom is not None:
             k, b = self.binom
@@ -168,42 +170,97 @@ class Summand:
             for s in shift if isinstance(shift, tuple) else (shift,):
                 if s:  # n + 0 is n
                     x = x + s
-            if power != 1:
-                x = x ** int(power)
+            x = _ipow(x, int(power))
             den = x if den is None else den * x
         if den is None:
             return num
         return (1.0 if num is None else num) / den
 
 
+def _ipow(x, p: int):
+    # x**p for an integer p >= 1 by squaring and multiplying; whatever the
+    # order of the products, x^p carries at most p - 1 roundings of its own
+    result = None
+    while True:
+        if p & 1:
+            result = x if result is None else result * x
+        p >>= 1
+        if not p:
+            return result
+        x = x * x
+
+
 def _rbinom(ns, k: int, b: float):
     # 1/binom(n+k+b, k) = k! / prod_{i=1..k} (n+b+i), stable for any n
     import numpy as np
 
-    arr = np.full(ns.shape, np.longdouble(float(math.factorial(k))))
+    arr = np.full(ns.shape, float(math.factorial(k)))
     for i in range(1, k + 1):
-        arr = arr / (ns + (b + i))
+        arr /= ns + (b + i)
     return arr
+
+
+def _roundings(summand: Summand) -> int:
+    """A bound on the relative error of one float64 term, in units of eps/2.
+
+    Each rounding is at most eps/2 of its result, and x^p carries p times the
+    error already in x.  The count: each H_n^(m) rounded to float64 once,
+    so j for H^j, plus the j - 1 multiplies of that power and one per
+    further numerator factor; for the binomial, one for k! and three per
+    step (the scalar b + i, the add and the divide); for a denominator factor
+    of r shift adds raised to p, p*r for the adds and p - 1 for the power;
+    one per further denominator factor, and one for the quotient.  With
+    n >= 1 and shifts and b >= 0, as in every catalog summand, each partial
+    sum n + s_1 + ... is at most the factor it ends in, so an add's rounding
+    is at most eps/2 of that factor.
+    """
+    orders = len(summand.orders)
+    count = max(0, 2 * orders - 1)
+    if summand.binom is not None:
+        count += 1 + 3 * int(summand.binom[0]) + (orders > 0)
+    for i, (shift, power) in enumerate(summand.den):
+        adds = sum(1 for s in (shift if isinstance(shift, tuple) else (shift,)) if s)
+        count += int(power) * (adds + 1) - 1 + (i > 0)
+    return count + (len(summand.den) > 0)
+
+
+def _pairwise_depth(n: int) -> int:
+    """A bound on the additions any term passes through in numpy's sum of at
+    most n float64 terms.  The reduction adds its first element once; its
+    pairwise sum halves a run (the first half rounded down to a multiple of
+    8, so a part is at most n/2^j + 16 after j halvings) until it is at most
+    128 long, and sums such a leaf of L terms with eight interleaved
+    accumulators: L//8 - 1 adds in one, three to join the eight and L % 8
+    leftovers, at most 24 in all."""
+    return 1 + 24 + max(0, math.ceil(math.log2(n / 112)))
 
 
 def _block_terms(summand: Summand, ns_int: np.ndarray,
                  prefix: dict[int, np.longdouble]) -> np.ndarray:
-    """The summand's terms on the block ns_int; prefix maps each numerator
-    order to its harmonic sum before the block and is moved past it."""
+    """The summand's float64 terms on the block ns_int; prefix maps each
+    numerator order to its harmonic sum before the block and is moved past it.
+
+    Only the running sums are longdouble: 1/n is one longdouble reciprocal,
+    1/n^m its m-th power by products, and each sum H_n^(m) is rounded to
+    float64 once.  Everything after that is float64, and a term that
+    overflows or underflows gives 0 or a subnormal without a warning.
+    """
     import numpy as np
 
-    ld = np.longdouble
-    ns = ns_int.astype(ld)
     harmonics = {}
-    if summand.alternating:
-        sign = np.where(ns_int & 1 == 1, ld(1.0), ld(-1.0))
-    for m, carry in prefix.items():
-        inv = ns ** ld(-m) if m > 1 else 1.0 / ns
+    if prefix:
+        inv = np.reciprocal(ns_int.astype(np.longdouble))
+        even = int(ns_int[0]) % 2  # the first even n in the block is at this offset
+    for m in sorted(prefix, reverse=True):  # order 1 last: it sums inv in place
+        r = _ipow(inv, m)
         if summand.alternating:
-            inv = inv * sign
-        harmonics[m] = h = carry + np.cumsum(inv)
-        prefix[m] = h[-1]
-    return summand.terms(ns, harmonics)
+            r[even::2] *= -1
+        r[0] += prefix[m]
+        np.cumsum(r, out=r)
+        prefix[m] = r[-1]
+        harmonics[m] = r.astype(float)
+    with np.errstate(over="ignore", under="ignore"):
+        return summand.terms(ns_int.astype(float), harmonics)
 
 
 def _log_power_integral(g: int, d: int, x0: float) -> float:
@@ -224,12 +281,29 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     error meets the target.
 
     The sum runs in blocks of at most _CHUNK indices, with one running
-    harmonic prefix sum per numerator order.  The tail is the summand's
-    log-power model (summand.tail()) integrated from the midpoint N + 1/2;
-    the error estimate is twice the disagreement with the same evaluation
-    truncated at N/2, plus drift and roundoff floors.  Each doubling extends
-    the running sums, and the previous N is the new N/2 checkpoint.
-    config.max_terms caps N; the last step stops exactly at the cap.
+    longdouble harmonic prefix sum per numerator order; each prefix value is
+    rounded to float64 once and the terms, their block sums (numpy's
+    pairwise sum) and the sum of the block sums (math.fsum) are float64.
+    The tail is the summand's log-power model (summand.tail()) integrated
+    from the midpoint N + 1/2; the error estimate is twice the disagreement
+    with the same evaluation truncated at N/2, plus the tail fit's floor and
+    a roundoff bound.  Each doubling extends the running sums, and the
+    previous N is the new N/2 checkpoint.  config.max_terms caps N; the last
+    step stops exactly at the cap.
+
+    Roundoff, with scale = max(sum |t|, |value|) and u = eps/2 the float64
+    unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3-4): a computed term is t(1 + d) with |d| <= c u, c from
+    _roundings(summand); a block sum of n such terms is off by at most
+    p u sum |t|, p = _pairwise_depth(n); fsum rounds the total once.  The
+    bound (c + p + 1) eps scale is twice that first-order bound, which covers
+    the second-order terms while (c + p + 1) u < 1/2.  The longdouble prefix
+    sums add 128 ld_eps sqrt(N) scale, an estimate of their roundoff rather
+    than a bound.  A term that overflows or underflows is off by at most
+    float_info.min (1 + ln N)^len(orders), and the bound adds that once per
+    term: no H_n^(m) exceeds 1 + ln N, the reciprocal binomial is at most 1,
+    and a term whose denominator overflowed to inf is at most its numerator
+    over float_info.max.
 
     Raises ConvergenceError when the estimate at the cap still misses
     config.target_tol or when the denominator degree would leave a divergent
@@ -255,9 +329,10 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
 
     ld = np.longdouble
     ld_eps = float(np.finfo(ld).eps)
+    roundings = _roundings(summand) + _pairwise_depth(min(_CHUNK, n_cap)) + 1  # c + p + 1
     prefix = {int(m): ld(0.0) for m in summand.orders}
-    total = ld(0.0)
-    abs_total = ld(0.0)
+    sums = []
+    abs_total = 0.0
     checkpoints: dict[int, tuple[float, tuple[float, ...]]] = {}  # N -> (sum, last 4 terms)
 
     def tail_corrected(n_stop: int) -> tuple[float, float]:
@@ -282,22 +357,24 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
         return s + correction, floor
 
     start = 1
-    buf = np.zeros(0, dtype=ld)
+    buf = np.zeros(0)
     for boundary in boundaries:
         while start <= boundary:
             stop = min(boundary, start + _CHUNK - 1)
             t = _block_terms(summand, np.arange(start, stop + 1, dtype=np.int64), prefix)
-            total += t.sum()
-            abs_total += np.abs(t).sum()
+            sums.append(float(t.sum()))
+            abs_total += float(np.abs(t).sum())
             buf = np.concatenate([buf, t[-4:]])[-4:]
             start = stop + 1
-        checkpoints[boundary] = (float(total), tuple(float(v) for v in buf))
+        checkpoints[boundary] = (math.fsum(sums), tuple(float(v) for v in buf))
         if boundary not in evaluate:
             continue
         value_half, _ = tail_corrected(half(boundary))
         value, tail_floor = tail_corrected(boundary)
-        scale = max(float(abs_total), abs(value))
-        roundoff = 128.0 * ld_eps * math.sqrt(boundary) * scale + 16.0 * _FLOAT_EPS * scale
+        scale = max(abs_total, abs(value))
+        roundoff = ((128.0 * ld_eps * math.sqrt(boundary) + roundings * _FLOAT_EPS) * scale
+                    + boundary * sys.float_info.min
+                    * (1.0 + math.log(boundary)) ** len(summand.orders))
         est = 2.0 * abs(value - value_half) + tail_floor + roundoff
         if est <= config.target_tol:
             return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED,

@@ -68,16 +68,19 @@ def test_summand_tail_rule(summand, growth, degree):
     assert summand.tail() == TailParams(growth=growth, denom_degree=degree)
 
 
-# each spec against the hand-written term it replaced, with the same operations
+# each spec against the hand-written term it replaced, with the same float64
+# operations: a power is a product, as in the engine
 _TERMS = [
-    (Summand((), ((0, 1), (10 / 3, 1))), lambda ns, h: 1.0 / (ns * (ns + 10 / 3) ** 1)),
-    (Summand((), ((0, 2), (0.3, 1))), lambda ns, h: 1.0 / (ns ** 2 * (ns + 0.3))),
-    (Summand((1,), ((0.7, 3),)), lambda ns, h: h[1] / (ns + 0.7) ** 3),
+    (Summand((), ((0, 1), (10 / 3, 1))), lambda ns, h: 1.0 / (ns * (ns + 10 / 3))),
+    (Summand((), ((0, 2), (0.3, 1))), lambda ns, h: 1.0 / (ns * ns * (ns + 0.3))),
+    (Summand((1,), ((0.7, 3),)), lambda ns, h: h[1] / ((ns + 0.7) * (ns + 0.7) * (ns + 0.7))),
     (Summand((2,), _window(10 / 3, 2)),
      lambda ns, h: h[2] / ((ns + 10 / 3) * (ns + 10 / 3 + 2))),
-    (Summand((1, 1), _window(0.3, 1)), lambda ns, h: h[1] ** 2 / ((ns + 0.3) * (ns + 0.3 + 1))),
+    (Summand((1, 1), _window(0.3, 1)),
+     lambda ns, h: h[1] * h[1] / ((ns + 0.3) * (ns + 0.3 + 1))),
     (Summand((1, 2), ((0, 1), (5, 1))), lambda ns, h: h[1] * h[2] / (ns * (ns + 5))),
-    (Summand((1, 1, 1), _window(0.5, 1)), lambda ns, h: h[1] ** 3 / ((ns + 0.5) * (ns + 1.5))),
+    (Summand((1, 1, 1), _window(0.5, 1)),
+     lambda ns, h: h[1] * h[1] * h[1] / ((ns + 0.5) * (ns + 1.5))),
     (Summand((1,), ((1.1, 1),), binom=(3, 0.3)),
      lambda ns, h: h[1] * oracle._rbinom(ns, 3, 0.3) / (ns + 1.1)),
     (Summand((2,), ((0, 1), (3, 1)), alternating=True), lambda ns, h: h[2] / (ns * (ns + 3))),
@@ -87,18 +90,24 @@ _TERMS = [
 @pytest.mark.parametrize("summand, term", _TERMS)
 def test_summand_term_matches_hand_written_term(summand, term):
     # two consecutive blocks: the engine's harmonic sums in the second must
-    # continue the first's, as the explicit prefix arrays here do
+    # continue the first's, as one longdouble running sum over both does here;
+    # each sum is rounded to float64 once and the term is float64
+    ns_all = np.arange(1, 10_001, dtype=np.int64)
+    inv = 1.0 / ns_all.astype(np.longdouble)
+    sign = np.where(ns_all % 2 == 1, 1.0, -1.0) if summand.alternating else 1.0
+    running = {}
+    for m in summand.orders:
+        inv_m = inv
+        for _ in range(m - 1):
+            inv_m = inv_m * inv
+        running[m] = np.cumsum(inv_m * sign)
     prefix = {m: np.longdouble(0.0) for m in summand.orders}
-    carry = dict(prefix)
     for start in (1, 5001):
-        ns_int = np.arange(start, start + 5000, dtype=np.int64)
-        ns = ns_int.astype(np.longdouble)
-        sign = np.where(ns_int % 2 == 1, 1.0, -1.0) if summand.alternating else 1.0
-        h = {}
-        for m in carry:
-            h[m] = carry[m] + np.cumsum((ns ** np.longdouble(-m) if m > 1 else 1.0 / ns) * sign)
-            carry[m] = h[m][-1]
-        assert np.array_equal(oracle._block_terms(summand, ns_int, prefix), term(ns, h))
+        ns_int = ns_all[start - 1:start + 4999]
+        h = {m: r[start - 1:start + 4999].astype(np.float64) for m, r in running.items()}
+        want = term(ns_int.astype(np.float64), h)
+        assert want.dtype == np.float64
+        assert np.array_equal(oracle._block_terms(summand, ns_int, prefix), want)
 
 
 @pytest.mark.parametrize("params", [

@@ -249,10 +249,17 @@ def test_eval_human_formatting_ten_digits(capsys):
     ('[{"identity": "eq2.13", "params": {"a": 1.0, "k": 1, "m": 1}, "variant": "bogus"}]',
      "variant must be one of"),
     ('[{"identity": "eq2.13", "params": {"a": 1.0, "k": 1}}]', "takes numeric parameters a, k, m"),
-], ids=["missing-identity", "invalid-json", "unknown-variant", "missing-parameter"])
+    (b'[{"identity": "eq2.13\xff"}]', "not valid UTF-8"),
+    ("[" * 100_000, "nests too deeply"),
+], ids=["missing-identity", "invalid-json", "unknown-variant", "missing-parameter",
+        "invalid-utf8", "deep-nesting"])
 def test_verify_grid_file_faults_exit_2(tmp_path, capsys, content, message):
+    # a raw UnicodeDecodeError or RecursionError escaped with exit 1 before
     gf = tmp_path / "grid.json"
-    gf.write_text(content)
+    if isinstance(content, bytes):
+        gf.write_bytes(content)
+    else:
+        gf.write_text(content)
     code, out, err = run(["verify", "--grid", str(gf)], capsys)
     assert code == 2
     assert message in err

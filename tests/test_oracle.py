@@ -82,11 +82,64 @@ _HONEST_SHAPES = [
 
 
 def test_truncated_error_estimate_is_honest():
-    # true error must sit inside the reported estimate on assorted shapes
+    # true error must sit inside the reported estimate on assorted shapes; at
+    # 1e-13 the float64 roundoff bound is a large part of the estimate
     cfg = SeriesConfig(target_tol=1e-6)
     for summand, truth in _HONEST_SHAPES:
         res = truncated_series(summand, cfg)
         assert abs(res.value - truth) <= res.abs_error_estimate
+    # sum 1/(n^2 (n+1)) = zeta(2) - 1
+    tight = SeriesConfig(target_tol=1e-13)
+    for summand, truth in _HONEST_SHAPES + [(Summand(den=((0, 2), (1, 1))),
+                                             riemann_zeta(2) - 1.0)]:
+        res = truncated_series(summand, tight)
+        assert abs(res.value - truth) <= res.abs_error_estimate <= 1e-13
+
+
+def _harmonic_ref(n: int, m: int, alternating: bool):
+    # H_n^(m) and H-bar_n^(m) at 40 digits from zeta and digamma values
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        if not alternating:
+            return float(mpmath.harmonic(n) if m == 1 else mpmath.zeta(m) - mpmath.zeta(m, n + 1))
+        lo, hi = mpmath.mpf(n + 1) / 2, mpmath.mpf(n + 2) / 2
+        if m == 1:
+            return float(mpmath.log(2) - (-1) ** n * (mpmath.digamma(hi) - mpmath.digamma(lo)) / 2)
+        return float(mpmath.altzeta(m) - (-1) ** n * (mpmath.zeta(m, lo) - mpmath.zeta(m, hi)) / 2 ** m)
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_float64_harmonic_numerators_within_4_ulp(m, alternating):
+    # the longdouble running sums, rounded once, across block boundaries
+    # (2048 | 2049) and up to 10^6
+    summand = Summand(orders=(m,), alternating=alternating)
+    at = (1, 2048, 2049, 4096, 10**6)
+    prefix = {m: np.longdouble(0.0)}
+    got = {}
+    for start in range(1, at[-1] + 1, oracle_mod._CHUNK):
+        ns = np.arange(start, min(start + oracle_mod._CHUNK, at[-1] + 1), dtype=np.int64)
+        h = oracle_mod._block_terms(summand, ns, prefix)
+        assert h.dtype == np.float64
+        got.update((n, h[n - start]) for n in at if start <= n <= ns[-1])
+    for n in at:
+        want = _harmonic_ref(n, m, alternating)
+        assert abs(got[n] - want) <= 4 * np.spacing(want), (n, got[n], want)
+
+
+def test_float64_terms_overflow_and_underflow_without_warnings():
+    # the block's float64 arithmetic may overflow or underflow and must stay
+    # silent: pyproject.toml turns a RuntimeWarning into an error.  Sixty
+    # divisions in the reciprocal binomial; (n + 10^4)^80 overflows at every
+    # n, so every term reads 0 and the bound is the per-term allowance
+    for summand in (Summand((1, 1), binom=(60, 0.5)), Summand((1,), ((1e4, 80),))):
+        res = truncated_series(summand, SeriesConfig())
+        assert math.isfinite(res.value) and res.abs_error_estimate > 0
+    # (n + 1/2)^200 overflows in the block from n = 35; then the tail model's
+    # 4093.0**200 overflows as a Python float, as it did when the terms were
+    # longdouble (the catalog reports it as a DomainError, exit 2 in the CLI)
+    with pytest.raises(OverflowError):
+        truncated_series(Summand((1,), ((0.5, 200),)), SeriesConfig())
 
 
 def test_truncated_adaptive_doubling():
@@ -120,7 +173,8 @@ def test_truncated_doubling_self_consistency():
 def test_truncated_block_size_moves_values_only_by_roundoff(monkeypatch):
     # the blocks are small to keep their arrays in the malloc heap; the work
     # is the same at the old 2^20 and the new block size, and the values
-    # differ only in longdouble roundoff, far inside the certified bound
+    # differ only in the float64 block sums' roundoff, far inside the
+    # certified bound
     cfg = SeriesConfig(min_terms=10_000, target_tol=1e-10)
     chunk = oracle_mod._CHUNK
     small = [truncated_series(summand, cfg) for summand, _ in _HONEST_SHAPES]
