@@ -21,6 +21,8 @@ from .linear_sums import (
     GfKind,
     GfResult,
     GfSum,
+    alt_sum_H1_power,
+    alt_sum_Hm_window,
     cubic_stirling_window,
     gf_lhs,
     gf_rhs,
@@ -35,13 +37,6 @@ from .linear_sums import (
     sum_recip_shift,
     sum_shiftedH_over_nsq,
     sum_sq_diff_window,
-)
-from .alt_sums import (
-    alt_polylog_moment,
-    alt_recip_shift,
-    alt_sum_H1_bilinear,
-    alt_sum_H1_power,
-    alt_sum_Hm_window,
 )
 from .oracle import (
     EvalResult,
@@ -81,7 +76,6 @@ from .wsums import (
     w_1_p,
     w_11_0,
     w_111,
-    w_alt_1_p,
     w_alt_m_0,
     w_alt_m_1,
     w_m_0,

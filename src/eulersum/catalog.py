@@ -39,7 +39,7 @@ import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from . import alt_sums, linear_sums, wsums
+from . import linear_sums, wsums
 from .errors import ConvergenceError, DomainError
 from .harmonic import (
     alt_harmonic_num,
@@ -530,8 +530,8 @@ _register(Identity(
     params={"a": positive, "b": positive},
     check=_distinct,
     description="alternating-numerator bilinear sum; symmetric half factors",
-    closed=lambda variant, a, b: alt_sums.alt_sum_H1_bilinear(
-        a, b, as_printed=variant is Variant.AS_PRINTED),
+    closed=lambda variant, a, b: linear_sums.sum_H1_bilinear(
+        a, b, alternating=True, as_printed=variant is Variant.AS_PRINTED),
     oracle=_series(lambda a, b: Summand((1,), ((a, 1), (b, 1)), alternating=True)),
     has_printed_variant=True,
     tol=1e-7,
@@ -542,7 +542,7 @@ _register(Identity(
     id="eq4.3",
     params={"a": nonnegative, "s": Integer(2)},
     description="alternating-numerator power sum over (n+a)^s",
-    closed=_corrected_only(alt_sums.alt_sum_H1_power),
+    closed=_corrected_only(linear_sums.alt_sum_H1_power),
     oracle=_series(lambda a, s: Summand((1,), ((a, s),), alternating=True)),
     grid=_grid(a=(0.0, 1.0, 2.0), s=(2, 3)),
 ))
@@ -552,7 +552,8 @@ _register(Identity(
     params={"a": positive, "b": positive, "k": Integer(1), "p": Integer(1)},
     check=_no_resonance,
     description="alternating-numerator reciprocal-binomial sum with power factor",
-    closed=_corrected_only(wsums.w_alt_1_p),
+    closed=_corrected_only(
+        lambda a, b, k, p: wsums.w_1_p(a, b, k, p, alternating=True)),
     oracle=_series(lambda a, b, k, p: Summand((1,), ((a, p),), binom=(k, b),
                                               alternating=True)),
     grid=tuple(dict(base, k=2, p=p) for base in ({"a": 1.0, "b": 0.5}, {"a": 0.5, "b": 1.0})
@@ -563,7 +564,7 @@ _register(Identity(
     id="eq4.7",
     params={"a": Integer(0), "k": Integer(1), "m": Integer(1)},
     description="alternating-numerator window sum; integer shifts only",
-    closed=_corrected_only(alt_sums.alt_sum_Hm_window),
+    closed=_corrected_only(linear_sums.alt_sum_Hm_window),
     oracle=_series(lambda a, k, m: Summand((m,), _window(a, k), alternating=True)),
     grid=_grid(a=(0, 1, 2), k=(1, 2), m=(1, 2)),
 ))

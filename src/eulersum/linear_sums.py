@@ -11,6 +11,11 @@ H_a^(3) once and step them with H_(x+1)^(s) = H_x^(s) + (x+1)^-s instead of
 calling the special functions at every a+i.  sum H_(n+c)/n^2 comes from a
 recurrence in c and an asymptotic expansion, in a fixed number of operations.
 
+The alternating sums (Flajolet and Salvy 1998) use the same kernels with eta
+in place of zeta: sum_recip_shift, polylog_moment, sum_H1_bilinear (and
+wsums.w_1_p) take ``alternating=True``.  alt_sum_H1_power and
+alt_sum_Hm_window keep formulas of their own, which mix zeta and eta terms.
+
 Two kinds of direct series remain.  gf_lhs sums the left sides of the six
 series generating-function identities; the catalog uses them as oracles, each
 with a derived tail and roundoff bound.  Among the right sides (gf_rhs), only
@@ -19,8 +24,9 @@ log remainders r_n, summed in O(n) terms.  Every other right side is finite in
 polylogarithms, and none uses quadrature or a left-side sum.
 
 Conventions: ``zeta_shift(s, a)`` below always means zeta(s, a+1), i.e. the
-series sum_{n>=1} (n+a)^-s, and ``h_shift(a)`` is the shifted harmonic number
-H_a = psi(a+1) + gamma.
+series sum_{n>=1} (n+a)^-s; zbar(s, a) is its alternating twin
+sum_{n>=1} (-1)^(n-1) (n+a)^-s; H_a = psi(a+1) + gamma is the shifted
+harmonic number.
 """
 from __future__ import annotations
 
@@ -28,13 +34,17 @@ import enum
 import math
 import operator
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .harmonic import nested_harmonic_sum, param_harmonic, shifted_harmonic
 from .specfun import (
+    LN2,
     _BERNOULLI,
+    alt_hurwitz_zeta,
+    alt_zeta,
     as_shift,
     hurwitz_zeta,
     param_polylog,
@@ -47,70 +57,175 @@ def _zeta_shift(s: int, a: float) -> float:
     return hurwitz_zeta(s, a + 1.0)
 
 
-def _h_shift(a: float, m: int = 1) -> float:
-    return shifted_harmonic(a, m)
+def _integer(value, minimum: int, name: str) -> int:
+    # int() alone would truncate 2.5, and raise a bare OverflowError or
+    # ValueError at inf or nan
+    v = float(value)
+    if not (v.is_integer() and v >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(v)
 
 
-def sum_recip_shift(a: float, s: int) -> float:
-    """sum 1/(n (n+a)^s) = H_a/a^s - sum_{j=2..s} zeta(j, a+1)/a^(s+1-j)."""
-    a = as_shift(a, minimum=0.0)
-    if s < 1 or s != int(s):
-        raise DomainError(f"sum_recip_shift requires integer s >= 1, got {s}")
-    s = int(s)
-    return _h_shift(a) / a**s - sum(_zeta_shift(j, a) / a ** (s + 1 - j) for j in range(2, s + 1))
+# Plain and alternating sums, sum (+-1)^(n-1) t_n with the sign taken when
+# alternating, share each kernel below through four constants of the family:
+#   L(s)      = sum (+-1)^(n-1)/n^s: zeta(s), or eta(s) with eta(1) = ln 2;
+#   L(s, a)   = sum (+-1)^(n-1)/(n+a)^s: zeta(s, a+1), or zbar(s, a);
+#   R(a)      = sum (+-1)^(n-1) (1/n - 1/(n+a)): H_a, or ln 2 - zbar(1, a);
+#   F(x), the bilinear potential: sum h_n/((n+a)(n+b)) = (F(b) - F(a))/(b - a)
+#             with h_n = H_n, or H-bar_n = sum_{j<=n} (-1)^(j-1)/j.
+# F comes as a tuple of terms, and (F(b) - F(a))/(b - a) is summed term by
+# term: each term's difference is small when a is near b, where F is not.
+@dataclass(frozen=True)
+class _Family:
+    zeta: Callable[[int], float]
+    shifted: Callable[[int, float], float]
+    regular: Callable[[float], float]
+    potential: Callable[[float], tuple[float, ...]]
+
+
+def _plain_potential(x: float) -> tuple[float, ...]:
+    # (H_x^2 - zeta(2, x+1))/2 - H_x/x
+    h = shifted_harmonic(x)
+    return -h / x, 0.5 * h**2, -0.5 * _zeta_shift(2, x)
+
+
+def _alt_regular(a: float) -> float:
+    return LN2 - alt_hurwitz_zeta(1, a)
+
+
+def _alt_potential(x: float) -> tuple[float, ...]:
+    # (2 ln 2 H_x - zbar(1, x)^2 + zeta(2, x+1))/2 - R(x)/x, with R(x)/x as
+    # ln 2/x - zbar(1, x)/x: at the tiniest shifts those overflow, and the nan
+    # they leave is reported as out of double-precision range, where R(x)/x
+    # would cancel to a finite wrong value
+    z = alt_hurwitz_zeta(1, x)
+    return -LN2 / x, z / x, LN2 * shifted_harmonic(x), -0.5 * z**2, 0.5 * _zeta_shift(2, x)
+
+
+_PLAIN = _Family(riemann_zeta, _zeta_shift, shifted_harmonic, _plain_potential)
+_ALT = _Family(alt_zeta, alt_hurwitz_zeta, _alt_regular, _alt_potential)
+
+
+def _nonnegative_shift(a: float, name: str) -> float:
+    a = as_shift(a)
+    if a < 0.0:
+        raise DomainError(f"{name} requires a >= 0, got {a}")
+    return a
+
+
+def sum_recip_shift(a: float, s: int, *, alternating: bool = False) -> float:
+    """sum (+-1)^(n-1)/(n (n+a)^s) for a >= 0, s >= 1, signed when alternating.
+
+    Partial fractions give R(a)/a^s - sum_{j=2..s} L(j, a)/a^(s+1-j); at a = 0
+    the sum is L(s+1).
+    """
+    fam = _ALT if alternating else _PLAIN
+    a = _nonnegative_shift(a, "sum_recip_shift")
+    s = _integer(s, 1, "sum_recip_shift order s")
+    if a == 0.0:
+        return fam.zeta(s + 1)
+    tail = sum(fam.shifted(j, a) / a ** (s + 1 - j) for j in range(2, s + 1))
+    return fam.regular(a) / a**s - tail
 
 
 def sum_H1_power(a: float, s: int) -> float:
     """sum H_n/(n+a)^s for a > 0, s >= 2."""
     a = as_shift(a, minimum=0.0)
-    if s < 2 or s != int(s):
-        raise DomainError(f"sum_H1_power requires integer s >= 2, got {s}")
-    s = int(s)
+    s = _integer(s, 2, "sum_H1_power order s")
     out = 0.5 * s * _zeta_shift(s + 1, a)
     out -= 0.5 * sum(_zeta_shift(s - j, a) * _zeta_shift(j + 1, a) for j in range(1, s - 1))
-    out += _zeta_shift(s, a) * _h_shift(a)
+    out += _zeta_shift(s, a) * shifted_harmonic(a)
     return out + sum_recip_shift(a, s)
 
 
-def polylog_moment(m: int, a: float) -> float:
-    """sum 1/(n^m (n+a)), the x^(a-1) moment of Li_m over (0,1)."""
+def alt_sum_H1_power(a: float, s: int) -> float:
+    """sum H-bar_n/(n+a)^s for a >= 0, s >= 2.
+
+    Not sum_H1_power with the alternating constants: the numerator alone
+    alternates, so plain zeta(s, a+1) and zeta(s+1, a+1) terms stand beside
+    the zbar products, and the quadratic and s/2 terms change sign.
+    """
+    a = _nonnegative_shift(a, "alt_sum_H1_power")
+    s = _integer(s, 2, "alt_sum_H1_power order s")
+    out = 0.5 * sum(
+        alt_hurwitz_zeta(s - j, a) * alt_hurwitz_zeta(j + 1, a) for j in range(1, s - 1))
+    out -= 0.5 * s * _zeta_shift(s + 1, a)
+    out += _zeta_shift(s, a) * LN2
+    out += alt_hurwitz_zeta(s, a) * alt_hurwitz_zeta(1, a)
+    return out + sum_recip_shift(a, s, alternating=True)
+
+
+def polylog_moment(m: int, a: float, *, alternating: bool = False) -> float:
+    """sum (+-1)^(n-1)/(n^m (n+a)) for a > 0, m >= 1, signed when alternating.
+
+    Partial fractions give sum_{l<m} (-1)^(l-1) L(m+1-l)/a^l
+    + (-1)^(m-1) R(a)/a^m.  The plain sum is the x^(a-1) moment of Li_m over
+    (0,1).
+    """
+    fam = _ALT if alternating else _PLAIN
     a = as_shift(a, minimum=0.0)
-    if m < 1 or m != int(m):
-        raise DomainError(f"polylog_moment requires integer m >= 1, got {m}")
-    m = int(m)
-    out = sum((-1.0) ** (l - 1) * riemann_zeta(m + 1 - l) / a**l for l in range(1, m))
-    return out + (-1.0) ** (m - 1) * _h_shift(a) / a**m
+    m = _integer(m, 1, "polylog_moment order m")
+    out = sum((-1.0) ** (l - 1) * fam.zeta(m + 1 - l) / a**l for l in range(1, m))
+    return out + (-1.0) ** (m - 1) * fam.regular(a) / a**m
 
 
-def sum_H1_bilinear(a: float, b: float, *, as_printed: bool = False) -> float:
-    """sum H_n/((n+a)(n+b)) for distinct a, b > 0.
+def _bilinear_as_printed(a: float, b: float) -> float:
+    # eq2.9 as printed: the middle term reads (H_a^2 - H_b^2)/(2(b-a))
+    ha, hb = shifted_harmonic(a), shifted_harmonic(b)
+    return ((ha / a - hb / b) / (b - a) + (ha**2 - hb**2) / (2.0 * (b - a))
+            + (_zeta_shift(2, a) - _zeta_shift(2, b)) / (2.0 * (b - a)))
 
-    The default form carries the verified middle term (H_b^2 - H_a^2); the
-    as-printed variant flips it and is retained only so the verifier can
-    document its refutation.
+
+def _alt_bilinear_as_printed(a: float, b: float) -> float:
+    # eq4.2 as printed: a nested 1/2 on the zbar(1, a)^2 term
+    za, zb = alt_hurwitz_zeta(1, a), alt_hurwitz_zeta(1, b)
+    out = LN2 / (a * b) - za / (a * (b - a)) + zb / (b * (b - a))
+    out += LN2 * (shifted_harmonic(b) - shifted_harmonic(a)) / (b - a)
+    out += (zb**2 - 0.5 * za**2) / (2.0 * (a - b))
+    return out + (_zeta_shift(2, a) - _zeta_shift(2, b)) / (2.0 * (a - b))
+
+
+def sum_H1_bilinear(a: float, b: float, *, alternating: bool = False,
+                    as_printed: bool = False) -> float:
+    """sum H_n/((n+a)(n+b)) = (F(b) - F(a))/(b - a) for distinct a, b > 0,
+    with H-bar_n in place of H_n when alternating.
+
+    The as-printed variants, eq2.9's flipped middle term (H_a^2 - H_b^2) and
+    eq4.2's nested 1/2 on one squared zbar term, are retained only so the
+    verifier can document their refutation.
     """
     a = as_shift(a, minimum=0.0, name="a")
     b = as_shift(b, minimum=0.0, name="b")
     if a == b:
         raise DomainError("sum_H1_bilinear requires a != b")
-    mid = _h_shift(a) ** 2 - _h_shift(b) ** 2
-    if not as_printed:
-        mid = -mid
-    return (
-        (_h_shift(a) / a - _h_shift(b) / b) / (b - a)
-        + mid / (2.0 * (b - a))
-        + (_zeta_shift(2, a) - _zeta_shift(2, b)) / (2.0 * (b - a))
-    )
+    if as_printed:
+        return (_alt_bilinear_as_printed if alternating else _bilinear_as_printed)(a, b)
+    fam = _ALT if alternating else _PLAIN
+    d = b - a
+    return sum([(fb - fa) / d for fa, fb in zip(fam.potential(a), fam.potential(b))])
 
 
-def _window_guard(a: float, k: int, m: int = 1) -> tuple[float, int, int]:
-    # a, k and the numerator order m of a window sum over (n+a)(n+a+k)
-    a, k, m = float(a), int(k), int(m)
-    as_shift(a)
-    if k < 1:
-        raise DomainError(f"window width k must be a positive integer, got {k}")
-    if m < 1:
-        raise DomainError(f"numerator order m must be a positive integer, got {m}")
+def _require_integer_shift(a: float) -> float:
+    a = float(a)
+    if not a.is_integer():
+        raise DomainError(
+            f"alternating window sums require integer a (got {a}): the closed "
+            "form's (-1)^(2a) factor has no real branch for non-integer shifts"
+        )
+    if a < 0:
+        raise DomainError(f"integer shift a={a} must be >= 0")
+    return a
+
+
+def _window_guard(a: float, k: int, m: int = 1, *,
+                  alternating: bool = False) -> tuple[float, int, int]:
+    # a, k and the numerator order m of a window sum over (n+a)(n+a+k); the
+    # plain windows take any a > 0, the alternating ones an integer a >= 0
+    k = _integer(k, 1, "window width k")
+    m = _integer(m, 1, "numerator order m")
+    if alternating:
+        return _require_integer_shift(a), k, m
+    a = as_shift(a)
     if not a > 0:
         raise DomainError(f"window sums require a > 0, got a={a}")
     return a, k, m
@@ -125,8 +240,28 @@ def sum_Hm_window(a: float, k: int, m: int) -> float:
         for j in range(1, m)
     )
     sgn = (-1.0) ** (m - 1)
-    br += sgn * _h_shift(a) * param_harmonic(k - 1, m, a)
+    br += sgn * shifted_harmonic(a) * param_harmonic(k - 1, m, a)
     br += sgn * nested_harmonic_sum(k, m, a)
+    return br / k
+
+
+def alt_sum_Hm_window(a: float, k: int, m: int) -> float:
+    """sum H-bar_n^(m)/((n+a)(n+a+k)) for integer a >= 0, k >= 1, m >= 1, in O(k).
+
+    For non-integer a the printed closed form carries a complex (-1)^(2a)
+    factor with no branch convention given, so it refuses rather than guess.
+    """
+    a, k, m = _window_guard(a, k, m, alternating=True)
+    br = (sum_recip_shift(a, m, alternating=True) if a == 0.0
+          else polylog_moment(m, a, alternating=True))
+    sgn = (-1.0) ** (m - 1)
+    br += sgn * LN2 * param_harmonic(k - 1, m, a)
+    br += sgn * alt_hurwitz_zeta(1, a) * sum((-1.0) ** (i - 1) / (i + a) ** m for i in range(1, k))
+    br -= sgn * nested_harmonic_sum(k, m, a, alternating=True)
+    br += sum(
+        (-1.0) ** (j - 1) * alt_zeta(m + 1 - j) * param_harmonic(k - 1, j, a)
+        for j in range(1, m)
+    )
     return br / k
 
 
@@ -136,8 +271,8 @@ def _y_window(a: float, k: int, order: int) -> float:
     Y_2 = H^2 + H^(2) and Y_3 = H^3 + 3 H H^(2) + 2 H^(3), all at a+i; each
     H^(s) is seeded once at a and stepped by H_(x+1)^(s) = H_x^(s) + (x+1)^-s.
     """
-    h1, h2 = _h_shift(a), _h_shift(a, 2)
-    h3 = _h_shift(a, 3) if order == 3 else 0.0
+    h1, h2 = shifted_harmonic(a), shifted_harmonic(a, 2)
+    h3 = shifted_harmonic(a, 3) if order == 3 else 0.0
     acc = 0.0
     for i in range(k):
         y = h1 * h1 + h2 if order == 2 else h1 * (h1 * h1 + 3.0 * h2) + 2.0 * h3
@@ -159,7 +294,7 @@ def sum_H1sq_window(a: float, k: int) -> float:
     """sum H_n^2/((n+a)(n+a+k)) for a > 0, k >= 1."""
     a, k, _ = _window_guard(a, k)
     br = riemann_zeta(2) * param_harmonic(k, 1, a - 1.0)
-    br -= _h_shift(a) * param_harmonic(k, 2, a - 1.0)
+    br -= shifted_harmonic(a) * param_harmonic(k, 2, a - 1.0)
     br -= nested_harmonic_sum(k, 2, a)
     br += _y_window(a, k, 2)
     return br / k
@@ -192,7 +327,7 @@ def sum_shiftedH_over_nsq(c: float, n_terms: int = 16) -> float:
         c += 1.0
         shift -= polylog_moment(2, c)
     z2 = riemann_zeta(2)
-    out = z2 * _h_shift(c)
+    out = z2 * shifted_harmonic(c)
     trigamma = z2  # psi'(j) = zeta(2) - H_(j-1)^(2)
     for j in range(1, big_j + 1):
         out += trigamma / (c + j)
@@ -212,8 +347,8 @@ def sum_H1H2_window(a: float, k: int) -> float:
     for i in range(k):
         al = a + i
         br += sum_shiftedH_over_nsq(al) / al
-        br -= (_h_shift(al) ** 2 + _h_shift(al, 2)) / (2.0 * al**2)
-        br += _h_shift(al) / al**3
+        br -= (shifted_harmonic(al) ** 2 + shifted_harmonic(al, 2)) / (2.0 * al**2)
+        br += shifted_harmonic(al) / al**3
     br -= riemann_zeta(2) * param_harmonic(k, 2, a - 1.0)
     return br / k
 

@@ -23,20 +23,19 @@ than run for seconds to minutes.  The float sum that w_m_1 and w_m_0 make of
 the differences cancels for a < 1 and a large order (terms of about a^-m);
 when its roundoff could reach 1e-9 of the result it raises DomainError too.
 
-The power shapes w_1_p and w_alt_1_p (p >= 1 with two shifts) still sum the
-partial-fraction weights over bilinear and power sums in floating point.
-Their sums over r are transcendental in r, so they keep the k <= 30 cap and
-the precision_warning advisory.
+The power shape w_1_p (p >= 1 with two shifts, plain or alternating=True)
+still sums the partial-fraction weights over bilinear and power sums in
+floating point.  Its sums over r are transcendental in r, so it keeps the
+k <= 30 cap and the precision_warning advisory.
 """
 from __future__ import annotations
 
 import math
 import sys
 
-from .alt_sums import alt_sum_H1_bilinear, alt_sum_H1_power
 from .errors import DomainError
 from .harmonic import harmonic_num, shifted_harmonic
-from .linear_sums import sum_H1_bilinear, sum_H1_power
+from .linear_sums import alt_sum_H1_power, sum_H1_bilinear, sum_H1_power
 from .specfun import LN2, alt_zeta, as_shift, riemann_zeta
 
 _PF_MAX_K = 60
@@ -75,9 +74,9 @@ def _guard_k(k: int, minimum: int = 1, cap: int = _PF_MAX_K) -> int:
 
 
 def precision_warning(k: int) -> str | None:
-    """Advisory message for w_1_p and w_alt_1_p, the two shapes still summed
-    over partial-fraction weights in floating point, once those weights'
-    growth starts costing digits."""
+    """Advisory message for w_1_p, the shape still summed over
+    partial-fraction weights in floating point, once those weights' growth
+    starts costing digits."""
     if k > _PRECISION_WARN_K:
         return (
             f"k={k}: partial-fraction weights reach ~2^{k}; expect roughly "
@@ -96,8 +95,9 @@ def _check_resonance(a: float, b: float, k: int):
         )
 
 
-def w_1_p(a: float, b: float, k: int, p: int) -> float:
-    """W sum with numerator H_n over (n+a)^p binom(n+k+b, k), p >= 1."""
+def w_1_p(a: float, b: float, k: int, p: int, *, alternating: bool = False) -> float:
+    """W sum with numerator H_n, or H-bar_n when alternating, over
+    (n+a)^p binom(n+k+b, k), p >= 1."""
     a = as_shift(a, minimum=0.0, name="a")
     b = as_shift(b, minimum=0.0, name="b")
     k = _guard_k(k, cap=_CLOSED_FORM_MAX_K)
@@ -105,12 +105,12 @@ def w_1_p(a: float, b: float, k: int, p: int) -> float:
         raise DomainError(f"w_1_p requires integer p >= 1, got {p}")
     p = int(p)
     _check_resonance(a, b, k)
+    power = alt_sum_H1_power if alternating else sum_H1_power
+    powers = [(j, power(a, j)) for j in range(2, p + 1)]  # the same for every r
     out = 0.0
     for r, c in zip(range(1, k + 1), pf_coeffs(k)):
-        out += c * sum_H1_bilinear(a, b + r) / (a - b - r) ** (p - 1)
-        out -= c * sum(
-            sum_H1_power(a, j) / (a - b - r) ** (p + 1 - j) for j in range(2, p + 1)
-        )
+        out += c * sum_H1_bilinear(a, b + r, alternating=alternating) / (a - b - r) ** (p - 1)
+        out -= c * sum(pw / (a - b - r) ** (p + 1 - j) for j, pw in powers)
     return out
 
 
@@ -240,26 +240,6 @@ def w_111(a: float, k: int) -> float:
     a = as_shift(a, minimum=0.0)
     k = _guard_k(k)
     return _w_111(a, k, shifted_harmonic(a))
-
-
-def w_alt_1_p(a: float, b: float, k: int, p: int) -> float:
-    """Alternating-numerator analogue of w_1_p."""
-    a = as_shift(a, minimum=0.0, name="a")
-    b = as_shift(b, minimum=0.0, name="b")
-    k = _guard_k(k, cap=_CLOSED_FORM_MAX_K)
-    if p < 1 or p != int(p):
-        raise DomainError(f"w_alt_1_p requires integer p >= 1, got {p}")
-    if p + k <= 1:
-        raise DomainError("convergence requires p + k > 1")
-    p = int(p)
-    _check_resonance(a, b, k)
-    out = 0.0
-    for r, c in zip(range(1, k + 1), pf_coeffs(k)):
-        out += c * alt_sum_H1_bilinear(a, b + r) / (a - b - r) ** (p - 1)
-        out -= c * sum(
-            alt_sum_H1_power(a, j) / (a - b - r) ** (p + 1 - j) for j in range(2, p + 1)
-        )
-    return out
 
 
 def _alt_tail_scaled(a: int) -> int:

@@ -11,15 +11,15 @@ from eulersum import (
     DomainError,
     LN2,
     alt_harmonic_num,
-    alt_polylog_moment,
-    alt_recip_shift,
-    alt_sum_H1_bilinear,
     alt_sum_H1_power,
     alt_sum_Hm_window,
     alt_hurwitz_zeta,
     alt_zeta,
     param_harmonic,
+    polylog_moment,
     riemann_zeta,
+    sum_H1_bilinear,
+    sum_recip_shift,
 )
 from eulersum.oracle import SeriesConfig, Summand, truncated_series
 
@@ -42,31 +42,33 @@ def _trunc_oracle(orders, den, tol=1e-9):
 
 class TestAltPolylogMoment:
     def test_values(self):
-        assert alt_polylog_moment(1, 1.0) == pytest.approx(2.0 * LN2 - 1.0, rel=1e-13)
-        assert alt_polylog_moment(2, 1.0) == pytest.approx(
+        assert polylog_moment(1, 1.0, alternating=True) == pytest.approx(
+            2.0 * LN2 - 1.0, rel=1e-13)
+        assert polylog_moment(2, 1.0, alternating=True) == pytest.approx(
             alt_zeta(2) - 2.0 * LN2 + 1.0, rel=1e-12)
 
     def test_against_accelerated_oracle(self):
         for a in (0.5, 1.0, 2.0, 3.5):
             for m in (1, 2, 3, 4):
                 want = _alt_oracle(lambda n, a=a, m=m: 1 / (n**m * (n + a)))
-                assert alt_polylog_moment(m, a) == pytest.approx(want, abs=1e-10)
+                assert polylog_moment(m, a, alternating=True) == pytest.approx(want, abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            alt_polylog_moment(2, 0.0)
+            polylog_moment(2, 0.0, alternating=True)
 
 
 class TestAltRecipShift:
     def test_reduces_to_alt_zeta_at_zero(self):
         for s in (1, 2, 3):
-            assert alt_recip_shift(0.0, s) == pytest.approx(alt_zeta(s + 1), rel=1e-13)
+            assert sum_recip_shift(0.0, s, alternating=True) == pytest.approx(
+                alt_zeta(s + 1), rel=1e-13)
 
     def test_against_accelerated_oracle(self):
         for a in (0.5, 1.0, 2.5):
             for s in (1, 2, 3):
                 want = _alt_oracle(lambda n, a=a, s=s: 1 / (n * (n + a) ** s))
-                assert alt_recip_shift(a, s) == pytest.approx(want, abs=1e-10)
+                assert sum_recip_shift(a, s, alternating=True) == pytest.approx(want, abs=1e-10)
 
 
 class TestAltPowerSum:
@@ -91,17 +93,18 @@ class TestAltBilinear:
     def test_against_oracle(self):
         for (a, b) in ((1.0, 2.0), (0.5, 2.5), (0.5, 1.0)):
             want = _trunc_oracle((1,), ((a, 1), (b, 1)))
-            assert alt_sum_H1_bilinear(a, b) == pytest.approx(want, abs=1e-9)
+            assert sum_H1_bilinear(a, b, alternating=True) == pytest.approx(want, abs=1e-9)
 
     def test_printed_variant_refuted(self):
         truth = _trunc_oracle((1,), ((1.0, 1), (2.0, 1)))
-        printed = alt_sum_H1_bilinear(1.0, 2.0, as_printed=True)
+        printed = sum_H1_bilinear(1.0, 2.0, alternating=True, as_printed=True)
         assert abs(printed - truth) > 1e-3
-        assert alt_sum_H1_bilinear(1.0, 2.0) == pytest.approx(truth, abs=1e-9)
+        assert sum_H1_bilinear(1.0, 2.0, alternating=True) == pytest.approx(truth, abs=1e-9)
 
     def test_unit_case_collapses(self):
         # window at (1, 2) telescopes to the alternating moment value
-        assert alt_sum_H1_bilinear(1.0, 2.0) == pytest.approx(2.0 * LN2 - 1.0, rel=1e-12)
+        assert sum_H1_bilinear(1.0, 2.0, alternating=True) == pytest.approx(
+            2.0 * LN2 - 1.0, rel=1e-12)
 
 
 class TestAltWindows:
@@ -132,14 +135,17 @@ class TestAltWindows:
             for k in (1, 2, 3):
                 for m in (1, 2):
                     via_moments = sum(
-                        alt_polylog_moment(m, float(a + i)) for i in range(k)) / k
+                        polylog_moment(m, float(a + i), alternating=True) for i in range(k)) / k
                     assert alt_sum_Hm_window(float(a), k, m) == pytest.approx(
                         via_moments, rel=1e-11)
 
 
 def _old_alt_window(a, k, m):
     # the O(k^2) nested sum that nested_harmonic_sum(k, m, a, alternating=True) replaced
-    br = alt_recip_shift(a, m) if a == 0 else alt_polylog_moment(m, a)
+    if a == 0:
+        br = sum_recip_shift(a, m, alternating=True)
+    else:
+        br = polylog_moment(m, a, alternating=True)
     sgn = (-1.0) ** (m - 1)
     br += sgn * LN2 * param_harmonic(k - 1, m, a)
     br += sgn * alt_hurwitz_zeta(1, a) * sum((-1.0) ** (i - 1) / (i + a) ** m for i in range(1, k))

@@ -12,6 +12,7 @@ from eulersum import (
     DomainError,
     GfKind,
     LN2,
+    alt_sum_Hm_window,
     cubic_stirling_window,
     gf_lhs,
     gf_rhs,
@@ -57,6 +58,10 @@ class TestReciprocalShiftSum:
             for s in (1, 2, 3):
                 want = _oracle(Summand((), ((0, 1), (a, s))))
                 assert sum_recip_shift(a, s) == pytest.approx(want, rel=1e-10)
+
+    def test_zero_shift_is_zeta(self):
+        for s in (1, 2, 3):
+            assert sum_recip_shift(0.0, s) == pytest.approx(riemann_zeta(s + 1), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -149,6 +154,31 @@ class TestWindows:
         assert sum_H1sq_window(a, k) == pytest.approx(want, rel=1e-7)
         want = _oracle(Summand((1, 2), ((a, 1), (a + k, 1))))
         assert sum_H1H2_window(a, k) == pytest.approx(want, rel=1e-7)
+
+
+_BAD_WINDOW_ORDERS = [
+    (sum_Hm_window, (1.0, 2.5, 1)),
+    (sum_Hm_window, (1.0, 2, 1.7)),
+    (sum_H1sq_window, (1.0, 2.9)),
+    (sum_Hm_window, (1.0, math.inf, 1)),
+    (sum_Hm_window, (1.0, math.nan, 1)),
+    (sum_Hm_window, (1.0, 2, math.inf)),
+    (sum_Hm_window, (0.0, 2, 1)),
+    (alt_sum_Hm_window, (1.0, 2.5, 1)),
+    (alt_sum_Hm_window, (1.0, 2, 1.7)),
+    (alt_sum_Hm_window, (1.0, math.inf, 1)),
+    (alt_sum_Hm_window, (1.0, math.nan, 1)),
+    (alt_sum_Hm_window, (0.5, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("window, args", _BAD_WINDOW_ORDERS,
+                         ids=[f"{w.__name__}{args}" for w, args in _BAD_WINDOW_ORDERS])
+def test_window_orders_are_finite_integers(window, args):
+    # k and m were once truncated by int(): k = 2.5 gave the k = 2 value, and
+    # inf or nan raised OverflowError or ValueError instead of DomainError
+    with pytest.raises(DomainError):
+        window(*args)
 
 
 # The O(k^2) and per-j y_moment window forms that the O(k) running sums
@@ -420,16 +450,20 @@ def test_gf_closed_sides_use_no_oracle(monkeypatch):
             ident.oracle(SeriesConfig(), **ident.grid[0])
 
 
-@pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums",
-                                    "catalog", "cli", "oracle", "__init__"])
+# every module of the package, so that a new one is checked too
+_PACKAGE_DIR = pathlib.Path(linear_sums.__file__).parent
+_MODULES = sorted(path.stem for path in _PACKAGE_DIR.glob("*.py"))
+# the modules that may import the oracle: it, and the layers that drive it
+_DRIVERS = {"oracle", "catalog", "cli", "__init__", "__main__"}
+
+
+@pytest.mark.parametrize("module", _MODULES)
 def test_closed_form_modules_import_no_numpy(module):
     # closed forms are finite formulas; an array import here means a
     # brute-force series has come back into the closed-form layer.  The
     # catalog, the CLI and the oracle module are imported by every run, so
     # they import numpy only inside the engine functions that use it.
-    import eulersum
-
-    path = pathlib.Path(eulersum.__file__).with_name(f"{module}.py")
+    path = _PACKAGE_DIR / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in tree.body:
@@ -440,13 +474,11 @@ def test_closed_form_modules_import_no_numpy(module):
     assert "numpy" not in imported
 
 
-@pytest.mark.parametrize("module", ["specfun", "harmonic", "linear_sums", "alt_sums", "wsums"])
+@pytest.mark.parametrize("module", [m for m in _MODULES if m not in _DRIVERS])
 def test_closed_form_modules_import_no_oracle(module):
     # a closed form that reaches into the oracle, at module level or inside a
     # function, is no independent check of it
-    import eulersum
-
-    path = pathlib.Path(eulersum.__file__).with_name(f"{module}.py")
+    path = _PACKAGE_DIR / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):

@@ -18,7 +18,6 @@ from eulersum import (
     w_1_p,
     w_11_0,
     w_111,
-    w_alt_1_p,
     w_alt_m_0,
     w_alt_m_1,
     w_m_0,
@@ -186,7 +185,7 @@ def test_w_111_values_and_oracle():
 def test_w_alt_shapes_against_oracle():
     for (a, b, k, p) in ((1.0, 0.5, 2, 1), (0.5, 1.0, 2, 2)):
         want = _oracle(Summand((1,), ((a, p),), binom=(k, b), alternating=True))
-        assert w_alt_1_p(a, b, k, p) == pytest.approx(want, rel=1e-8)
+        assert w_1_p(a, b, k, p, alternating=True) == pytest.approx(want, rel=1e-8)
     for (a, k, m) in ((0, 2, 1), (1, 3, 2)):
         want = _oracle(Summand((m,), binom=(k, float(a)), alternating=True))
         assert w_alt_m_0(a, k, m) == pytest.approx(want, rel=1e-8)
@@ -201,7 +200,7 @@ def test_alt_domain_guards():
     with pytest.raises(DomainError):
         w_alt_m_1(0, 2, 1)
     with pytest.raises(DomainError):
-        w_alt_1_p(2.5, 0.5, 2, 1)  # resonance a = b + 2
+        w_1_p(2.5, 0.5, 2, 1, alternating=True)  # resonance a = b + 2
 
 
 def test_closed_form_k_cap():
