@@ -72,7 +72,6 @@ from .specfun import (
 from .wsums import (
     classical_w110,
     classical_w111,
-    pf_coeffs,
     w_1_p,
     w_11_0,
     w_111,

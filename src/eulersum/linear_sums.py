@@ -45,6 +45,7 @@ from .specfun import (
     _BERNOULLI,
     alt_hurwitz_zeta,
     alt_zeta,
+    as_integer,
     as_shift,
     hurwitz_zeta,
     param_polylog,
@@ -55,15 +56,6 @@ from .specfun import (
 
 def _zeta_shift(s: int, a: float) -> float:
     return hurwitz_zeta(s, a + 1.0)
-
-
-def _integer(value, minimum: int, name: str) -> int:
-    # int() alone would truncate 2.5, and raise a bare OverflowError or
-    # ValueError at inf or nan
-    v = float(value)
-    if not (v.is_integer() and v >= minimum):
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
-    return int(v)
 
 
 # Plain and alternating sums, sum (+-1)^(n-1) t_n with the sign taken when
@@ -121,7 +113,7 @@ def sum_recip_shift(a: float, s: int, *, alternating: bool = False) -> float:
     """
     fam = _ALT if alternating else _PLAIN
     a = _nonnegative_shift(a, "sum_recip_shift")
-    s = _integer(s, 1, "sum_recip_shift order s")
+    s = as_integer(s, 1, "sum_recip_shift order s")
     if a == 0.0:
         return fam.zeta(s + 1)
     tail = sum(fam.shifted(j, a) / a ** (s + 1 - j) for j in range(2, s + 1))
@@ -131,7 +123,7 @@ def sum_recip_shift(a: float, s: int, *, alternating: bool = False) -> float:
 def sum_H1_power(a: float, s: int) -> float:
     """sum H_n/(n+a)^s for a > 0, s >= 2."""
     a = as_shift(a, minimum=0.0)
-    s = _integer(s, 2, "sum_H1_power order s")
+    s = as_integer(s, 2, "sum_H1_power order s")
     out = 0.5 * s * _zeta_shift(s + 1, a)
     out -= 0.5 * sum(_zeta_shift(s - j, a) * _zeta_shift(j + 1, a) for j in range(1, s - 1))
     out += _zeta_shift(s, a) * shifted_harmonic(a)
@@ -146,7 +138,7 @@ def alt_sum_H1_power(a: float, s: int) -> float:
     the zbar products, and the quadratic and s/2 terms change sign.
     """
     a = _nonnegative_shift(a, "alt_sum_H1_power")
-    s = _integer(s, 2, "alt_sum_H1_power order s")
+    s = as_integer(s, 2, "alt_sum_H1_power order s")
     out = 0.5 * sum(
         alt_hurwitz_zeta(s - j, a) * alt_hurwitz_zeta(j + 1, a) for j in range(1, s - 1))
     out -= 0.5 * s * _zeta_shift(s + 1, a)
@@ -164,7 +156,7 @@ def polylog_moment(m: int, a: float, *, alternating: bool = False) -> float:
     """
     fam = _ALT if alternating else _PLAIN
     a = as_shift(a, minimum=0.0)
-    m = _integer(m, 1, "polylog_moment order m")
+    m = as_integer(m, 1, "polylog_moment order m")
     out = sum((-1.0) ** (l - 1) * fam.zeta(m + 1 - l) / a**l for l in range(1, m))
     return out + (-1.0) ** (m - 1) * fam.regular(a) / a**m
 
@@ -221,8 +213,8 @@ def _window_guard(a: float, k: int, m: int = 1, *,
                   alternating: bool = False) -> tuple[float, int, int]:
     # a, k and the numerator order m of a window sum over (n+a)(n+a+k); the
     # plain windows take any a > 0, the alternating ones an integer a >= 0
-    k = _integer(k, 1, "window width k")
-    m = _integer(m, 1, "numerator order m")
+    k = as_integer(k, 1, "window width k")
+    m = as_integer(m, 1, "numerator order m")
     if alternating:
         return _require_integer_shift(a), k, m
     a = as_shift(a)

@@ -60,6 +60,18 @@ def as_shift(a, *, minimum: float | None = None, name: str = "a") -> float:
     return a
 
 
+def as_integer(value, minimum: int, name: str) -> int:
+    """Validate an integer parameter >= minimum and return it as an int."""
+    if type(value) is int and value >= minimum:
+        return value
+    # int() alone would truncate 2.5, and raise a bare OverflowError or
+    # ValueError at inf or nan
+    v = float(value)
+    if not (v.is_integer() and v >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(v)
+
+
 def gamma_fn(x: float) -> float:
     """Euler gamma function on the reals, poles at the nonpositive integers."""
     x = float(x)

@@ -279,9 +279,11 @@ _ARITHMETIC_WITNESSES = [
     ("eq1.27", {"a": 1e-12, "s": 100}, "ZeroDivisionError"),
     ("eq2.13", {"a": 1e300, "k": 1, "m": 100}, "OverflowError"),
     ("eq4.2", {"a": 1e-12, "b": 1e-300}, "value nan"),
-    # the oracle side overflows: the tail model's x**d, and k! as a float
+    # the oracle side overflows: the tail model's x**d; then the closed side's
+    # power sum sum_H1_power(1e300, 2) overflows at a**2; then the oracle's
+    # k! as a float
     ("eq4.3", {"a": 0.5, "s": 1000}, "OverflowError"),
-    ("eq3.9", {"a": 1.0, "b": 0.5, "k": 2, "p": 1000}, "OverflowError"),
+    ("eq3.9", {"a": 1e300, "b": 0.5, "k": 2, "p": 2}, "OverflowError"),
     ("w110", {"k": 1000}, "OverflowError"),
 ]
 

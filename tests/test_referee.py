@@ -1,5 +1,6 @@
-"""High-precision referee for the three refuted printed identities, and for
-the closed-form kernels the plain and alternating sums share.
+"""High-precision referee for the three refuted printed identities, for the
+closed-form kernels the plain and alternating sums share, and for the
+reciprocal-binomial W shapes and their fixed-point sums.
 
 The REFUTED verdicts otherwise rest on the package's own double-precision
 oracle.  Here each witness sum is rewritten as an integral over (0, 1) of its
@@ -8,9 +9,13 @@ digits, which controls its own accuracy even at the logarithmic endpoint
 singularities.  (A bare ``mpmath.nsum`` of eq3.15's slowly decaying summand
 2 H_n^2/((n+1)(n+2)) gives 5.2713 instead of 5.2899.)
 """
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
-from eulersum import catalog, linear_sums
+from eulersum import DomainError, catalog, linear_sums, wsums
 from eulersum.oracle import Variant
 
 mpmath = pytest.importorskip("mpmath")
@@ -110,3 +115,183 @@ def test_bilinear_near_coincident_shifts_against_mpmath(alternating):
         ref = float(_bilinear(a, b, _H_GF[alternating]))
     got = linear_sums.sum_H1_bilinear(a, b, alternating=alternating)
     assert got == pytest.approx(ref, rel=5e-12)
+
+
+# The W shapes against the same partial-fraction algebra at 50 digits.  The
+# shapes with p <= 1 are the finite difference Delta[g] = sum_{i<k}
+# (-1)^i C(k-1, i) g(a+i) of a one-shift sum: summation by parts gives
+# sum h_n/((n+c)(n+c+1)) = sum (h_n - h_(n-1))/(n+c), so g is the moment
+# M_m(c) = sum (+-1)^(n-1)/(n^m (n+c)) for H_n^(m) and H-bar_n^(m), and
+# G(c) = (zeta(2) + H_c^2 + H_c^(2))/c - H_c/c^2 for H_n^2.  The power shape
+# is sum_r A_r [B(a, b+r)/d_r^(p-1) - sum_{j=2..p} P_j(a)/d_r^(p+1-j)],
+# d_r = a-b-r, with the bilinear sum B from the potentials F and the power
+# sums P_j by quadrature.  None of these shares the closed forms' prefix
+# sums or fixed-point arithmetic.
+def _harmonic(c):
+    return mpmath.harmonic(c)
+
+
+def _zbar1(c):
+    return (mpmath.digamma((c + 2) / 2) - mpmath.digamma((c + 1) / 2)) / 2
+
+
+def _moment(m, c, alternating):
+    zeta = mpmath.altzeta if alternating else mpmath.zeta
+    regular = mpmath.log(2) - _zbar1(c) if alternating else _harmonic(c)
+    out = mpmath.fsum((-1) ** (l - 1) * zeta(m + 1 - l) / c**l for l in range(1, m))
+    return out + (-1) ** (m - 1) * regular / c**m
+
+
+def _g_square(c):
+    h = _harmonic(c)
+    return (2 * mpmath.zeta(2) + h**2 - mpmath.zeta(2, c + 1)) / c - h / c**2
+
+
+def _delta(g, a, k):
+    return mpmath.fsum((-1) ** i * mpmath.binomial(k - 1, i) * g(mpmath.mpf(a) + i)
+                       for i in range(k))
+
+
+def _potential(x, alternating):
+    h = _harmonic(x)
+    if alternating:
+        z, ln2 = _zbar1(x), mpmath.log(2)
+        return -ln2 / x + z / x + ln2 * h - z**2 / 2 + mpmath.zeta(2, x + 1) / 2
+    return -h / x + h**2 / 2 - mpmath.zeta(2, x + 1) / 2
+
+
+def _power_w(a, b, k, p, alternating):
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    fa = _potential(a, alternating)
+    powers = [_shifted_power(a, j, _H_GF[alternating]) for j in range(2, p + 1)]
+    out = 0
+    for r in range(1, k + 1):
+        d = a - b - r
+        bilinear = (fa - _potential(b + r, alternating)) / d
+        out += (-1) ** (r + 1) * r * mpmath.binomial(k, r) * (
+            bilinear / d ** (p - 1) - mpmath.fsum(pj / d ** (p - 1 - j) for j, pj in enumerate(powers)))
+    return out
+
+
+_W_REFEREES = {
+    "eq3.11": (dict(b=0.5, m=2), lambda b, k, m: k * _delta(lambda c: _moment(m, c, False), b + 1, k - 1)),
+    "eq3.13": (dict(a=2.345678, m=3), lambda a, k, m: _delta(lambda c: _moment(m, c, False), a, k)),
+    "eq3.15": (dict(b=1.25), lambda b, k: k * _delta(_g_square, b + 1, k - 1)),
+    "eq3.16": (dict(a=0.75), lambda a, k: _delta(_g_square, a, k)),
+    # G(c) tends to 3 zeta(3) as c -> 0
+    "w111": ({}, lambda k: 3 * mpmath.zeta(3) + mpmath.fsum(
+        (-1) ** i * mpmath.binomial(k - 1, i) * _g_square(mpmath.mpf(i)) for i in range(1, k))),
+    "eq4.12": (dict(a=2, m=2), lambda a, k, m: k * _delta(lambda c: _moment(m, c, True), a + 1, k - 1)),
+    "eq4.13": (dict(a=3, m=3), lambda a, k, m: _delta(lambda c: _moment(m, c, True), a, k)),
+    "eq3.9": (dict(a=1.0, b=0.5, p=1), lambda a, b, k, p: _power_w(a, b, k, p, False)),
+    "eq4.5": (dict(a=0.5, b=1.0, p=2), lambda a, b, k, p: _power_w(a, b, k, p, True)),
+    # a - b = 1.98, 0.02 from the resonance r = 2: past k = 2 the terms
+    # outgrow the sum beyond what double precision can cancel
+    "eq3.9 near resonance": (dict(a=3.98, b=2.0, p=1), lambda a, b, k, p: _power_w(a, b, k, p, False)),
+}
+_W_GUARDED = {("eq3.9 near resonance", k) for k in (10, 30, 45, 60)}
+
+
+@pytest.mark.parametrize("k", [2, 10, 30, 45, 60])
+@pytest.mark.parametrize("row", list(_W_REFEREES))
+def test_w_shapes_against_mpmath(row, k):
+    params, referee = _W_REFEREES[row]
+    ident = catalog.get(row.split()[0])
+    params = dict(params, k=k)
+    if (row, k) in _W_GUARDED:
+        with pytest.raises(DomainError, match="cancels"):
+            ident.closed(Variant.CORRECTED, **params)
+        return
+    with mpmath.workdps(50):
+        ref = float(referee(**params))
+    assert ident.closed(Variant.CORRECTED, **params) == pytest.approx(ref, rel=1e-10)
+
+
+# The fixed-point sums of the W shapes against exact rationals: a float shift
+# is a dyadic rational, so every sum but those with zbar(1, x) is a Fraction,
+# and zbar(1, x) is taken to 1000 bits.  Each sum must be the Fraction's
+# correctly rounded double; one below 2^-60 of a shape's largest sum is
+# resolved only to 2^-120 of that.
+def _zbar_fraction(x):
+    with mpmath.workdps(320):
+        return Fraction(int(mpmath.floor(_zbar1(mpmath.mpf(x)) * mpmath.mpf(2) ** 1000)), 2**1000)
+
+
+def _exact_difference_sums(a, k, m, alternating):
+    a = Fraction(a)
+    z = _zbar_fraction(float(a)) if alternating else 0
+    diffs, last, h = [Fraction(0)] * m, Fraction(0), Fraction(0)
+    for i in range(k):
+        w, u = (-1) ** i * math.comb(k - 1, i), 1 / (a + i)
+        diffs = [d + w * u ** (j + 1) for j, d in enumerate(diffs)]
+        if alternating:
+            last += abs(w) * u**m * (z - h)
+            h += (-1) ** i / (a + i + 1)
+        else:
+            last += w * h * u**m
+            h += 1 / (a + i + 1)
+    return diffs + [last]
+
+
+def _square_sums(a, k):
+    a = Fraction(a)
+    d1 = d2 = lin = quad = h = h2 = Fraction(0)
+    for i in range(k):
+        w, u = (-1) ** i * math.comb(k - 1, i), 1 / (a + i)
+        d1, d2 = d1 + w * u, d2 + w * u * u
+        if i:
+            lin += w * u * (h + u)
+            quad += w * u * ((h + u) * h + h2 + u * u)
+            h, h2 = h + u, h2 + u * u
+    return [d1, d2, lin, quad]
+
+
+def _power_sums(a, b, k, p, alternating):
+    a, b = Fraction(a), Fraction(b)
+    z = _zbar_fraction(float(b)) if alternating else 0
+    t, s1, s2, h, h2, rho = [Fraction(0)] * p, 0, 0, Fraction(0), Fraction(0), Fraction(0)
+    for r in range(1, k + 1):
+        w, y = (-1) ** (r + 1) * r * math.comb(k, r), 1 / (a - b - r)
+        t = [tq + w * y ** (q + 1) for q, tq in enumerate(t)]
+        s1 += w * y**p * h
+        quad = rho * rho + h2 - 2 * (-1) ** r * z * rho if alternating else h * h + h2
+        s2 += w * y**p * quad
+        v = 1 / (b + r)
+        h, h2, rho = h + v, h2 + v * v, v - rho
+    return t + [s1, s2]
+
+
+def _assert_rounded(got, exact):
+    top = max(abs(x) for x in exact)
+    for g, x in zip(got, exact):
+        if abs(x) > top / 2**60:
+            assert g == float(x)
+        else:
+            assert abs(Fraction(g) - x) <= top / 2**119
+
+
+def test_fixed_point_sums_are_the_rounded_fractions():
+    rng = random.Random(20261019)
+    shifts = [0.05, 0.5, 1.0, 2.345678, 10 / 3, 64.0, 1000.1]
+    for _ in range(12):
+        k, a = rng.choice([1, 2, 3, 7, 12]), rng.choice(shifts + [rng.uniform(0.01, 20)])
+        m = rng.choice([1, 2, 4])
+        for alternating in (False, True):
+            _assert_rounded(wsums._difference_sums(a, k, m, alternating),
+                            _exact_difference_sums(a, k, m, alternating))
+        _assert_rounded(wsums._w_111_sums(a, k), _square_sums(a, k))
+        b, p = rng.choice(shifts + [rng.uniform(0.01, 20)]), rng.choice([1, 2, 3])
+        if abs(a - b - round(a - b)) > 1e-6:
+            for alternating in (False, True):
+                _assert_rounded(wsums._power_sums(a, b, k, p, alternating),
+                                _power_sums(a, b, k, p, alternating))
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, 7.0, 63.0, 64.0, 0.7, 17.5, 1e300])
+def test_fixed_point_zbar_against_mpmath(x):
+    # integer shifts below 64 take ln 2 - H-bar_x from a 384-bit ln 2 while
+    # it holds the bits; the rest, and larger scales, the Euler series
+    for s in (64, 150, 360, 400, 1000):
+        with mpmath.workdps(400):
+            ref = _zbar1(mpmath.mpf(x)) * mpmath.mpf(2) ** s
+        assert abs(wsums._zbar_fixed(x, s) - ref) < 2, s

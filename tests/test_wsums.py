@@ -13,7 +13,6 @@ from eulersum import (
     classical_w110,
     classical_w111,
     gen_binomial,
-    pf_coeffs,
     riemann_zeta,
     w_1_p,
     w_11_0,
@@ -24,7 +23,15 @@ from eulersum import (
     w_m_1,
 )
 from eulersum import catalog
-from eulersum.oracle import SeriesConfig, Summand, truncated_series
+from eulersum.oracle import (
+    IdentityCase,
+    SeriesConfig,
+    Status,
+    Summand,
+    Variant,
+    truncated_series,
+    verify_identity,
+)
 from eulersum.wsums import precision_warning
 
 Z2 = riemann_zeta(2)
@@ -36,10 +43,10 @@ def _oracle(summand, n=10**6, tol=1e-9):
     return truncated_series(summand, cfg).value
 
 
-def test_pf_coeffs_small():
-    assert pf_coeffs(1) == (1.0,)
-    assert pf_coeffs(2) == (2.0, -2.0)
-    assert pf_coeffs(3) == (3.0, -6.0, 3.0)
+def pf_coeffs(k):
+    # simple-pole weights A_r = (-1)^(r+1) r C(k, r), r = 1..k, with
+    # 1/binom(n+k+a, k) = sum_r A_r/(n+a+r)
+    return tuple(float((-1) ** (r + 1) * r * math.comb(k, r)) for r in range(1, k + 1))
 
 
 def _window_weights(k):
@@ -204,10 +211,12 @@ def test_alt_domain_guards():
 
 
 def test_closed_form_k_cap():
+    # every W shape takes k <= 60; the power shape's old cap of 30 is gone
+    assert math.isfinite(w_1_p(1.0, 0.5, 60, 1))
     with pytest.raises(DomainError):
         w_m_1(0.5, 61, 1)
     with pytest.raises(DomainError):
-        w_1_p(1.0, 0.5, 31, 1)
+        w_1_p(1.0, 0.5, 61, 1)
     with pytest.raises(DomainError):
         classical_w111(61)
 
@@ -342,3 +351,81 @@ def test_w_m_1_cancellation_past_double_precision_is_a_domain_error():
         ident = catalog.get(ident_id)
         for params in ident.grid:
             assert math.isfinite(ident.closed(catalog.Variant.CORRECTED, **params))
+
+
+# Every public W function, valid arguments, and its integer parameters.
+_INTEGER_PARAMETERS = (
+    (w_1_p, {"a": 1.0, "b": 0.5, "k": 2, "p": 1}, ("k", "p")),
+    (w_m_0, {"b": 0.5, "k": 2, "m": 1}, ("k", "m")),
+    (w_m_1, {"a": 1.0, "k": 2, "m": 1}, ("k", "m")),
+    (w_11_0, {"b": 0.5, "k": 2}, ("k",)),
+    (w_111, {"a": 1.0, "k": 2}, ("k",)),
+    (w_alt_m_0, {"a": 1, "k": 2, "m": 1}, ("a", "k", "m")),
+    (w_alt_m_1, {"a": 1, "k": 2, "m": 1}, ("a", "k", "m")),
+    (classical_w110, {"k": 2}, ("k",)),
+    (classical_w111, {"k": 2}, ("k",)),
+)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5], ids=["inf", "nan", "2.5"])
+@pytest.mark.parametrize("fn, args, names", _INTEGER_PARAMETERS,
+                         ids=[fn.__name__ for fn, _, _ in _INTEGER_PARAMETERS])
+def test_integer_parameters_reject_inf_nan_and_fractions(fn, args, names, bad):
+    # int() on inf or nan raised a raw OverflowError or ValueError
+    assert math.isfinite(fn(**args))
+    for name in names:
+        with pytest.raises(DomainError):
+            fn(**dict(args, **{name: bad}))
+
+
+def test_power_shape_at_k30_is_confirmed():
+    # the float partial-fraction loop gave 0.0041300649 here against the
+    # oracle's 0.0041297201, and verify read REFUTED
+    params = {"a": 1.0, "b": 0.5, "k": 30, "p": 1}
+    assert w_1_p(**params) == pytest.approx(4.1297201423e-3, rel=1e-10)
+    rec = verify_identity(IdentityCase("eq3.9", params, catalog.get("eq3.9").tol))
+    assert rec.status is Status.CONFIRMED
+
+
+@pytest.mark.parametrize("ident_id, params", [
+    ("eq3.9", {"a": 3.98, "b": 2.0, "k": 4, "p": 5}),
+    ("eq4.5", {"a": 3.980741156415893, "b": 2.0, "k": 4, "p": 5}),
+])
+def test_near_resonance_is_a_domain_error_not_a_refutation(ident_id, params):
+    # a - b is 0.02 from the resonance r = 2: the power-5 terms reach 1e10
+    # against a sum of 1e-5.  The float loop printed values 9 % and 18 % off
+    # and verify refuted the corrected identities.
+    ident = catalog.get(ident_id)
+    with pytest.raises(DomainError, match="cancels"):
+        ident.closed(Variant.CORRECTED, **params)
+    rec = verify_identity(IdentityCase(ident_id, params, ident.tol))
+    assert rec.status is Status.INCONCLUSIVE and "cancels" in rec.reason
+
+
+def test_fixed_point_grows_its_scale_until_each_sum_is_resolved():
+    from fractions import Fraction
+
+    from eulersum.wsums import _fixed_point
+
+    # 3^-100 is about 2^-158: at S = 64 its integer is 0, so S must grow
+    # until the sum is known to 2^-60 of itself and rounds one way
+    scales = []
+
+    def run(s):
+        scales.append(s)
+        return [(1 << s) // 3**100, -(1 << s) // (7 * 3**100)]
+
+    # errors below 1 unit, and a guess of 2^+40 for the sums: S starts at 64
+    assert _fixed_point(run, [1, 1], 1, 40.0, str) == [float(Fraction(1, 3**100)),
+                                                       float(Fraction(-1, 7 * 3**100))]
+    assert scales[0] == 64 and scales[-1] > 158 + 60
+    # a sum that is a tie between two doubles never settles its rounding:
+    # after two tries the nearest double of its integer stands
+    tie = (1 << 53) + 1
+
+    def run_tie(s):
+        return [tie << (s - 53)]
+
+    assert _fixed_point(run_tie, [1], 1, 0.0, str) == [1.0]
+    with pytest.raises(DomainError, match="budget"):
+        _fixed_point(run, [1, 1], 2000, 40.0, str)
