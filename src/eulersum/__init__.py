@@ -47,7 +47,6 @@ from .oracle import (
     SeriesConfig,
     Status,
     Summand,
-    TailParams,
     Variant,
     VerificationRecord,
     grid_verify,

@@ -12,12 +12,14 @@ Each of the 30 series identities declares its summand once, as an
 ``oracle.Summand``: the harmonic orders multiplied in the numerator
 (alternating or not), the (shift, power) factors of the denominator, and an
 optional reciprocal binomial 1/C(n+k+b, k).  The catalog only declares
-summands; ``oracle.truncated_series`` sums them and takes the tail model
-from each: growth g = the number of H_n factors of a non-alternating
-numerator, degree d = the sum of the powers plus k.  Difference numerators
-(the squared and cubic Stirling windows) are signed combinations of
-summands, each summed with its own tail, because a single log-power model
-cannot carry their constant offsets.
+summands; ``oracle.truncated_series`` sums them and derives each tail from
+the declaration: the expansions of H_x^(m) (or H-bar_x^(m)) and of the
+denominator in 1/x, ln x and (-1)^x, summed past N in closed form.  The
+degree d = the sum of the powers plus k must be at least 2 for the series to
+converge, and below 86 (larger degrees raise OverflowError, a DomainError
+here).  Difference numerators (the squared and cubic Stirling windows) are
+signed combinations of summands, each summed with its own tail, because a
+summand's numerator is a product of harmonic numbers.
 
 Catalog oracles never call the closed forms they check.  Every series oracle,
 alternating numerators included, goes through ``oracle.truncated_series``.

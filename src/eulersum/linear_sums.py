@@ -109,15 +109,20 @@ def sum_recip_shift(a: float, s: int, *, alternating: bool = False) -> float:
     """sum (+-1)^(n-1)/(n (n+a)^s) for a >= 0, s >= 1, signed when alternating.
 
     Partial fractions give R(a)/a^s - sum_{j=2..s} L(j, a)/a^(s+1-j); at a = 0
-    the sum is L(s+1).
+    the sum is L(s+1).  Raises DomainError where a power of a overflows or
+    underflows to 0.
     """
     fam = _ALT if alternating else _PLAIN
     a = _nonnegative_shift(a, "sum_recip_shift")
     s = as_integer(s, 1, "sum_recip_shift order s")
     if a == 0.0:
         return fam.zeta(s + 1)
-    tail = sum(fam.shifted(j, a) / a ** (s + 1 - j) for j in range(2, s + 1))
-    return fam.regular(a) / a**s - tail
+    try:
+        tail = sum(fam.shifted(j, a) / a ** (s + 1 - j) for j in range(2, s + 1))
+        return fam.regular(a) / a**s - tail
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"sum_recip_shift: parameters outside double-precision range "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 def sum_H1_power(a: float, s: int) -> float:

@@ -41,11 +41,24 @@ def _report(n, label, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def suite_result():
+    # the terms of each truncated series, one entry per Summand part, are
+    # recorded through the catalog's module global, which every series
+    # oracle calls
     cases = catalog.default_cases(variant="both")
-    start = time.monotonic()
-    result = grid_verify(cases, SeriesConfig())
-    elapsed = time.monotonic() - start
-    return cases, result, elapsed
+    parts = []
+    series = catalog.truncated_series
+
+    def recording(summand, config):
+        res = series(summand, config)
+        parts.append(res.work)
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "truncated_series", recording)
+        start = time.monotonic()
+        result = grid_verify(cases, SeriesConfig())
+        elapsed = time.monotonic() - start
+    return cases, result, elapsed, parts
 
 
 def test_criterion_1_building_block_exactness():
@@ -147,7 +160,7 @@ def test_criterion_3_stirling_exactness():
 
 
 def test_criterion_4_identity_suite(suite_result):
-    cases, result, elapsed = suite_result
+    cases, result, elapsed, _ = suite_result
     corrected = [r for r in result.records if r.case.variant is Variant.CORRECTED]
     not_confirmed = [r for r in corrected if r.status is not Status.CONFIRMED]
     size_ok = 190 <= len(cases) <= 260
@@ -219,7 +232,7 @@ def test_criterion_7_lemma_residuals():
 
 
 def test_criterion_8_oracle_certification(suite_result):
-    cases, result, _ = suite_result
+    cases, result, _, _ = suite_result
     ok = True
     for rec in result.records:
         if rec.status is Status.INCONCLUSIVE:
@@ -238,3 +251,12 @@ def test_criterion_8_oracle_certification(suite_result):
     _report(8, "oracle error bounds certified and stable under doubling",
             ok and flips == 0 and disagreements == 0,
             f"{flips} status flips, {disagreements} values outside their combined bounds")
+
+
+def test_criterion_9_series_parts_stop_by_4096_terms(suite_result):
+    # every builtin identity is a series identity, and the tail expansion
+    # certifies each of its Summand parts at the first N
+    _, result, _, parts = suite_result
+    ok = len(parts) >= len(result.records) and max(parts, default=0) <= 4096
+    _report(9, "every builtin series part certified at N <= 4096", ok,
+            f"{len(parts)} parts, largest N {max(parts, default=0)}")

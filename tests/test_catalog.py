@@ -1,5 +1,7 @@
 """The catalog's declarations: parameter kinds and their derived validation,
-and summand specs with the terms and tail models derived from them."""
+and summand specs with the terms and tail expansions derived from them."""
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from eulersum import (
     SeriesConfig,
     Status,
     Summand,
-    TailParams,
     catalog,
     oracle,
     verify_identity,
@@ -55,17 +56,76 @@ def test_validate_runs_the_cross_parameter_check(ident_id, params, message):
         catalog.get(ident_id).validate(**params)
 
 
-@pytest.mark.parametrize("summand, growth, degree", [
-    (Summand((), ((0, 1), (0.5, 3))), 0, 4),                       # 1
-    (Summand((1,), ((0.5, 1), (2.0, 1))), 1, 2),                   # H_n
-    (Summand((3,), _window(0.5, 2)), 0, 2),                        # H_n^(m), m > 1
-    (Summand((1, 1), binom=(3, 0.5)), 2, 3),                       # H_n^2
-    (Summand((1, 2), _window(2.5, 1)), 1, 2),                      # H_n H_n^(2)
-    (Summand((1, 1, 1), ((0.5, 1),), binom=(2, 0.5)), 3, 3),       # H_n^3
-    (Summand((1,), ((1.0, 2),), binom=(2, 0.5), alternating=True), 0, 4),  # H-bar_n
+def _expansion_at(e, x):
+    # the truncated expansion at the integer x in mpmath, with the stated
+    # remainder e.eps x^-J (ln x)^g, and the roundoff allowance of its float
+    # coefficients
+    mpmath = pytest.importorskip("mpmath")
+    x = mpmath.mpf(x)
+    lx = mpmath.log(x)
+    parts = [c * (-1) ** (p * int(x)) * x ** -j * lx ** l for (p, j, l), c in e.coefs.items()]
+    return (mpmath.fsum(parts), e.eps * x ** -e.J * lx ** e.g,
+            8 * np.finfo(float).eps * mpmath.fsum(abs(t) for t in parts))
+
+
+def _harmonic_mp(m, alternating, x):
+    mpmath = pytest.importorskip("mpmath")
+    if not alternating:
+        return mpmath.harmonic(x) if m == 1 else mpmath.zeta(m) - mpmath.zeta(m, x + 1)
+    # H-bar_x^(m) = eta(m) - (-1)^x A_m(x), A_m(x) = sum_(i>=1) (-1)^(i-1)/(x+i)^m
+    lo, hi = mpmath.mpf(x + 1) / 2, mpmath.mpf(x + 2) / 2
+    a = ((mpmath.digamma(hi) - mpmath.digamma(lo)) / 2 if m == 1
+         else (mpmath.zeta(m, lo) - mpmath.zeta(m, hi)) / 2 ** m)
+    return mpmath.altzeta(m) - (-1) ** x * a
+
+
+@pytest.mark.parametrize("n", [32, 4096])
+@pytest.mark.parametrize("K", [2, 5, 9])
+@pytest.mark.parametrize("m, alternating", [(1, False), (2, False), (3, False), (7, False),
+                                            (1, True), (2, True), (3, True)])
+def test_harmonic_expansion_within_its_remainder(m, alternating, K, n):
+    # H_x, H_x^(m) = zeta(m) - zeta(m, x+1) and H-bar_x^(m) = eta(m) - (-1)^x A_m(x)
+    # against mpmath at 40 digits, at x = n and 10 n
+    mpmath = pytest.importorskip("mpmath")
+    e = oracle._harmonic_expansion(m, alternating, K, float(n), math.log(n))
+    assert e.v == 0 and e.J == K and e.g == (m == 1 and not alternating)
+    with mpmath.workdps(40):
+        for x in (n, 10 * n):
+            got, rest, roundoff = _expansion_at(e, x)
+            assert abs(_harmonic_mp(m, alternating, x) - got) <= rest + roundoff, x
+
+
+@pytest.mark.parametrize("summand, n", [
+    (Summand((), ((0.5, 1), ((0.5, 2), 1))), 32),
+    (Summand((), ((10 / 3, 3),)), 32),
+    (Summand((), ((1.0, 2),), binom=(3, 0.5)), 32),
+    (Summand((), binom=(60, 0.5)), 4096),
+    (Summand((), ((2.5, 1),), binom=(60, 2.5)), 4096),
 ])
-def test_summand_tail_rule(summand, growth, degree):
-    assert summand.tail() == TailParams(growth=growth, denom_degree=degree)
+@pytest.mark.parametrize("K", [2, 5, 9])
+def test_denominator_expansion_within_its_remainder(summand, n, K):
+    # 1/prod (x + s)^p times k!/prod_(i<=k) (x + b + i) against mpmath, at x = n and 10 n
+    mpmath = pytest.importorskip("mpmath")
+    e = oracle._denominator_expansion(summand, K, float(n))
+    degree = sum(p for _, p in summand.den) + (summand.binom[0] if summand.binom else 0)
+    assert (e.v, e.J, e.g) == (degree, degree + K, 0)
+    with mpmath.workdps(40):
+        for x in (n, 10 * n):
+            want = mpmath.mpf(1)
+            for shift, power in summand.den:
+                want /= (x + sum(shift if isinstance(shift, tuple) else (shift,))) ** power
+            if summand.binom:
+                k, b = summand.binom
+                want *= mpmath.factorial(k) / mpmath.rf(x + b + 1, k)
+            got, rest, roundoff = _expansion_at(e, x)
+            assert abs(want - got) <= rest + roundoff, x
+
+
+def test_denominator_expansion_needs_shifts_small_next_to_n():
+    # the binomial series in s/x certifies nothing once s_max (K+D)/(K+1) >= n
+    assert oracle._denominator_expansion(Summand((), ((1e6, 2),)), 4, 2.0**21) is not None
+    assert oracle._denominator_expansion(Summand((), ((1e6, 2),)), 4, 1e6) is None
+    assert oracle._denominator_expansion(Summand((), binom=(60, 0.5)), 4, 512.0) is None
 
 
 # each spec against the hand-written term it replaced, with the same float64

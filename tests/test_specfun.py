@@ -132,6 +132,42 @@ def test_hurwitz_zeta_reference_grid():
             assert hurwitz_zeta(s, float(q)) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", list(range(2, 21)) + [30, 60])
+def test_hurwitz_zeta_against_mpmath_across_the_shift_target(s):
+    # hurwitz_zeta shifts q up to a target and then takes Euler-Maclaurin
+    # corrections; the remainder is largest just above the target, where a
+    # fixed target max(10, s) with 7 corrections is off by up to 2.7e-10 at
+    # s = 10.  A fine grid across [target, target + 1], q below it that shift
+    # in, a grid across max(10, s), and random q.  The reference is 40 digits
+    # of mpmath's zeta, evaluated with 60 working digits: with 40 it loses up
+    # to 13 digits at s = 30, q ~ 60
+    from eulersum.specfun import _zeta_plan
+
+    target = 10.0 if s == 2 else _zeta_plan(s)[0]
+    grid = [target + i / 16 for i in range(17)] + [target - 3 + i / 4 for i in range(5)]
+    grid += [max(10.0, s) + i / 8 for i in range(9)]
+    grid += [float(q) for q in np.random.default_rng(s).uniform(0.01, 60.0, size=4)]
+    worst = 0.0
+    for q in grid:
+        with mp.workdps(60):
+            want = mp.zeta(s, q)
+        worst = max(worst, float(abs(hurwitz_zeta(s, q) - want) / want))
+    assert worst <= 8 * np.finfo(float).eps, (s, worst)
+
+
+def test_hurwitz_zeta_plan_meets_its_remainder_bound():
+    # for s >= 3, at the shift target q0 and with M corrections, the relative
+    # remainder 2 |B_(2M+2)|/(2M+2)! (s)_(2M+1) (s-1) q0^-(2M+2) is below 2^-55
+    from eulersum.specfun import _zeta_plan
+
+    for s in list(range(3, 21)) + [30, 60, 100, 1000]:
+        q0, m = _zeta_plan(s)
+        assert q0 >= max(10.0, s) and 1 <= m <= 14
+        b = mp.bernoulli(2 * m + 2) / mp.factorial(2 * m + 2)
+        rel = 2 * abs(b) * mp.rf(s, 2 * m + 1) * (s - 1) / mp.mpf(q0) ** (2 * m + 2)
+        assert rel <= mp.mpf(2) ** -55, s
+
+
 def test_hurwitz_domain():
     with pytest.raises(DomainError):
         hurwitz_zeta(1, 2.0)

@@ -336,6 +336,18 @@ def test_exact_difference_past_double_range_is_a_domain_error():
         w_m_0(-0.5, 3, 1100)
 
 
+@pytest.mark.parametrize("args, kwargs, raw", [
+    ((1e-300, 1.0, 1, 3), {}, "ZeroDivisionError"),
+    ((1e300, 0.5, 20, 3), {"alternating": True}, "OverflowError"),
+])
+def test_power_sum_past_double_range_is_a_domain_error(args, kwargs, raw):
+    # w_1_p's power sums reach sum_recip_shift, whose a^(s+1-j) underflows to
+    # 0 at a = 1e-300 and overflows at a = 1e300; a direct call raised the raw
+    # error, which only the catalog's guard turned into a DomainError
+    with pytest.raises(DomainError, match=f"outside double-precision range \\({raw}"):
+        w_1_p(*args, **kwargs)
+
+
 def test_w_m_1_cancellation_past_double_precision_is_a_domain_error():
     # at a = 1/2 the float sum of the exact differences has terms of about
     # 2^m; at m = 40 they reach 2e12 against W = 0.027, and m = 1000 printed
