@@ -9,24 +9,22 @@ x^(a-1) ln^m(1-x) on (0, 1).  The series engine sums a declared ``Summand``
 optional reciprocal binomial) to N and adds the rest from the summand's own
 expansion in 1/x and ln x for x >= N, summed by Euler-Maclaurin (Boole for
 the alternating parts) with explicit remainders, so its error bound is a
-theorem plus roundoff.  Only its running harmonic prefix sums are
-longdouble; each is rounded to float64 once, and the terms and their sums
-are float64, with a roundoff bound derived from the operations of one term
-and the depth of the block sums.  From specfun this module takes only the
-constant EULER_GAMMA and the zeta values zeta(s) and eta(s) the expansions
-start from, none of the Hurwitz, alternating-series, polylog and h_func
-evaluators the closed sides are built on.
+theorem plus roundoff.  Everything it sums is a Python float: each harmonic
+number is a compensated running sum (Sum2 of Ogita, Rump and Oishi), the
+terms are built column by column on lists and math.fsum totals them, with a
+roundoff bound derived from the operations of one term.  From specfun this
+module takes only the constant EULER_GAMMA and the zeta values zeta(s) and
+eta(s) the expansions start from, none of the Hurwitz, alternating-series,
+polylog and h_func evaluators the closed sides are built on.
 
 The quadrature nests its levels, so each node is evaluated once, and calls
-its integrand once per level on numpy arrays of nodes.
-
-numpy is imported inside the engine functions, not at module level: the
-catalog and the CLI import this module, and a closed-form evaluation
-(``eulersum eval --method closed``) never needs arrays.
+its integrand once per level on lists of nodes.  The module uses only the
+standard library.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -58,7 +56,7 @@ class Status(str, enum.Enum):
 @dataclass(frozen=True)
 class SeriesConfig:
     max_terms: int = 10**6       # cap on the terms a truncated series may sum
-    min_terms: int = 1 << 12     # first N of the doubling search
+    min_terms: int = 128         # first N of the doubling search
     target_tol: float = 1e-9
 
     def __post_init__(self):
@@ -103,21 +101,6 @@ class VerificationRecord:
     reason: str = ""  # why the case is INCONCLUSIVE; empty otherwise
 
 
-_CHUNK = 1 << 11
-"""Most indices truncated_series and moment_series sum in one block.
-
-Small blocks keep each block's temporaries (a few float64 arrays, 16 KiB
-each at 2^11, and one or two longdouble arrays of 32 KiB for the harmonic
-prefix sums) inside the malloc heap.  With blocks of 2^20 the temporaries of
-a few-thousand-term sum pushed the heap top past glibc's trim threshold on
-every call; free() handed the pages back and the next call faulted them in
-again.  In a process that had made no large allocation before, on a 2-vCPU
-x86-64 host, that made eight 8192-term series 22 % slower.  The harmonic
-prefix sums run across the blocks in order, so the block size moves only
-the float64 block sums, by roundoff.
-"""
-
-
 @dataclass(frozen=True)
 class Summand:
     """c_n / prod_j (n + shift_j)^power_j, times 1/C(n+k+b, k) when binom = (k, b).
@@ -138,70 +121,100 @@ class Summand:
             if m < 1 or m != int(m):
                 raise DomainError(f"harmonic order must be an integer >= 1, got {m}")
 
-    def terms(self, ns: np.ndarray, harmonics: Mapping[int, np.ndarray]) -> np.ndarray:
-        """The float64 terms at the float64 indices ns, given harmonics[m] =
-        H_n^(m) (H-bar_n^(m) when alternating) at the same indices for each
-        order m in `orders`."""
+    def terms(self, ns: list[float], harmonics: Mapping[int, list[float]]) -> list[float]:
+        """The float64 terms at the indices ns, given harmonics[m] = H_n^(m)
+        (H-bar_n^(m) when alternating) at the same indices for each order m
+        in `orders`.  Each operation runs over the whole column."""
         num = None
         for m in dict.fromkeys(self.orders):  # a repeated order is a power: H_n^2 = h1 * h1
             h = _ipow(harmonics[int(m)], self.orders.count(m))
-            num = h if num is None else num * h
+            num = h if num is None else _mul(num, h)
         if self.binom is not None:
-            k, b = self.binom
-            rb = _rbinom(ns, int(k), float(b))
-            num = rb if num is None else num * rb
+            k, b = int(self.binom[0]), float(self.binom[1])
+            # 1/binom(n+k+b, k) = k! / prod_{i=1..k} (n+b+i), stable for any n
+            rb = [float(math.factorial(k))] * len(ns)
+            for i in range(1, k + 1):
+                bi = b + i
+                rb = [r / (n + bi) for r, n in zip(rb, ns)]
+            num = rb if num is None else _mul(num, rb)
         den = None
         for shift, power in self.den:
             x = ns
             for s in shift if isinstance(shift, tuple) else (shift,):
                 if s:  # n + 0 is n
-                    x = x + s
+                    x = [v + s for v in x]
             x = _ipow(x, int(power))
-            den = x if den is None else den * x
+            den = x if den is None else _mul(den, x)
         if den is None:
             return num
-        return (1.0 if num is None else num) / den
+        if num is None:
+            return [1.0 / d for d in den]
+        return [v / d for v, d in zip(num, den)]
 
 
-def _ipow(x, p: int):
-    # x**p for an integer p >= 1 by squaring and multiplying; whatever the
-    # order of the products, x^p carries at most p - 1 roundings of its own
+def _mul(x: Sequence[float], y: Sequence[float]) -> list[float]:
+    return [a * b for a, b in zip(x, y)]
+
+
+def _ipow(x: list[float], p: int) -> list[float]:
+    # x**p for an integer p >= 1 by squaring and multiplying, elementwise;
+    # whatever the order of the products, x^p carries at most p - 1 roundings
+    # of its own, and a product past the float range is inf, not an error
     result = None
     while True:
         if p & 1:
-            result = x if result is None else result * x
+            result = x if result is None else _mul(result, x)
         p >>= 1
         if not p:
             return result
-        x = x * x
+        x = _mul(x, x)
 
 
-def _rbinom(ns, k: int, b: float):
-    # 1/binom(n+k+b, k) = k! / prod_{i=1..k} (n+b+i), stable for any n
-    import numpy as np
+def _harmonic_roundings(m: int, alternating: bool, n: int) -> float:
+    """A bound on the relative error of the float64 H_n^(m) (H-bar_n^(m) when
+    alternating) that _partial_terms gives at any index up to n, in units of
+    u = eps/2.
 
-    arr = np.full(ns.shape, float(math.factorial(k)))
-    for i in range(1, k + 1):
-        arr /= ns + (b + i)
-    return arr
+    Each input 1/j^m is j^m by m - 1 products and one quotient, so it is
+    off by at most gamma_m |1/j^m| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3), or by less than float_info.min
+    where it is subnormal or j^m overflowed and it reads 0.  Sum2 gives the
+    sum of the inputs p within u |sum p| + gamma_(n-1)^2 sum |p| (Ogita, Rump
+    and Oishi, "Accurate sum and dot product", 2005, Prop. 4.5).  With
+    S = sum_(j<=n) 1/j^m and a = n float_info.min, the error is therefore at
+    most u |H| + (1 + u + gamma_(n-1)^2) (gamma_m S + a) + gamma_(n-1)^2 S.
+    Without alternation S = H >= 1.  With it S = H_n^(m) <= 1 + ln n, while
+    |H-bar_n^(m)| >= 1 - 2^-m: the partial sums of an alternating series
+    with falling terms lie between its second and first ones.
+    """
+    u = 0.5 * _FLOAT_EPS
+    low = 1.0 - 2.0 ** -m if alternating else 1.0          # |H| >= low
+    ratio = (1.0 + math.log(n)) / low if alternating else 1.0  # S/|H| <= ratio
+    g2 = ((n - 1) * u / (1.0 - (n - 1) * u)) ** 2
+    gm = m * u / (1.0 - m * u)
+    return 1.0 + ((1.0 + u + g2) * (ratio * gm + n * sys.float_info.min / low)
+                  + ratio * g2) / u
 
 
-def _roundings(summand: Summand) -> int:
-    """A bound on the relative error of one float64 term, in units of eps/2.
+def _roundings(summand: Summand, n: int) -> float:
+    """A bound on the relative error of one float64 term at an index up to
+    n, in units of u = eps/2, to first order (truncated_series covers the
+    rest).
 
-    Each rounding is at most eps/2 of its result, and x^p carries p times the
-    error already in x.  The count: each H_n^(m) rounded to float64 once,
-    so j for H^j, plus the j - 1 multiplies of that power and one per
-    further numerator factor; for the binomial, one for k! and three per
+    Each rounding is at most u of its result, and x^p carries p times the
+    error already in x.  The count: each H_n^(m) its _harmonic_roundings, so
+    j times that for H^j, plus the j - 1 multiplies of that power and one
+    per further numerator factor; for the binomial, one for k! and three per
     step (the scalar b + i, the add and the divide); for a denominator factor
     of r shift adds raised to p, p*r for the adds and p - 1 for the power;
     one per further denominator factor, and one for the quotient.  With
     n >= 1 and shifts and b >= 0, as in every catalog summand, each partial
     sum n + s_1 + ... is at most the factor it ends in, so an add's rounding
-    is at most eps/2 of that factor.
+    is at most u of that factor.
     """
     orders = len(summand.orders)
-    count = max(0, 2 * orders - 1)
+    count = max(0, orders - 1) + sum(_harmonic_roundings(int(m), summand.alternating, n)
+                                     for m in summand.orders)
     if summand.binom is not None:
         count += 1 + 3 * int(summand.binom[0]) + (orders > 0)
     for i, (shift, power) in enumerate(summand.den):
@@ -210,43 +223,37 @@ def _roundings(summand: Summand) -> int:
     return count + (len(summand.den) > 0)
 
 
-def _pairwise_depth(n: int) -> int:
-    """A bound on the additions any term passes through in numpy's sum of at
-    most n float64 terms.  The reduction adds its first element once; its
-    pairwise sum halves a run (the first half rounded down to a multiple of
-    8, so a part is at most n/2^j + 16 after j halvings) until it is at most
-    128 long, and sums such a leaf of L terms with eight interleaved
-    accumulators: L//8 - 1 adds in one, three to join the eight and L % 8
-    leftovers, at most 24 in all."""
-    return 1 + 24 + max(0, math.ceil(math.log2(n / 112)))
+def _partial_terms(summand: Summand, start: int, stop: int,
+                   running: dict[int, tuple[float, float]]) -> list[float]:
+    """The summand's float64 terms at n = start..stop.  running maps each
+    numerator order m to the Sum2 state (s, c) of its harmonic sum up to
+    start - 1 (absent: nothing summed yet) and is moved past stop.
 
-
-def _block_terms(summand: Summand, ns_int: np.ndarray,
-                 prefix: dict[int, np.longdouble]) -> np.ndarray:
-    """The summand's float64 terms on the block ns_int; prefix maps each
-    numerator order to its harmonic sum before the block and is moved past it.
-
-    Only the running sums are longdouble: 1/n is one longdouble reciprocal,
-    1/n^m its m-th power by products, and each sum H_n^(m) is rounded to
-    float64 once.  Everything after that is float64, and a term that
-    overflows or underflows gives 0 or a subnormal without a warning.
+    H_n^(m) is s + c, rounded once, after the input 1/n^m (negated at even n
+    when alternating) is added to s with its rounding error moved into c by
+    Fast2Sum.  That transformation is exact because |s| >= |1/n^m| at every
+    n (Dekker; Ogita, Rump and Oishi, Alg. 4.4): s is 0 before n = 1 and 1
+    before n = 2, and later within roundoff of a partial sum of at least
+    1 - 2^-m >= 1/2, while the input is at most 1/3.
+    A term that overflows or underflows gives 0 or a subnormal, not an error.
     """
-    import numpy as np
-
+    ns = [float(n) for n in range(start, stop + 1)]
     harmonics = {}
-    if prefix:
-        inv = np.reciprocal(ns_int.astype(np.longdouble))
-        even = int(ns_int[0]) % 2  # the first even n in the block is at this offset
-    for m in sorted(prefix, reverse=True):  # order 1 last: it sums inv in place
-        r = _ipow(inv, m)
+    for m in dict.fromkeys(int(m) for m in summand.orders):
+        inputs = [1.0 / p for p in _ipow(ns, m)]
         if summand.alternating:
-            r[even::2] *= -1
-        r[0] += prefix[m]
-        np.cumsum(r, out=r)
-        prefix[m] = r[-1]
-        harmonics[m] = r.astype(float)
-    with np.errstate(over="ignore", under="ignore"):
-        return summand.terms(ns_int.astype(float), harmonics)
+            even = start % 2  # the offset of the first even n
+            inputs[even::2] = [-p for p in inputs[even::2]]
+        s, c = running.get(m, (0.0, 0.0))
+        h = []
+        for p in inputs:
+            t = s + p
+            c += p - (t - s)
+            s = t
+            h.append(s + c)
+        running[m] = (s, c)
+        harmonics[m] = h
+    return summand.terms(ns, harmonics)
 
 
 # --------------------------------------------------------------------------
@@ -539,41 +546,37 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     """Partial sum of the summand over n = 1..N plus its tail past N, with N
     doubled from config.min_terms until the certified error meets the target.
 
-    The sum runs in blocks of at most _CHUNK indices, with one running
-    longdouble harmonic prefix sum per numerator order; each prefix value is
-    rounded to float64 once and the terms, their block sums (numpy's
-    pairwise sum) and the sum of the block sums (math.fsum) are float64.
-    The tail expands the summand for x >= N in powers of 1/x and ln x, times
-    (-1)^x for the alternating parts (_harmonic_expansion,
-    _denominator_expansion), and sums each part in closed form by
-    Euler-Maclaurin or Boole summation (_em_tail, _boole_tail).  The error
-    estimate is the expansion's remainder summed over n > N (at most its
-    integral from N), the summation remainders, a roundoff allowance of
-    64 eps times the absolute size of the tail's parts, and the roundoff of
-    the partial sum.  A shift that is not small next to N leaves no
-    expansion at that N, and N doubles.  config.max_terms caps N; the last
-    step stops exactly at the cap.
+    The partial sum runs in Python floats (_partial_terms), continued from
+    one N to the next, with one compensated running sum per numerator order;
+    math.fsum totals the terms and the tail.  The tail expands the summand
+    for x >= N in powers of 1/x and ln x, times (-1)^x for the alternating
+    parts (_harmonic_expansion, _denominator_expansion), and sums each part
+    in closed form by Euler-Maclaurin or Boole summation (_em_tail,
+    _boole_tail).  The error estimate is the expansion's remainder summed
+    over n > N (at most its integral from N), the summation remainders, a
+    roundoff allowance of 64 eps times the absolute size of the tail's
+    parts, and the roundoff of the partial sum.  A shift that is not small
+    next to N leaves no expansion at that N, and N doubles; when it leaves
+    none even at config.max_terms, nothing is summed.  config.max_terms caps
+    N; the last step stops exactly at the cap.
 
     Roundoff, with scale = max(sum |t|, |value|) and u = eps/2 the float64
-    unit roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3-4): a computed term is t(1 + d) with |d| <= c u, c from
-    _roundings(summand); a block sum of n such terms is off by at most
-    p u sum |t|, p = _pairwise_depth(n); fsum rounds the total once.  The
-    bound (c + p + 1) eps scale is twice that first-order bound, which covers
-    the second-order terms while (c + p + 1) u < 1/2.  The longdouble prefix
-    sums add 128 ld_eps sqrt(N) scale, an estimate of their roundoff rather
-    than a bound.  A term that overflows or underflows is off by at most
+    unit roundoff: a computed term is t(1 + d) with |d| <= gamma_c <= 2 c u
+    = c eps while c u <= 1/2, c = _roundings(summand, N), which counts each
+    harmonic number's own error bound (_harmonic_roundings); fsum rounds the
+    total once, by at most u |value|.  The bound (c + 1) eps scale covers
+    both, and the difference between sum |t| and the computed sum of the
+    |t|.  A term that overflows or underflows is off by at most
     float_info.min (1 + ln N)^len(orders), and the bound adds that once per
     term: no H_n^(m) exceeds 1 + ln N, the reciprocal binomial is at most 1,
     and a term whose denominator overflowed to inf is at most its numerator
     over float_info.max.
 
     Raises ConvergenceError when the estimate at the cap still misses
-    config.target_tol or when the denominator degree would leave a divergent
-    tail, and OverflowError from degree _MAX_DEGREE on.
+    config.target_tol, when no N up to the cap leaves a tail expansion, or
+    when the denominator degree would leave a divergent tail, and
+    OverflowError from degree _MAX_DEGREE on.
     """
-    import numpy as np
-
     d = sum(int(power) for _, power in summand.den) + int(summand.binom[0] if summand.binom else 0)
     if d < 2:
         raise ConvergenceError(f"denominator degree {d} < 2: tail does not converge")
@@ -581,42 +584,39 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
         raise OverflowError(f"denominator degree {d} >= {_MAX_DEGREE}: 4093.0**d leaves "
                             f"the float range")
     n_cap = int(config.max_terms)
+    # _tail's first cut (K = 3) needs this expansion, and a smaller N only
+    # makes it harder: without it at the cap, no N has a tail
+    if _denominator_expansion(summand, 3, float(n_cap)) is None:
+        raise ConvergenceError(
+            f"truncated series: shift {_shift_max(summand):.3g} is not small next to N "
+            f"up to max_terms={n_cap}, so the tail has no expansion")
     steps = [min(int(config.min_terms), n_cap)]
     while steps[-1] < n_cap:
         steps.append(min(2 * steps[-1], n_cap))
 
-    ld = np.longdouble
-    ld_eps = float(np.finfo(ld).eps)
-    roundings = _roundings(summand) + _pairwise_depth(min(_CHUNK, n_cap)) + 1  # c + p + 1
-    prefix = {int(m): ld(0.0) for m in summand.orders}
-    sums = []
+    running: dict[int, tuple[float, float]] = {}
+    terms: list[float] = []
     abs_total = 0.0
     start = 1
     est = math.inf
     for n_stop in steps:
-        while start <= n_stop:
-            stop = min(n_stop, start + _CHUNK - 1)
-            t = _block_terms(summand, np.arange(start, stop + 1, dtype=np.int64), prefix)
-            sums.append(float(t.sum()))
-            abs_total += float(np.abs(t).sum())
-            start = stop + 1
+        block = _partial_terms(summand, start, n_stop, running)
+        terms += block
+        abs_total += math.fsum(map(abs, block))
+        start = n_stop + 1
         tail = _tail(summand, n_stop, 0.25 * config.target_tol)
         if tail is None:
             continue
         tail_value, tail_bound, tail_mass = tail
-        value = math.fsum(sums) + tail_value
+        value = math.fsum(itertools.chain(terms, (tail_value,)))
         scale = max(abs_total, abs(value))
-        roundoff = ((128.0 * ld_eps * math.sqrt(n_stop) + roundings * _FLOAT_EPS) * scale
+        roundoff = ((_roundings(summand, n_stop) + 1.0) * _FLOAT_EPS * scale
                     + n_stop * sys.float_info.min
                     * (1.0 + math.log(n_stop)) ** len(summand.orders))
         est = tail_bound + 64.0 * _FLOAT_EPS * tail_mass + roundoff
         if est <= config.target_tol:
             return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED,
                               work=n_stop)
-    if est == math.inf:
-        raise ConvergenceError(
-            f"truncated series: shift {_shift_max(summand):.3g} is not small next to N "
-            f"up to max_terms={n_cap}, so the tail has no expansion")
     raise ConvergenceError(
         f"truncated series: certified error {est:.3e} exceeds target "
         f"{config.target_tol:.3e} at max_terms={n_cap}"
@@ -638,12 +638,11 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
     of the two bounds is at most target/2, found by bisection below the count
     at which x^(K+1+a+c)/(1-x) alone is (or below _MOMENT_MAX_TERMS).
 
-    The terms are summed in float64 blocks of at most _CHUNK indices and the
-    block sums with math.fsum.  The bound is that tail plus a first-order
-    roundoff bound of the per-term operations and the block sums, plus
+    The float64 terms are summed with math.fsum.  The bound is that tail plus
+    a first-order roundoff bound of the per-term operations and the sum, plus
     sys.float_info.min per term for terms below the normal range (an
-    underflowed power or an overflowed (k+a)^m gives 0), so it is > 0 even
-    when the sum underflows to 0.  Raises DomainError outside the domain and
+    underflowed power gives 0 or a subnormal), so it is > 0 even when the
+    sum underflows to 0.  Raises DomainError outside the domain and
     ConvergenceError when more than _MOMENT_MAX_TERMS terms are needed: for
     any m, wherever the smaller bound at K = 200 000 exceeds target/2.  As
     x -> 1 the power-law bound there tends to 1/(m 200000^m), so at target
@@ -682,23 +681,16 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
         mid = (lo + terms) // 2
         lo, terms = (lo, mid) if log_tail(mid) <= log_target else (mid, terms)
 
-    import numpy as np
-
-    sums = []
-    with np.errstate(over="ignore", under="ignore"):
-        for start in range(1, terms + 1, _CHUNK):
-            ka = np.arange(start, min(start + _CHUNK, terms + 1), dtype=float) + a
-            kac = ka + c
-            sums.append(float((x ** kac / (ka ** m * kac)).sum()))
-    value = math.fsum(sums)
+    # (k+a)^-m underflows to 0 where (k+a)^m would overflow
+    kas = [k + a for k in range(1, terms + 1)]
+    value = math.fsum([x ** (ka + c) * ka ** -m / (ka + c) for ka in kas])
     # relative error per term, in units of eps: the two roundings of the
     # exponent k+a+c become (k+a+c)|ln x| in x^(k+a+c) (at most 745 where the
-    # power did not underflow), k+a's rounding becomes m/2 in (k+a)^m, the two
-    # pows add at most 4 ulp each and the adds, product and quotient 2 more;
-    # fsum adds 1/2 and summing a block of n terms at most n/2
+    # power did not underflow), k+a's rounding becomes m/2 in (k+a)^-m, the
+    # two pows add at most 4 ulp each and the add, product and quotient 2
+    # more; fsum adds 1/2
     log_power = min(745.0, -(terms + a + c) * lx)
-    roundoff = (_FLOAT_EPS * (log_power + m + 12.0 + min(terms, _CHUNK)) * value
-                + terms * sys.float_info.min)
+    roundoff = _FLOAT_EPS * (log_power + m + 12.0) * value + terms * sys.float_info.min
     tail = math.exp(log_tail(terms) + 1e-9)  # e^1e-9 covers the log-space rounding
     return EvalResult(value=value, abs_error_estimate=tail + roundoff,
                       method=Method.TRUNCATED, work=terms)
@@ -709,9 +701,7 @@ class Integrand(str, enum.Enum):
 
 
 def _build_integrand(integrand_id: Integrand, params: Mapping[str, float]):
-    """The integrand as f(x, 1 - x), taking and returning arrays over the nodes."""
-    import numpy as np
-
+    """The integrand as f(x, 1 - x), taking and returning lists over the nodes."""
     from .catalog import is_number
 
     a, m = params.get("a"), params.get("m")
@@ -724,11 +714,12 @@ def _build_integrand(integrand_id: Integrand, params: Mapping[str, float]):
         raise DomainError("log-power moment requires a > 0")
     if m > 6:
         raise DomainError("log-power moment supports m <= 6")
-    return lambda x, omx: x ** (a - 1.0) * np.log(omx) ** m
+    p = a - 1.0
+    return lambda x, omx: [xi ** p * math.log(oi) ** m for xi, oi in zip(x, omx)]
 
 
 @lru_cache(maxsize=None)
-def _tanh_sinh_nodes(level: int, nested: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tanh_sinh_nodes(level: int, nested: bool) -> tuple[tuple[float, ...], ...]:
     """Abscissae x, 1 - x and weights of tanh-sinh level `level` on (0, 1).
 
     The nodes sit at t = j*2^-level, j >= 0, up to the first j whose
@@ -736,58 +727,58 @@ def _tanh_sinh_nodes(level: int, nested: bool) -> tuple[np.ndarray, np.ndarray, 
     is 0; each j > 0 gives the node pair (x, 1-x) and (1-x, x).  nested keeps
     only odd j, the nodes this level adds to level - 1: the cut-offs are
     monotone in t, so levels 3..L nested hold exactly the nodes of level L.
+    The cache holds at most 20 keys, levels 3.._TANH_SINH_MAX_LEVEL.
     """
-    import numpy as np
-
     h = 2.0 ** (-level)
-    t = np.arange(math.ceil(math.asinh(700.0 / math.pi) / h) + 2) * h
-    pis = 0.5 * math.pi * np.sinh(t)
-    keep = pis <= 350.0
-    t, pis = t[keep], pis[keep]
-    ch = np.cosh(pis)
-    w = 0.25 * math.pi * np.cosh(t) / (ch * ch)
-    e2 = np.exp(-2.0 * pis)
-    x = 1.0 / (1.0 + e2)       # (1 + tanh(pis)) / 2
-    omx = e2 / (1.0 + e2)
-    ok = (w >= 1e-320) & (omx > 0.0)
-    stop = ok.size if ok.all() else int(ok.argmin())
-    x, omx, w = x[:stop], omx[:stop], w[:stop]
-    if nested:
-        x, omx, w = x[1::2], omx[1::2], w[1::2]
-    mirror = slice(0 if nested else 1, None)  # j = 0 is its own mirror
-    nodes = (np.concatenate((x, omx[mirror])), np.concatenate((omx, x[mirror])),
-             np.concatenate((w, w[mirror])))
-    for arr in nodes:
-        arr.flags.writeable = False
-    return nodes
+    x, omx, w = [], [], []
+    for j in itertools.count():
+        t = j * h
+        pis = 0.5 * math.pi * math.sinh(t)
+        if pis > 350.0:
+            break
+        ch = math.cosh(pis)
+        wj = 0.25 * math.pi * math.cosh(t) / (ch * ch)
+        e2 = math.exp(-2.0 * pis)
+        omxj = e2 / (1.0 + e2)
+        if not (wj >= 1e-320 and omxj > 0.0):
+            break
+        if nested and not j % 2:
+            continue
+        x.append(1.0 / (1.0 + e2))       # (1 + tanh(pis)) / 2
+        omx.append(omxj)
+        w.append(wj)
+    mirror = 0 if nested else 1  # j = 0 is its own mirror
+    return tuple(x + omx[mirror:]), tuple(omx + x[mirror:]), tuple(w + w[mirror:])
 
 
 _TANH_SINH_MAX_LEVEL = 12  # finest level; the step is 2^-12
 
 
-def tanh_sinh(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def tanh_sinh(f: Callable[[Sequence[float], Sequence[float]], Sequence[float]],
               tol: float) -> tuple[float, float, int]:
     """Integrate f(x, 1-x) over (0, 1) with nested tanh-sinh levels.
 
-    f takes arrays of nodes and returns the integrand at each; it receives
+    f takes sequences of nodes and returns the integrand at each; it receives
     both x and 1-x so endpoint singularities see full precision.  Level 3
     evaluates all its nodes in one call; each later level halves the step and
     evaluates only the nodes it adds, S_L = S_(L-1)/2 + h_L sum_new w f.  The
     run stops when two levels agree within tol/4 (relative above 1).  Returns
     (value, abs_error_estimate, nodes evaluated), each node evaluated once.
-    Raises DomainError when the integrand overflows or is undefined at a node.
+    Raises DomainError when the integrand overflows or is undefined at a node,
+    whether it returns inf or nan there or raises an ArithmeticError (a power
+    past the float range, 0 to a negative power).
     """
-    import numpy as np
-
     prev = None
     work = 0
     for level in range(3, _TANH_SINH_MAX_LEVEL + 1):
         x, omx, w = _tanh_sinh_nodes(level, nested=prev is not None)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            added = 2.0 ** (-level) * float((w * f(x, omx)).sum())
+        try:
+            added = 2.0 ** (-level) * math.fsum(_mul(w, f(x, omx)))
+        except (ArithmeticError, ValueError):  # ValueError: fsum of inf and -inf
+            added = math.nan
         if not math.isfinite(added):
             raise DomainError(f"tanh-sinh: the integrand is not finite at a level-{level} node")
-        work += x.size
+        work += len(x)
         if prev is None:
             prev = added
             continue

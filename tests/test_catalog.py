@@ -131,43 +131,36 @@ def test_denominator_expansion_needs_shifts_small_next_to_n():
 # each spec against the hand-written term it replaced, with the same float64
 # operations: a power is a product, as in the engine
 _TERMS = [
-    (Summand((), ((0, 1), (10 / 3, 1))), lambda ns, h: 1.0 / (ns * (ns + 10 / 3))),
-    (Summand((), ((0, 2), (0.3, 1))), lambda ns, h: 1.0 / (ns * ns * (ns + 0.3))),
-    (Summand((1,), ((0.7, 3),)), lambda ns, h: h[1] / ((ns + 0.7) * (ns + 0.7) * (ns + 0.7))),
+    (Summand((), ((0, 1), (10 / 3, 1))), lambda n, h: 1.0 / (n * (n + 10 / 3))),
+    (Summand((), ((0, 2), (0.3, 1))), lambda n, h: 1.0 / (n * n * (n + 0.3))),
+    (Summand((1,), ((0.7, 3),)), lambda n, h: h[1] / ((n + 0.7) * (n + 0.7) * (n + 0.7))),
     (Summand((2,), _window(10 / 3, 2)),
-     lambda ns, h: h[2] / ((ns + 10 / 3) * (ns + 10 / 3 + 2))),
+     lambda n, h: h[2] / ((n + 10 / 3) * (n + 10 / 3 + 2))),
     (Summand((1, 1), _window(0.3, 1)),
-     lambda ns, h: h[1] * h[1] / ((ns + 0.3) * (ns + 0.3 + 1))),
-    (Summand((1, 2), ((0, 1), (5, 1))), lambda ns, h: h[1] * h[2] / (ns * (ns + 5))),
+     lambda n, h: h[1] * h[1] / ((n + 0.3) * (n + 0.3 + 1))),
+    (Summand((1, 2), ((0, 1), (5, 1))), lambda n, h: h[1] * h[2] / (n * (n + 5))),
     (Summand((1, 1, 1), _window(0.5, 1)),
-     lambda ns, h: h[1] * h[1] * h[1] / ((ns + 0.5) * (ns + 1.5))),
+     lambda n, h: h[1] * h[1] * h[1] / ((n + 0.5) * (n + 1.5))),
     (Summand((1,), ((1.1, 1),), binom=(3, 0.3)),
-     lambda ns, h: h[1] * oracle._rbinom(ns, 3, 0.3) / (ns + 1.1)),
-    (Summand((2,), ((0, 1), (3, 1)), alternating=True), lambda ns, h: h[2] / (ns * (ns + 3))),
+     lambda n, h: h[1] * (6.0 / (n + (0.3 + 1)) / (n + (0.3 + 2)) / (n + (0.3 + 3)))
+     / (n + 1.1)),
+    (Summand((2,), ((0, 1), (3, 1)), alternating=True), lambda n, h: h[2] / (n * (n + 3))),
 ]
 
 
 @pytest.mark.parametrize("summand, term", _TERMS)
 def test_summand_term_matches_hand_written_term(summand, term):
     # two consecutive blocks: the engine's harmonic sums in the second must
-    # continue the first's, as one longdouble running sum over both does here;
-    # each sum is rounded to float64 once and the term is float64
-    ns_all = np.arange(1, 10_001, dtype=np.int64)
-    inv = 1.0 / ns_all.astype(np.longdouble)
-    sign = np.where(ns_all % 2 == 1, 1.0, -1.0) if summand.alternating else 1.0
+    # continue the first's, as one pass over both does here (the accuracy of
+    # those sums is test_oracle's); the terms are float64 lists
+    harmonics = {m: oracle._partial_terms(Summand((m,), alternating=summand.alternating),
+                                          1, 10_000, {})
+                 for m in summand.orders}
     running = {}
-    for m in summand.orders:
-        inv_m = inv
-        for _ in range(m - 1):
-            inv_m = inv_m * inv
-        running[m] = np.cumsum(inv_m * sign)
-    prefix = {m: np.longdouble(0.0) for m in summand.orders}
-    for start in (1, 5001):
-        ns_int = ns_all[start - 1:start + 4999]
-        h = {m: r[start - 1:start + 4999].astype(np.float64) for m, r in running.items()}
-        want = term(ns_int.astype(np.float64), h)
-        assert want.dtype == np.float64
-        assert np.array_equal(oracle._block_terms(summand, ns_int, prefix), want)
+    for start, stop in ((1, 5000), (5001, 10_000)):
+        want = [term(float(n), {m: h[n - 1] for m, h in harmonics.items()})
+                for n in range(start, stop + 1)]
+        assert oracle._partial_terms(summand, start, stop, running) == want
 
 
 @pytest.mark.parametrize("params", [

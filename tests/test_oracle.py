@@ -5,15 +5,11 @@ import dataclasses
 import functools
 import inspect
 import math
-import os
-import pathlib
-import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
 
-import numpy as np
 import pytest
 
 from eulersum import (
@@ -45,7 +41,7 @@ def test_series_config_guards():
     with pytest.raises(DomainError):
         SeriesConfig(target_tol=0.0)
     cfg = SeriesConfig()
-    assert cfg.max_terms == 10**6 and cfg.min_terms == 4096 and cfg.target_tol == 1e-9
+    assert cfg.max_terms == 10**6 and cfg.min_terms == 128 and cfg.target_tol == 1e-9
 
 
 def test_eval_result_guard():
@@ -193,33 +189,31 @@ def _harmonic_ref(n: int, m: int, alternating: bool):
 @pytest.mark.parametrize("alternating", [False, True])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_float64_harmonic_numerators_within_4_ulp(m, alternating):
-    # the longdouble running sums, rounded once, across block boundaries
+    # the compensated running sums, rounded once, across block boundaries
     # (2048 | 2049) and up to 10^6
     summand = Summand(orders=(m,), alternating=alternating)
     at = (1, 2048, 2049, 4096, 10**6)
-    prefix = {m: np.longdouble(0.0)}
-    got = {}
-    for start in range(1, at[-1] + 1, oracle_mod._CHUNK):
-        ns = np.arange(start, min(start + oracle_mod._CHUNK, at[-1] + 1), dtype=np.int64)
-        h = oracle_mod._block_terms(summand, ns, prefix)
-        assert h.dtype == np.float64
-        got.update((n, h[n - start]) for n in at if start <= n <= ns[-1])
+    running, got = {}, {}
+    for start in range(1, at[-1] + 1, 2048):
+        stop = min(start + 2047, at[-1])
+        h = oracle_mod._partial_terms(summand, start, stop, running)
+        assert all(type(v) is float for v in h)
+        got.update((n, h[n - start]) for n in at if start <= n <= stop)
     for n in at:
         want = _harmonic_ref(n, m, alternating)
-        assert abs(got[n] - want) <= 4 * np.spacing(want), (n, got[n], want)
+        assert abs(got[n] - want) <= 4 * math.ulp(want), (n, got[n], want)
 
 
 def test_float64_terms_overflow_and_underflow_without_warnings():
-    # the block's float64 arithmetic may overflow or underflow and must stay
-    # silent: pyproject.toml turns a RuntimeWarning into an error.  Sixty
+    # the terms' float64 arithmetic may overflow or underflow and must stay
+    # silent, with no exception and no warning.  Sixty
     # divisions in the reciprocal binomial; (n + 10^4)^80 overflows at every
     # n, so every term reads 0 and the bound is the per-term allowance
     for summand in (Summand((1, 1), binom=(60, 0.5)), Summand((1,), ((1e4, 80),))):
         res = truncated_series(summand, SeriesConfig())
         assert math.isfinite(res.value) and res.abs_error_estimate > 0
-    # (n + 1/2)^200 overflows in the block from n = 35; then the tail model's
-    # 4093.0**200 overflows as a Python float, as it did when the terms were
-    # longdouble (the catalog reports it as a DomainError, exit 2 in the CLI)
+    # degree 200 is refused before anything is summed (the catalog reports
+    # it as a DomainError, exit 2 in the CLI)
     with pytest.raises(OverflowError):
         truncated_series(Summand((1,), ((0.5, 200),)), SeriesConfig())
 
@@ -228,7 +222,7 @@ def test_denominator_degree_from_86_is_refused():
     # from degree 86 on (where 4093.0**d overflows) the power sums' closed
     # sides have lost every digit, so eq1.27 there must not be certified
     # into a REFUTED verdict
-    assert truncated_series(Summand((1,), ((0.5, 85),)), SeriesConfig()).work == 4096
+    assert truncated_series(Summand((1,), ((0.5, 85),)), SeriesConfig()).work == 128
     for summand in (Summand((1,), ((0.5, 86),)), Summand((), ((0.5, 26),), binom=(60, 0.5))):
         with pytest.raises(OverflowError, match="degree 86 >= 86"):
             truncated_series(summand, SeriesConfig())
@@ -263,23 +257,6 @@ def test_truncated_doubling_self_consistency():
     r2 = truncated_series(summand, SeriesConfig(min_terms=2 * r1.work, target_tol=1e-6))
     assert r2.work == 2 * r1.work
     assert abs(r1.value - r2.value) <= r1.abs_error_estimate + r2.abs_error_estimate
-
-
-def test_truncated_block_size_moves_values_only_by_roundoff(monkeypatch, honest_shapes):
-    # the blocks are small to keep their arrays in the malloc heap; the work
-    # is the same at the old 2^20 and the new block size, and the values
-    # differ only in the float64 block sums' roundoff, far inside the
-    # certified bound.  The tail does not depend on the blocks; the bound's
-    # roundoff share grows with the depth of the longer pairwise sums
-    cfg = SeriesConfig(min_terms=10_000, target_tol=1e-10)
-    chunk = oracle_mod._CHUNK
-    small = [truncated_series(summand, cfg) for summand, _ in honest_shapes]
-    monkeypatch.setattr(oracle_mod, "_CHUNK", 1 << 20)
-    large = [truncated_series(summand, cfg) for summand, _ in honest_shapes]
-    for s, g in zip(small, large):
-        assert s.work == g.work and s.work // 2 > chunk
-        assert abs(s.value - g.value) <= 1e-2 * g.abs_error_estimate
-        assert s.abs_error_estimate <= g.abs_error_estimate <= 1.1 * s.abs_error_estimate
 
 
 def test_quadrature_values():
@@ -349,7 +326,7 @@ def test_lemma_moment_bounds_hold(x, n, m, lemma_moment_ref):
                 res.abs_error_estimate, (nn, mm, a)
 
     # past the double range: every term underflows, or (k+a)^m overflows,
-    # with no numpy warning
+    # with no exception and no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in (0.7, 0.0):
@@ -379,7 +356,7 @@ def test_quadrature_evaluates_each_node_once(monkeypatch):
         f = build(integrand_id, params)
 
         def counted(x, omx):
-            calls.append(np.column_stack((x, omx)))  # x rounds to 1 where 1-x does not
+            calls.append(list(zip(x, omx)))  # x rounds to 1 where 1-x does not
             return f(x, omx)
 
         return counted
@@ -389,52 +366,14 @@ def test_quadrature_evaluates_each_node_once(monkeypatch):
     res = oracle_mod.quadrature(Integrand.LOG_POW_MOMENT, params, tol=1e-11)
     assert res.work == 195
     assert [len(c) for c in calls] == [97, 98]
-    assert len(np.unique(np.concatenate(calls), axis=0)) == 195
+    assert len(set(calls[0] + calls[1])) == 195
 
     f = build(Integrand.LOG_POW_MOMENT, params)
     x, omx, w = oracle_mod._tanh_sinh_nodes(4, nested=False)
-    assert x.size == 195
-    wf = w * f(x, omx)
+    assert len(x) == 195
+    wf = [wi * fi for wi, fi in zip(w, f(x, omx))]
     flat = math.fsum(wf) / 16.0
-    assert abs(res.value - flat) <= 4.0 * np.finfo(float).eps * math.fsum(np.abs(wf)) / 16.0
-
-
-def test_engine_blocks_do_not_fault_pages_back_in():
-    # numpy temporaries of 64 KiB and more can push the malloc heap top past
-    # glibc's trim threshold, so free() returns the pages and the next call
-    # faults them in again.  A fresh interpreter with no MALLOC_* tuning runs
-    # the three engines 20 times after a warm-up: a 32 768-term series (eq2.13
-    # made to start there; it certifies at 4096), the eq2.2 quadrature and eq1.19's moment series at x = 0.999.  On a 2-vCPU
-    # x86-64 host the rounds took 6 or 7 minor faults with the current blocks
-    # and about 8 400 with _CHUNK = 2^20.
-    pytest.importorskip("resource")
-    code = """
-import resource
-from dataclasses import replace
-from eulersum import catalog
-from eulersum.oracle import SeriesConfig
-cfg = SeriesConfig(target_tol=1e-11)
-calls = [
-    lambda: catalog.get("eq2.13").oracle(replace(cfg, min_terms=32768), a=0.5, k=3, m=2),
-    lambda: catalog.get("eq2.2").oracle(cfg, m=4, a=2.5),
-    lambda: catalog.get("eq1.19").oracle(cfg, x=0.999, a=0.5, b=0.5, n=1, m=2),
-]
-work = [call().work for call in calls]
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    for call in calls:
-        call()
-print(work[0], resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-    src = str(pathlib.Path(oracle_mod.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-    env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    terms, faults = map(int, proc.stdout.split())
-    assert terms == 32768
-    assert faults < 500
+    assert abs(res.value - flat) <= 4.0 * sys.float_info.epsilon * math.fsum(map(abs, wf)) / 16.0
 
 
 def test_lemma_oracles_near_one():
@@ -484,7 +423,7 @@ def test_verify_identity_statuses():
     assert guard.status is Status.INCONCLUSIVE
     assert guard.reason.startswith(("DomainError: ", "PoleError: "))
     assert ok.reason == bad.reason == ""
-    assert ok.terms >= 4096
+    assert ok.terms >= 128
 
 
 def test_verify_unknown_identity_raises():
@@ -504,34 +443,19 @@ def test_verify_inconclusive_when_oracle_cannot_meet_tol():
     assert "max_terms=1000" in rec.reason
 
 
-def _large_shift_reference(ident_id, a):
-    # with y = e^(-u/a) in the generating-function integrals of sum H-bar_n y^n
-    # = ln(1+y)/(1-y): eq4.13 (k = m = 1) is sum H-bar_n/((n+a)(n+a+1)) =
-    # 1/a int_0^inf e^-u ln(1 + e^(-u/a)) du, and eq4.3 (s = 2) is
-    # sum H-bar_n/(n+a)^2 = a^-2 int_0^inf u e^-u ln(1+y)/(1-y) du
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        a = mpmath.mpf(a)
-        if ident_id == "eq4.13":
-            f = lambda u: mpmath.exp(-u) * mpmath.log1p(mpmath.exp(-u / a)) / a
-        else:
-            f = lambda u: (u * mpmath.exp(-u) * mpmath.log1p(mpmath.exp(-u / a))
-                           / -mpmath.expm1(-u / a) / a**2)
-        return float(mpmath.quad(f, [0, mpmath.inf]))
-
-
 @pytest.mark.parametrize("ident_id, params", [("eq4.13", {"a": 1e6, "k": 1, "m": 1}),
                                               ("eq4.3", {"a": 1e6, "s": 2})])
-def test_large_shift_witnesses_never_read_refuted(ident_id, params):
+def test_large_shift_witnesses_never_read_refuted(ident_id, params, monkeypatch):
     # sums near 6.9e-7 whose shift is as large as max_terms: no N up to the
-    # cap has a tail expansion, and nothing may be certified without one
+    # cap has a tail expansion, nothing may be certified without one, and
+    # the oracle says so before it sums a term
+    def no_sum(*args):
+        raise AssertionError("the partial sum ran")
+
+    monkeypatch.setattr(oracle_mod, "_partial_terms", no_sum)
     rec = verify_identity(IdentityCase(ident_id, params, tol=catalog.get(ident_id).tol))
-    assert rec.status is not Status.REFUTED
-    if rec.status is Status.INCONCLUSIVE:
-        assert rec.reason.startswith("ConvergenceError: "), rec.reason
-    else:
-        want = _large_shift_reference(ident_id, params["a"])
-        assert abs(rec.oracle_value - want) <= rec.oracle_error_bound
+    assert rec.status is Status.INCONCLUSIVE
+    assert rec.reason.startswith("ConvergenceError: ") and "not small next to N" in rec.reason
 
 
 def test_verify_inconclusive_when_oracle_too_loose_to_refute(monkeypatch):
