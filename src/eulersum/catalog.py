@@ -28,7 +28,9 @@ The log-power moment eq2.2 is the one integral left to tanh-sinh quadrature
 integrals eq1.19 and eq1.23 are integrated term by term into one positive
 series, summed with an a-priori geometric or power-law tail bound
 (``oracle.moment_series``).  Generating-function series are summed directly
-with a geometric tail bound (``linear_sums.gf_lhs``).  The closed sides of
+to the config's target (``linear_sums.gf_lhs``: the term count is fixed
+from a geometric tail bound before summing), and a bound that misses the
+target raises ConvergenceError, as a series oracle's does.  The closed sides of
 all of these (``linear_sums.gf_rhs``) run none of those sums nor quadrature.
 Every validate, closed and oracle call turns a raw overflow, division by
 zero or non-finite value into a DomainError.
@@ -642,7 +644,13 @@ def _gf_closed(kind: linear_sums.GfKind):
 
 def _gf_oracle(kind: linear_sums.GfKind):
     def oracle(cfg, **p):
-        res = linear_sums.gf_lhs(kind, **p)
+        res = linear_sums.gf_lhs(kind, cfg.target_tol, **p)
+        # relative above 1, as verify_identity holds the residual: the
+        # roundoff part of the bound grows with the sum near x = 1
+        limit = cfg.target_tol * max(1.0, abs(res.value))
+        if res.bound > limit:
+            raise ConvergenceError(f"generating-function series: certified error "
+                                   f"{res.bound:.3e} exceeds target {limit:.3e}")
         return EvalResult(value=res.value, abs_error_estimate=res.bound,
                           method=Method.TRUNCATED, work=res.work)
 

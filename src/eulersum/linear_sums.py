@@ -17,8 +17,11 @@ wsums.w_1_p) take ``alternating=True``.  alt_sum_H1_power and
 alt_sum_Hm_window keep formulas of their own, which mix zeta and eta terms.
 
 Two kinds of direct series remain.  gf_lhs sums the left sides of the six
-series generating-function identities; the catalog uses them as oracles, each
-with a derived tail and roundoff bound.  Among the right sides (gf_rhs), only
+series generating-function identities to the caller's target; the catalog
+uses them as oracles.  Each fixes its term count before it sums, as the least
+N whose tail bound (geometric in |x|, from a bound on the coefficients) is at
+most target/2, and reports that tail plus a roundoff bound.  Among the right
+sides (gf_rhs), only
 eq1.30's (GfKind.HN_HM) is a series: its display keeps sum H_n x^n/n^m and the
 log remainders r_n, summed in O(n) terms.  Every other right side is finite in
 polylogarithms, and none uses quadrature or a left-side sum.
@@ -48,6 +51,7 @@ from .specfun import (
     as_integer,
     as_shift,
     hurwitz_zeta,
+    least_count,
     param_polylog,
     polylog,
     riemann_zeta,
@@ -297,7 +301,7 @@ def sum_H1sq_window(a: float, k: int) -> float:
     return br / k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def sum_shiftedH_over_nsq(c: float, n_terms: int = 16) -> float:
     """S(c) = sum H_(n+c)/n^2 for real c >= 0, relative error below 1e-15.
 
@@ -423,20 +427,31 @@ def _geom_terms(x: float) -> int:
 
 
 def _geom_tail(b: float, r: float, n_max: int, growth: int = 0) -> float:
-    # sum_{n>N} b_n r^n for b_(N+1) <= b and b_(n+1)/b_n <= (1+1/n)^growth
+    # sum_{n>N} b_n r^n for b_(N+1) <= b and b_(n+1)/b_n <= (1+1/n)^growth;
+    # inf where that ratio bound does not give a convergent geometric series
     if r == 0.0:
         return 0.0
     q = r * (1.0 + 1.0 / (n_max + 1)) ** growth
+    if q >= 1.0:
+        return math.inf
     return b * r ** (n_max + 1) / (1.0 - q)
 
 
 def _far_denominator(a: float, n_max: int) -> float:
-    # min over n > n_max of |n + a|
+    # min over n > n_max of |n + a|: a minimum over a shrinking set, so it
+    # never decreases as n_max grows, also for a < -n_max
     lo = n_max + 1 + a
     if lo >= 0.0:
         return lo
     frac = -a - math.floor(-a)
     return min(frac, 1.0 - frac)
+
+
+def _terms_for(tail: Callable[[int], float], target: float, cap: int) -> int:
+    # the least N <= cap whose tail bound is at most target/2; every bound
+    # below never increases with N.  cap when even cap misses (the caller's
+    # bound then reports the miss)
+    return least_count(lambda n: tail(n) <= 0.5 * target, cap)
 
 
 def _gf_sum(value: float, n_max: int, abs_sum: float, tail: float) -> GfSum:
@@ -446,12 +461,19 @@ def _gf_sum(value: float, n_max: int, abs_sum: float, tail: float) -> GfSum:
     return GfSum(value=value, work=n_max, bound=tail + 4.0 * n_max * _EPS * abs_sum)
 
 
-# left sides, summed directly: the catalog's oracles
+# left sides, summed directly: the catalog's oracles.  Each sums the count
+# _terms_for picks below _geom_terms, the count where |x|^N < 1e-19.
 
-def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int) -> GfSum:
+def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int, target: float) -> GfSum:
     # sum_n (y^n cx_n + x^n cy_n)/(n+a)^s, cx_n = sum_{j<n} x^(n-j)/j by recurrence
-    n_max = max(_geom_terms(x), _geom_terms(y))
     rx, ry = abs(x), abs(y)
+
+    def tail(n: int) -> float:
+        # |cx_n| <= rx/(1-rx)
+        return (_geom_tail(rx / (1.0 - rx), ry, n) + _geom_tail(ry / (1.0 - ry), rx, n)
+                ) / _far_denominator(a, n) ** s
+
+    n_max = _terms_for(tail, target, max(_geom_terms(x), _geom_terms(y)))
     acc = abs_acc = 0.0
     cx = cy = cx_abs = cy_abs = 0.0
     xn = yn = 1.0
@@ -466,21 +488,42 @@ def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int) -> GfSum:
         w = (n + a) ** s
         acc += (yn * cx + xn * cy) / w
         abs_acc += (abs(yn) * cx_abs + abs(xn) * cy_abs) / abs(w)
-    # |cx_n| <= rx/(1-rx)
-    tail = (_geom_tail(rx / (1.0 - rx), ry, n_max) + _geom_tail(ry / (1.0 - ry), rx, n_max)
-            ) / _far_denominator(a, n_max) ** s
-    return _gf_sum(acc, n_max, abs_acc, tail)
+    return _gf_sum(acc, n_max, abs_acc, tail(n_max))
 
 
-def _lhs_lemma13(x: float, a: float, s: int) -> GfSum:
-    # half the two-variable series at y = x; halving is exact in binary
-    both = _lhs_lemma13_two_var(x, x, a, s)
-    return GfSum(value=0.5 * both.value, work=both.work, bound=0.5 * both.bound)
+def _lhs_lemma13(x: float, a: float, s: int, target: float) -> GfSum:
+    # sum_n x^n c_n/(n+a)^s, the two-variable series at y = x halved, with
+    # c_n = sum_{j<n} x^(n-j)/j by the same recurrence
+    r = abs(x)
+
+    def tail(n: int) -> float:
+        # |c_n| <= r/(1-r)
+        return _geom_tail(r / (1.0 - r), r, n) / _far_denominator(a, n) ** s
+
+    n_max = _terms_for(tail, target, _geom_terms(x))
+    acc = abs_acc = 0.0
+    c = c_abs = 0.0
+    xn = 1.0
+    for n in range(1, n_max + 1):
+        if n > 1:
+            c = x * (c + 1.0 / (n - 1))
+            c_abs = r * (c_abs + 1.0 / (n - 1))
+        xn *= x
+        w = (n + a) ** s
+        acc += xn * c / w
+        abs_acc += abs(xn) * c_abs / abs(w)
+    return _gf_sum(acc, n_max, abs_acc, tail(n_max))
 
 
-def _lhs_harmonic(x: float, m: int, numerator) -> GfSum:
+def _lhs_harmonic(x: float, m: int, numerator, target: float) -> GfSum:
     # sum numerator(H_n, H_n^(m)) x^n for numerators in [0, (1 + ln n)^2]
-    n_max = _geom_terms(x)
+    r = abs(x)
+
+    def tail(n: int) -> float:
+        # H_n <= 1 + ln n, and H_n^(m) <= zeta(2) <= 1 + ln n from n = 2 on
+        return _geom_tail((1.0 + math.log(n + 1)) ** 2, r, n, growth=2)
+
+    n_max = _terms_for(tail, target, _geom_terms(x))
     acc = abs_acc = 0.0
     h1 = hm = 0.0
     xn = 1.0
@@ -491,26 +534,29 @@ def _lhs_harmonic(x: float, m: int, numerator) -> GfSum:
         t = numerator(h1, hm) * xn
         acc += t
         abs_acc += abs(t)
-    # H_n <= 1 + ln n and H_n^(m) <= zeta(2) <= 1 + ln n past n_max >= 8
-    tail = _geom_tail((1.0 + math.log(n_max + 1)) ** 2, abs(x), n_max, growth=2)
-    return _gf_sum(acc, n_max, abs_acc, tail)
+    return _gf_sum(acc, n_max, abs_acc, tail(n_max))
 
 
-def _lhs_hn_h2(x: float) -> GfSum:
-    return _lhs_harmonic(x, 2, operator.mul)
+def _lhs_hn_h2(x: float, target: float) -> GfSum:
+    return _lhs_harmonic(x, 2, operator.mul, target)
 
 
-def _lhs_hn_hm(x: float, m: int) -> GfSum:
-    return _lhs_harmonic(x, m, operator.mul)
+def _lhs_hn_hm(x: float, m: int, target: float) -> GfSum:
+    return _lhs_harmonic(x, m, operator.mul, target)
 
 
-def _lhs_sq_diff(x: float) -> GfSum:
-    return _lhs_harmonic(x, 2, lambda h1, h2: h1 * h1 - h2)
+def _lhs_sq_diff(x: float, target: float) -> GfSum:
+    return _lhs_harmonic(x, 2, lambda h1, h2: h1 * h1 - h2, target)
 
 
-def _lhs_nested_reflect(x: float, y: float, p: int, m: int) -> GfSum:
-    n_max = max(_geom_terms(x), _geom_terms(y))
+def _lhs_nested_reflect(x: float, y: float, p: int, m: int, target: float) -> GfSum:
     rx, ry = abs(x), abs(y)
+
+    def tail(n: int) -> float:
+        # each inner sum is at most -ln(1 - r)
+        return _geom_tail(-math.log1p(-rx), ry, n) + _geom_tail(-math.log1p(-ry), rx, n)
+
+    n_max = _terms_for(tail, target, max(_geom_terms(x), _geom_terms(y)))
     acc = abs_acc = 0.0
     innx = inny = innx_abs = inny_abs = 0.0
     xn = yn = 1.0
@@ -526,20 +572,17 @@ def _lhs_nested_reflect(x: float, y: float, p: int, m: int) -> GfSum:
         inny_abs += abs(yn) * inv_m
         acc += yn * innx * inv_m + xn * inny * inv_p
         abs_acc += abs(yn) * innx_abs * inv_m + abs(xn) * inny_abs * inv_p
-    # each inner sum is at most -ln(1 - r)
-    tail = _geom_tail(-math.log1p(-rx), ry, n_max) + _geom_tail(-math.log1p(-ry), rx, n_max)
-    return _gf_sum(acc, n_max, abs_acc, tail)
+    return _gf_sum(acc, n_max, abs_acc, tail(n_max))
 
 
 # right sides: finite in polylogarithms except eq1.30's displayed series
 
 def _rhs_lemma13(x: float, a: float, s: int) -> float:
+    li = {j: param_polylog(j, a, x) for j in range(1, s + 1)}  # each Li_j(a, x) once
     out = 0.5 * s * param_polylog(s + 1, a, x * x)
     out += param_polylog(s, a, x * x) * polylog(1, x)
-    out -= param_polylog(s, a, x) * param_polylog(1, a, x)
-    out -= 0.5 * sum(
-        param_polylog(j, a, x) * param_polylog(s + 1 - j, a, x) for j in range(2, s)
-    )
+    out -= li[s] * li[1]
+    out -= 0.5 * sum(li[j] * li[s + 1 - j] for j in range(2, s))
     return out
 
 
@@ -682,18 +725,34 @@ def gf_rhs(kind: GfKind | str, **params) -> float:
     return _RHS[kind](*_gf_args(kind, params))
 
 
-def gf_lhs(kind: GfKind | str, **params) -> GfSum:
-    """The left side of a series kind, summed directly with a certified bound."""
+def gf_lhs(kind: GfKind | str, target: float, **params) -> GfSum:
+    """The left side of a series kind, summed directly with a certified bound.
+
+    The term count is fixed before summing: the least N whose tail bound is
+    at most target/2, up to the count where |x|^N < 1e-19.  The caller
+    compares the bound (tail plus roundoff) with its target: it passes the
+    target where that cap leaves a larger tail, or where the roundoff of a
+    large sum alone does.  Raises DomainError unless target > 0.
+    """
     kind = GfKind(kind)
     if kind not in _LHS:
         raise DomainError(f"{kind.value} has an integral left side; use oracle.moment_series")
-    return _LHS[kind](*_gf_args(kind, params))
+    target = float(target)
+    if not target > 0.0:
+        raise DomainError(f"gf_lhs target must be > 0, got {target}")
+    return _LHS[kind](*_gf_args(kind, params), target)
+
+
+# gf_two_sided's left sides: below the resolution of a double for values of
+# order one, so the residual measures the right side
+_TWO_SIDED_TARGET = 1e-16
 
 
 def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
-    """Both sides of a series kind, gf_lhs against gf_rhs.  Raises DomainError
-    for the moment kinds, whose left sides are integrals (gf_lhs)."""
+    """Both sides of a series kind, gf_lhs at a fixed tight target against
+    gf_rhs.  Raises DomainError for the moment kinds, whose left sides are
+    integrals (gf_lhs)."""
     kind = GfKind(kind)
     rhs = gf_rhs(kind, **params)
-    lhs = gf_lhs(kind, **params)
+    lhs = gf_lhs(kind, _TWO_SIDED_TARGET, **params)
     return GfResult(lhs=lhs.value, rhs=rhs, work=lhs.work)

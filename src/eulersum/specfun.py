@@ -7,6 +7,7 @@ concurrently.  Internal lookup tables are immutable after import.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -166,7 +167,7 @@ def _zeta_plan(s: int) -> tuple[float, int]:
     return float(math.ceil(q0 * (rel(14, q0) / 2.0**-55) ** (1.0 / 30.0))), 14
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def hurwitz_zeta(s: int, q: float) -> float:
     """zeta(s, q) for integer s >= 2, q > 0.
 
@@ -228,7 +229,7 @@ def alternating_sum(abs_term, n_terms: int = 36) -> float:
     return s / d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def alt_hurwitz_zeta(s: int, a: float) -> float:
     """sum_{n>=1} (-1)^(n-1)/(n+a)^s for integer s >= 1, a > -1.
 
@@ -302,8 +303,51 @@ def polylog(m: int, x: float) -> float:
     raise ConvergenceError(f"polylog series did not converge at x={x}")  # pragma: no cover
 
 
+def least_count(fits: Callable[[int], bool], cap: int) -> int:
+    """The least n in [1, cap] with fits(n), by bisection, for a test that
+    stays true once it holds; cap itself when even cap does not fit."""
+    if not fits(cap):
+        return cap
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+_PARAM_POLYLOG_MAX_TERMS = 200_000
+
+
+def _param_polylog_terms(s: int, a: float, x: float) -> int:
+    # For a > -1 the magnitudes r^n/(n+a)^s, r = |x|, fall with n, so the rest
+    # after N terms is at most r^(N+1)/((N+1+a)^s (1-r)), and |sum| is at
+    # least the first term, less the second when the signs alternate.  N is
+    # the least count whose rest is at most 2^-60 of that, tested in logs.
+    r = abs(x)
+    log_r = math.log(r)
+    log_floor = log_r - s * math.log1p(a) - 60.0 * LN2 + math.log1p(-r)
+    if x < 0.0:
+        log_floor += math.log1p(-r * ((1.0 + a) / (2.0 + a)) ** s)
+    # (N+1+a)^s >= (2+a)^s gives a count that surely fits
+    cap = max(1, math.ceil((log_floor + s * math.log(2.0 + a)) / log_r) - 1)
+    n_max = least_count(lambda n: (n + 1) * log_r - s * math.log(n + 1 + a) <= log_floor, cap)
+    if n_max >= _PARAM_POLYLOG_MAX_TERMS:
+        raise ConvergenceError(f"param_polylog series too slow at x={x}")
+    return n_max
+
+
 def param_polylog(s: int, a: float, x: float) -> float:
-    """Li_s(a, x) = sum x^n/(n+a)^s; geometric for |x| < 1, endpoints special."""
+    """Li_s(a, x) = sum x^n/(n+a)^s; geometric for |x| < 1, endpoints special.
+
+    For a > -1 and |x| < 1 the term count is fixed first, from the rest bound
+    of _param_polylog_terms (below 2^-60 of |sum|), and the terms are summed
+    with math.fsum, so the value keeps full double precision.  For a < -1
+    (terms near the pole n = -a) it sums until the terms are negligible,
+    also with math.fsum.
+    """
     if s < 1 or s != int(s):
         raise DomainError(f"param_polylog requires integer s >= 1, got {s}")
     s = int(s)
@@ -323,13 +367,22 @@ def param_polylog(s: int, a: float, x: float) -> float:
         return -alt_hurwitz_zeta(s, a)
     if not -1.0 < x < 1.0:
         raise DomainError(f"param_polylog requires x in [-1, 1], got {x}")
+    if a > -1.0:
+        terms = []
+        xn = 1.0
+        for n in range(1, _param_polylog_terms(s, a, x) + 1):
+            xn *= x
+            terms.append(xn / (n + a) ** s)
+        return math.fsum(terms)
+    terms = []
     acc = 0.0
     xn = 1.0
-    for n in range(1, 200_000):
+    for n in range(1, _PARAM_POLYLOG_MAX_TERMS):
         xn *= x
-        acc += xn / (n + a) ** s
+        terms.append(xn / (n + a) ** s)
+        acc += terms[-1]
         if abs(xn) <= 1e-18 * (abs(acc) + 1e-300):
-            return acc
+            return math.fsum(terms)
     raise ConvergenceError(f"param_polylog series too slow at x={x}")
 
 

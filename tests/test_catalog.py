@@ -7,11 +7,13 @@ import pytest
 
 from eulersum import (
     DomainError,
+    GfKind,
     IdentityCase,
     SeriesConfig,
     Status,
     Summand,
     catalog,
+    linear_sums,
     oracle,
     verify_identity,
 )
@@ -247,3 +249,32 @@ def test_series_oracles_call_the_catalog_global_with_config_second(monkeypatch, 
     for args, kwargs in calls:
         assert isinstance(args[0], Summand) and isinstance(args[1], SeriesConfig)
         assert not kwargs
+
+
+@pytest.mark.parametrize("ident_id", sorted(catalog.CATALOG))
+def test_oracle_meets_the_target_it_is_given(ident_id):
+    # an oracle that ignores its config reports a bound fixed by its own
+    # stopping rule, whatever the caller asked for
+    ident = catalog.get(ident_id)
+    for target in (1e-6, 1e-11):
+        res = ident.oracle(SeriesConfig(target_tol=target), **ident.grid[0])
+        assert res.abs_error_estimate <= target
+
+
+_GF_KIND_PARAMS = {
+    GfKind.LEMMA13: {"a": 0.7, "s": 3},
+    GfKind.LEMMA13_TWO_VAR: {"y": -0.5, "a": 1.2, "s": 2},
+    GfKind.HN_H2: {},
+    GfKind.HN_HM: {"m": 3},
+    GfKind.SQ_DIFF: {},
+    GfKind.NESTED_REFLECT: {"y": 0.4, "p": 2, "m": 1},
+}
+
+
+@pytest.mark.parametrize("kind", list(_GF_KIND_PARAMS), ids=lambda k: k.value)
+def test_gf_left_sides_do_less_work_at_a_looser_target(kind):
+    for x in (-0.85, -0.3, 0.3, 0.6, 0.85):
+        loose = linear_sums.gf_lhs(kind, 1e-6, x=x, **_GF_KIND_PARAMS[kind])
+        tight = linear_sums.gf_lhs(kind, 1e-11, x=x, **_GF_KIND_PARAMS[kind])
+        assert loose.work < tight.work
+        assert loose.bound <= 1e-6 and tight.bound <= 1e-11 * max(1.0, abs(tight.value))

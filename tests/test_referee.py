@@ -11,6 +11,7 @@ singularities.  (A bare ``mpmath.nsum`` of eq3.15's slowly decaying summand
 """
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,3 +296,54 @@ def test_fixed_point_zbar_against_mpmath(x):
         with mpmath.workdps(400):
             ref = _zbar1(mpmath.mpf(x)) * mpmath.mpf(2) ** s
         assert abs(wsums._zbar_fixed(x, s) - ref) < 2, s
+
+
+# Li_s(a, x) = sum_{n>=1} x^n/(n+a)^s against its terms summed in fixed point
+# at 2^-200: a float x or a is a dyadic rational, so the only errors are the
+# truncations of each product (below 2^-180 over 2^16 steps) and the rest
+# past |x|^n <= 2^-220.  mpmath's Lerch phi at 40 digits checks the
+# reference itself at three points.
+_LERCH_BITS = 200
+
+
+def _lerch_fixed(x, a, s_max):
+    one = 1 << _LERCH_BITS
+    big_x, big_a = int(Fraction(x) * one), int(Fraction(a) * one)
+    acc = [0] * (s_max + 1)
+    xn = one
+    for n in range(1, math.ceil(-220 * math.log(2) / math.log(abs(x))) + 1):
+        xn = xn * big_x >> _LERCH_BITS
+        inv = (one << _LERCH_BITS) // (n * one + big_a)
+        t = xn
+        for s in range(1, s_max + 1):
+            t = t * inv >> _LERCH_BITS
+            acc[s] += t
+    return [Fraction(v, one) for v in acc]
+
+
+def test_lerch_reference_against_mpmath():
+    for s, a, x in ((5, 60.0, 0.99), (1, -0.95, -0.99), (8, 0.05, 0.3)):
+        with mpmath.workdps(40):
+            want = x * mpmath.lerchphi(x, s, mpmath.mpf(a) + 1)
+            ref = _lerch_fixed(x, a, s)[s]
+            got = mpmath.mpf(ref.numerator) / ref.denominator
+            assert abs(got - want) <= abs(want) * mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("a", [-0.95, -0.5, 0.0, 0.05, 0.5, 2.7, 5.0, 60.0, -2.5])
+def test_param_polylog_against_fixed_point(a):
+    # a > -1: the term count fixed from the rest bound, summed with fsum,
+    # within 16 eps of the value.  a = -2.5 runs the loop kept for shifts
+    # below -1; there the terms at n = 2 and 3 nearly cancel (about 80 eps
+    # of the value at x = 0.99, s = 3), so it is held to 16 eps of sum |t_n|
+    from eulersum.specfun import param_polylog
+
+    eps = sys.float_info.epsilon
+    for ax in (0.01, 0.3, 0.5, 0.75, 0.9, 0.95, 0.99):
+        for x in (ax, -ax):
+            exact = _lerch_fixed(x, a, 8)
+            for s in range(1, 9):
+                scale = abs(exact[s]) if a > -1.0 else math.fsum(
+                    ax**n / abs(n + a) ** s for n in range(1, 5000))
+                got = param_polylog(s, a, x)
+                assert abs(Fraction(got) - exact[s]) <= 16 * eps * scale, (s, x)

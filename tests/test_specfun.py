@@ -22,6 +22,7 @@ from eulersum import (
     polylog,
     riemann_zeta,
 )
+from eulersum.linear_sums import sum_shiftedH_over_nsq
 from eulersum.specfun import as_shift
 
 mp.mp.dps = 30
@@ -255,3 +256,19 @@ def test_shift_param_guards():
     with pytest.raises(DomainError):
         as_shift(math.inf)
     assert as_shift(0.5) == 0.5
+
+
+@pytest.mark.parametrize("fn, call", [
+    (hurwitz_zeta, lambda q: hurwitz_zeta(3, q)),
+    (alt_hurwitz_zeta, lambda q: alt_hurwitz_zeta(2, q)),
+    (sum_shiftedH_over_nsq, sum_shiftedH_over_nsq),
+], ids=["hurwitz_zeta", "alt_hurwitz_zeta", "sum_shiftedH_over_nsq"])
+def test_float_keyed_caches_are_bounded(fn, call):
+    # keyed by a float shift, an unbounded cache would keep one entry per
+    # distinct shift for the life of the process
+    limit = fn.cache_info().maxsize
+    assert limit is not None
+    fn.cache_clear()
+    for i in range(limit + 500):
+        call(20.0 + i / 7.0)
+    assert fn.cache_info().currsize <= limit
