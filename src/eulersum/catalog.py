@@ -9,17 +9,19 @@ declared names, each a real number but not a bool, as grid files are also
 checked), and the CLI reads the kinds to decide which flags are integers.
 
 Each of the 30 series identities declares its summand once, as an
-``oracle.Summand``: the harmonic orders multiplied in the numerator
-(alternating or not), the (shift, power) factors of the denominator, and an
-optional reciprocal binomial 1/C(n+k+b, k).  The catalog only declares
-summands; ``oracle.truncated_series`` sums them and derives each tail from
-the declaration: the expansions of H_x^(m) (or H-bar_x^(m)) and of the
-denominator in 1/x, ln x and (-1)^x, summed past N in closed form.  The
-degree d = the sum of the powers plus k must be at least 2 for the series to
-converge, and below 86 (larger degrees raise OverflowError, a DomainError
-here).  Difference numerators (the squared and cubic Stirling windows) are
-signed combinations of summands, each summed with its own tail, because a
-summand's numerator is a product of harmonic numbers.
+``oracle.Summand``: the numerator, a polynomial in harmonic numbers
+(alternating or not) given as (coefficient, orders) monomials or, for one
+monomial, by its orders alone; the (shift, power) factors of the
+denominator; and an optional reciprocal binomial 1/C(n+k+b, k).  The
+catalog only declares summands; ``oracle.truncated_series`` sums them and
+derives each tail from the declaration: the expansions of H_x^(m) (or
+H-bar_x^(m)) and of the denominator in 1/x, ln x and (-1)^x, summed past N
+in closed form.  The degree d = the sum of the powers plus k must be at
+least 2 for the series to converge, and below 86 (larger degrees raise
+OverflowError, a DomainError here).  The difference numerators of the
+squared and cubic Stirling windows, H_n^2 - H_n^(2) (eq2.27) and
+H_n^3 - 3 H_n H_n^(2) + 2 H_n^(3) (eq2.36), are such polynomials: one
+series each, with one tail.
 
 Catalog oracles never call the closed forms they check.  Every series oracle,
 alternating numerators included, goes through ``oracle.truncated_series``.
@@ -213,28 +215,12 @@ def _window(a, k) -> tuple:
     return ((a, 1), ((a, k), 1))
 
 
-def _series(summand: Callable[..., Summand | tuple]) -> Callable[..., EvalResult]:
-    """The oracle that sums summand(**params): a Summand, or signed
-    (coefficient, Summand) pairs, each summed with its own tail and the
-    target split by the coefficients' total weight."""
+def _series(summand: Callable[..., Summand]) -> Callable[..., EvalResult]:
+    """The oracle that sums summand(**params)."""
     def oracle(config, **params):
-        spec = summand(**params)
-        parts = ((1.0, spec),) if isinstance(spec, Summand) else spec
-        cfg = replace(config, target_tol=config.target_tol / sum(abs(c) for c, _ in parts))
-        value = est = 0.0
-        work = 0
-        for coef, part in parts:
-            # called through this module's global with config second: the
-            # benchmark's tracer (perfbench/tracing.py) patches it there
-            res = truncated_series(part, cfg)
-            value += coef * res.value
-            est += abs(coef) * res.abs_error_estimate
-            work += res.work
-        if est > config.target_tol:
-            raise ConvergenceError(f"combined series: certified error {est:.3e} exceeds "
-                                   f"target {config.target_tol:.3e}")
-        return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED,
-                          work=work)
+        # called through this module's global with config second: the
+        # benchmark's tracer (perfbench/tracing.py) patches it there
+        return truncated_series(summand(**params), config)
 
     return oracle
 
@@ -417,8 +403,8 @@ _register(Identity(
     params={"a": positive, "k": Integer(1)},
     description="window sum of H_n^2 - H_n^(2) equals the Y_2 window",
     closed=_corrected_only(linear_sums.sum_sq_diff_window),
-    oracle=_series(lambda a, k: ((1.0, Summand((1, 1), _window(a, k))),
-                                 (-1.0, Summand((2,), _window(a, k))))),
+    oracle=_series(lambda a, k: Summand(numerator=((1.0, (1, 1)), (-1.0, (2,))),
+                                        den=_window(a, k))),
     grid=_grid(a=_A3, k=(1, 2)),
 ))
 
@@ -446,9 +432,8 @@ _register(Identity(
     params={"a": positive, "k": Integer(1)},
     description="cubic Stirling window: H_n^3 - 3 H_n H_n^(2) + 2 H_n^(3)",
     closed=_corrected_only(linear_sums.cubic_stirling_window),
-    oracle=_series(lambda a, k: ((1.0, Summand((1, 1, 1), _window(a, k))),
-                                 (-3.0, Summand((1, 2), _window(a, k))),
-                                 (2.0, Summand((3,), _window(a, k))))),
+    oracle=_series(lambda a, k: Summand(numerator=((1.0, (1, 1, 1)), (-3.0, (1, 2)), (2.0, (3,))),
+                                        den=_window(a, k))),
     tol=1e-6,
     grid=_grid(a=_A3, k=(1, 2)),
 ))

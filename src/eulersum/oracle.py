@@ -105,30 +105,58 @@ class VerificationRecord:
 class Summand:
     """c_n / prod_j (n + shift_j)^power_j, times 1/C(n+k+b, k) when binom = (k, b).
 
-    c_n is the product of H_n^(m) over `orders` (1 when empty), or of the
-    alternating H-bar_n^(m) = sum_{j<=n} (-1)^(j-1)/j^m when `alternating`.
-    A shift is a number, or a tuple of numbers added to n in order: n + a + k
-    is the shift (a, k).  truncated_series sums it and expands it past N.
+    c_n is a polynomial in harmonic numbers: `numerator` holds its monomials
+    as (coefficient, orders) pairs, each the coefficient times the product of
+    H_n^(m) over orders (1 when empty), or of the alternating
+    H-bar_n^(m) = sum_{j<=n} (-1)^(j-1)/j^m when `alternating`.  `orders` is
+    the one-monomial shorthand: Summand(orders) has the numerator
+    ((1.0, orders),).  A shift is a number, or a tuple of numbers added to n
+    in order: n + a + k is the shift (a, k).  truncated_series sums it and
+    expands it past N.
     """
 
     orders: tuple[int, ...] = ()
     den: tuple[tuple, ...] = ()
     binom: tuple[int, float] | None = None
     alternating: bool = False
+    numerator: tuple[tuple[float, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
-        for m in self.orders:
-            if m < 1 or m != int(m):
-                raise DomainError(f"harmonic order must be an integer >= 1, got {m}")
+        if self.numerator and self.orders:
+            raise DomainError("a Summand takes its numerator or its orders, not both")
+        monomials = []
+        for coef, orders in self.numerator or ((1.0, self.orders),):
+            if not math.isfinite(coef):
+                raise DomainError(f"numerator coefficient must be finite, got {coef}")
+            for m in orders:
+                if m < 1 or m != int(m):
+                    raise DomainError(f"harmonic order must be an integer >= 1, got {m}")
+            monomials.append((float(coef), tuple(int(m) for m in orders)))
+        object.__setattr__(self, "numerator", tuple(monomials))
 
-    def terms(self, ns: list[float], harmonics: Mapping[int, list[float]]) -> list[float]:
+    def terms(self, ns: list[float],
+              harmonics: Mapping[int, list[float]]) -> tuple[list[float], list[float]]:
         """The float64 terms at the indices ns, given harmonics[m] = H_n^(m)
         (H-bar_n^(m) when alternating) at the same indices for each order m
-        in `orders`.  Each operation runs over the whole column."""
-        num = None
-        for m in dict.fromkeys(self.orders):  # a repeated order is a power: H_n^2 = h1 * h1
-            h = _ipow(harmonics[int(m)], self.orders.count(m))
-            num = h if num is None else _mul(num, h)
+        of the numerator, and their sizes: the sum over the monomials of
+        |coefficient times monomial| over the denominator, which is the term
+        itself when there is one monomial.  Each operation runs over the
+        whole column."""
+        num = size = None
+        for coef, orders in self.numerator:
+            mono = None
+            for m in dict.fromkeys(orders):  # a repeated order is a power: H_n^2 = h1 * h1
+                h = _ipow(harmonics[m], orders.count(m))
+                mono = h if mono is None else _mul(mono, h)
+            if coef != 1.0 or mono is None and len(self.numerator) > 1:
+                mono = [coef] * len(ns) if mono is None else [coef * v for v in mono]
+            if len(self.numerator) == 1:
+                num = mono
+            elif num is None:
+                num, size = mono, [abs(v) for v in mono]
+            else:
+                num = [a + b for a, b in zip(num, mono)]
+                size = [a + abs(b) for a, b in zip(size, mono)]
         if self.binom is not None:
             k, b = int(self.binom[0]), float(self.binom[1])
             # 1/binom(n+k+b, k) = k! / prod_{i=1..k} (n+b+i), stable for any n
@@ -137,6 +165,7 @@ class Summand:
                 bi = b + i
                 rb = [r / (n + bi) for r, n in zip(rb, ns)]
             num = rb if num is None else _mul(num, rb)
+            size = size and _mul(size, rb)
         den = None
         for shift, power in self.den:
             x = ns
@@ -145,11 +174,10 @@ class Summand:
                     x = [v + s for v in x]
             x = _ipow(x, int(power))
             den = x if den is None else _mul(den, x)
-        if den is None:
-            return num
-        if num is None:
-            return [1.0 / d for d in den]
-        return [v / d for v, d in zip(num, den)]
+        if den is not None:
+            num = [1.0 / d for d in den] if num is None else [v / d for v, d in zip(num, den)]
+            size = size and [v / d for v, d in zip(size, den)]
+        return num, size or num
 
 
 def _mul(x: Sequence[float], y: Sequence[float]) -> list[float]:
@@ -197,26 +225,32 @@ def _harmonic_roundings(m: int, alternating: bool, n: int) -> float:
 
 
 def _roundings(summand: Summand, n: int) -> float:
-    """A bound on the relative error of one float64 term at an index up to
-    n, in units of u = eps/2, to first order (truncated_series covers the
-    rest).
+    """A bound on the error of one float64 term at an index up to n, relative
+    to its size (Summand.terms) and in units of u = eps/2, to first order
+    (truncated_series covers the rest).
 
     Each rounding is at most u of its result, and x^p carries p times the
-    error already in x.  The count: each H_n^(m) its _harmonic_roundings, so
-    j times that for H^j, plus the j - 1 multiplies of that power and one
-    per further numerator factor; for the binomial, one for k! and three per
-    step (the scalar b + i, the add and the divide); for a denominator factor
-    of r shift adds raised to p, p*r for the adds and p - 1 for the power;
-    one per further denominator factor, and one for the quotient.  With
-    n >= 1 and shifts and b >= 0, as in every catalog summand, each partial
-    sum n + s_1 + ... is at most the factor it ends in, so an add's rounding
-    is at most u of that factor.
+    error already in x.  The count: for each monomial, each H_n^(m) its
+    _harmonic_roundings, so j times that for H^j, plus the j - 1 multiplies
+    of that power, one per further factor and one for a coefficient other
+    than 1; the most of these over the monomials, since each is relative to
+    its own |coefficient times monomial|, plus one per addition of a further
+    monomial, each at most u of the size; for the binomial, one for k! and
+    three per step (the scalar b + i, the add and the divide), and one for
+    its product with a numerator; for a denominator factor of r shift adds
+    raised to p, p*r for the adds and p - 1 for the power; one per further
+    denominator factor, and one for the quotient.  With n >= 1 and shifts
+    and b >= 0, as in every catalog summand, each partial sum n + s_1 + ...
+    is at most the factor it ends in, so an add's rounding is at most u of
+    that factor.
     """
-    orders = len(summand.orders)
-    count = max(0, orders - 1) + sum(_harmonic_roundings(int(m), summand.alternating, n)
-                                     for m in summand.orders)
+    monomials = summand.numerator
+    count = len(monomials) - 1 + max(
+        max(0, len(orders) - 1) + (coef != 1.0)
+        + sum(_harmonic_roundings(m, summand.alternating, n) for m in orders)
+        for coef, orders in monomials)
     if summand.binom is not None:
-        count += 1 + 3 * int(summand.binom[0]) + (orders > 0)
+        count += 1 + 3 * int(summand.binom[0]) + (monomials != ((1.0, ()),))
     for i, (shift, power) in enumerate(summand.den):
         adds = sum(1 for s in (shift if isinstance(shift, tuple) else (shift,)) if s)
         count += int(power) * (adds + 1) - 1 + (i > 0)
@@ -224,10 +258,12 @@ def _roundings(summand: Summand, n: int) -> float:
 
 
 def _partial_terms(summand: Summand, start: int, stop: int,
-                   running: dict[int, tuple[float, float]]) -> list[float]:
-    """The summand's float64 terms at n = start..stop.  running maps each
-    numerator order m to the Sum2 state (s, c) of its harmonic sum up to
-    start - 1 (absent: nothing summed yet) and is moved past stop.
+                   running: dict[int, tuple[float, float]]) -> tuple[list[float], float]:
+    """The summand's float64 terms at n = start..stop and the sum of their
+    sizes (Summand.terms).  running maps each numerator order m to the Sum2
+    state (s, c) of its harmonic sum up to start - 1 (absent: nothing summed
+    yet) and is moved past stop; each order's sum runs once, whatever the
+    monomials that share it.
 
     H_n^(m) is s + c, rounded once, after the input 1/n^m (negated at even n
     when alternating) is added to s with its rounding error moved into c by
@@ -239,7 +275,7 @@ def _partial_terms(summand: Summand, start: int, stop: int,
     """
     ns = [float(n) for n in range(start, stop + 1)]
     harmonics = {}
-    for m in dict.fromkeys(int(m) for m in summand.orders):
+    for m in dict.fromkeys(m for _, orders in summand.numerator for m in orders):
         inputs = [1.0 / p for p in _ipow(ns, m)]
         if summand.alternating:
             even = start % 2  # the offset of the first even n
@@ -253,7 +289,8 @@ def _partial_terms(summand: Summand, start: int, stop: int,
             h.append(s + c)
         running[m] = (s, c)
         harmonics[m] = h
-    return summand.terms(ns, harmonics)
+    terms, sizes = summand.terms(ns, harmonics)
+    return terms, math.fsum(map(abs, sizes))
 
 
 # --------------------------------------------------------------------------
@@ -371,22 +408,38 @@ def _harmonic_expansion(m: int, alternating: bool, K: int, n: float,
     return _cut(terms, 0, 0, K, eps, n, logn)
 
 
-def _shifts(summand: Summand) -> tuple[list[tuple[float, int]], float]:
-    # the denominator as (shift, power) pairs, the binomial's k factors
-    # (x + b + i) included, and the binomial's k! (1 without one)
-    shifts = [(math.fsum(shift) if isinstance(shift, tuple) else float(shift), int(power))
-              for shift, power in summand.den]
-    if summand.binom is None:
-        return shifts, 1.0
-    k, b = int(summand.binom[0]), float(summand.binom[1])
-    return shifts + [(b + i, 1) for i in range(1, k + 1)], float(math.factorial(k))
+class _Shifts(NamedTuple):
+    # a summand's denominator as (shift, power) pairs, the binomial's k
+    # factors (x + b + i) included; their degree D, the largest |shift| and
+    # the binomial's k! (1 without one)
+    pairs: list
+    degree: int
+    s_max: float
+    scale: float
 
 
-def _shift_max(summand: Summand) -> float:
-    return max((abs(s) for s, _ in _shifts(summand)[0]), default=0.0)
+def _shifts(summand: Summand) -> _Shifts:
+    pairs = [(math.fsum(shift) if isinstance(shift, tuple) else float(shift), int(power))
+             for shift, power in summand.den]
+    scale = 1.0
+    if summand.binom is not None:
+        k, b = int(summand.binom[0]), float(summand.binom[1])
+        pairs += [(b + i, 1) for i in range(1, k + 1)]
+        scale = float(math.factorial(k))
+    return _Shifts(pairs, sum(p for _, p in pairs), max((abs(s) for s, _ in pairs), default=0.0),
+                   scale)
 
 
-def _denominator_expansion(summand: Summand, K: int, n: float) -> _Expansion | None:
+def _denominator_remainder(shifts: _Shifts, K: int, n: float) -> float:
+    # the remainder of the denominator series past u^K (see below), as a
+    # multiple of x^-(D+K); inf where rho >= 1 leaves no bound
+    rho = shifts.s_max / n * (K + shifts.degree) / (K + 1)
+    if not rho < 1.0:
+        return math.inf
+    return shifts.scale * math.comb(K + shifts.degree - 1, K) * shifts.s_max ** K / (1.0 - rho)
+
+
+def _denominator_expansion(shifts: _Shifts, K: int, n: float) -> _Expansion | None:
     """1/prod_j (x + s_j)^p_j times k!/prod_(i<=k) (x + b + i), for x >= n, cut
     at x^-(D+K), D the degree; None when n is too small for the series.
 
@@ -395,19 +448,16 @@ def _denominator_expansion(summand: Summand, K: int, n: float) -> _Expansion | N
     in size, so past r = K the rest is at most C(K+D-1, K) (s_max u)^K
     / (1 - rho), rho = s_max/n (K+D)/(K+1) bounding the ratio of those terms.
     """
-    shifts, scale = _shifts(summand)
-    D = sum(p for _, p in shifts)
-    s_max = max((abs(s) for s, _ in shifts), default=0.0)
-    rho = s_max / n * (K + D) / (K + 1)
-    if not rho < 1.0:
+    eps = _denominator_remainder(shifts, K, n)
+    if eps == math.inf:
         return None
     q = [1.0] + [0.0] * (K - 1)
-    for s, p in shifts:
+    for s, p in shifts.pairs:
         for _ in range(p if s else 0):
             for r in range(1, K):  # divide by 1 + s u
                 q[r] -= s * q[r - 1]
-    eps = scale * math.comb(K + D - 1, K) * s_max ** K / (1.0 - rho)
-    return _Expansion({(0, D + r, 0): scale * c for r, c in enumerate(q)}, D, 0, D + K, eps)
+    D = shifts.degree
+    return _Expansion({(0, D + r, 0): shifts.scale * c for r, c in enumerate(q)}, D, 0, D + K, eps)
 
 
 def _basis_integral(j: int, l: int, n: float, logn: float) -> float:
@@ -420,52 +470,106 @@ def _basis_integral(j: int, l: int, n: float, logn: float) -> float:
     return out
 
 
-def _derivative(terms: dict) -> dict:
-    # d/dx x^-j (ln x)^l = -j x^-(j+1) (ln x)^l + l x^-(j+1) (ln x)^(l-1)
-    out: dict = {}
-    for (j, l), c in terms.items():
-        out[j + 1, l] = out.get((j + 1, l), 0.0) - j * c
-        if l:
-            out[j + 1, l - 1] = out.get((j + 1, l - 1), 0.0) + l * c
+def _basis_integrals(j0: int, count: int, g: int, n: float, logn: float) -> list[list[float]]:
+    # _basis_integral for l = 0..g (the rows) and j = j0, ..., j0 + count - 1,
+    # each row from the one before
+    js = range(j0, j0 + count)
+    head = [n ** (1 - j) / (j - 1) for j in js]
+    out = [head]
+    for i in range(1, g + 1):
+        li = logn ** i
+        out.append([h * li + i / (j - 1) * o for h, j, o in zip(head, js, out[-1])])
     return out
 
 
-def _at(terms: dict, n: float, logn: float) -> float:
-    return math.fsum(c * n ** -j * logn ** l for (j, l), c in terms.items())
+# The summations below take G = sum c x^-j (ln x)^l as (j0, rows): rows[l]
+# holds the coefficients of (ln x)^l at j = j0, j0 + 1, ..., all rows of
+# one length.
+
+def _derivative(G: tuple) -> tuple:
+    # d/dx x^-j (ln x)^l = -j x^-(j+1) (ln x)^l + l x^-(j+1) (ln x)^(l-1)
+    j0, rows = G
+    js = range(j0, j0 + len(rows[0]))
+    out = [[(l + 1) * b - j * a for j, a, b in zip(js, rows[l], rows[l + 1])]
+           for l in range(len(rows) - 1)]
+    out.append([-j * a for j, a in zip(js, rows[-1])])
+    return j0 + 1, out
 
 
-def _abs_integral(terms: dict, n: float, logn: float) -> float:
-    # integral_n^inf |G| for G = sum c x^-j (ln x)^l
-    return sum(abs(c) * _basis_integral(j, l, n, logn) for (j, l), c in terms.items())
+def _at(G: tuple, n: float, logs: list[float]) -> float:
+    # G(n), logs[l] = (ln n)^l
+    j0, rows = G
+    powers = [n ** -j for j in range(j0, j0 + len(rows[0]))]
+    return math.fsum([c * p * lg for row, lg in zip(rows, logs) for c, p in zip(row, powers)])
 
 
-def _em_tail(terms: dict, n: float, logn: float, budget: float) -> tuple[float, float]:
-    """sum_(x>n) G(x) and a bound on its error, G = sum c x^-j (ln x)^l.
+def _abs_integral(G: tuple, n: float, logn: float) -> float:
+    # integral_n^inf of sum |c| x^-j (ln x)^l, at least integral_n^inf |G|
+    j0, rows = G
+    integrals = _basis_integrals(j0, len(rows[0]), len(rows) - 1, n, logn)
+    return sum([abs(c) * i for row, irow in zip(rows, integrals) for c, i in zip(row, irow)])
+
+
+def _derivative_mass(G: tuple, k: int, n: float, logn: float) -> float:
+    """At least integral_n^inf |G^(k)|, or inf.
+
+    x^-j (ln x)^l = (-d/da)^l x^-a at a = j, so its k-th derivative is
+    sum_i C(l, i) (-1)^(k+i) (d/da)^i (a)_k x^-(j+k) (ln x)^(l-i), where
+    (d/da)^i (a)_k <= (a)_k (k/a)^i: in size at most (j)_k x^-(j+k)
+    (ln x + k/j)^l <= (j)_k (1 + k/(j ln n))^l x^-(j+k) (ln x)^l.  Its
+    integral past n is at most (j)_k n^(1-j-k) (ln n + k/j)^l / (j+k-1 - l/ln n)
+    (_basis_integral, each step of the recursion at most l/((j+k-1) ln n)
+    of the one before), where that denominator is positive.
+    """
+    j0, rows = G
+    js = range(j0, j0 + len(rows[0]))
+    if not (j0 + k - 1) * logn > len(rows) - 1:
+        return math.inf
+    size = [math.prod(range(j, j + k)) * n ** (1 - j - k) for j in js]
+    grow = [logn + k / j for j in js]
+    total = 0.0
+    for l, row in enumerate(rows):
+        shrink = l / logn
+        total += sum([abs(c) * w * q ** l / (j + k - 1 - shrink)
+                      for c, w, q, j in zip(row, size, grow, js)])
+    return total
+
+
+def _em_tail(G: tuple | None, n: float, logn: float,
+             budget: float) -> tuple[float, float, float]:
+    """sum_(x>n) G(x), a bound on its error and the integral of sum |c| x^-j
+    (ln x)^l over x > n, for G = sum c x^-j (ln x)^l (None: 0).
 
     Euler-Maclaurin from n (DLMF 2.10.1): integral_n^inf G - G(n)/2
     - sum_(s<M) B_2s/(2s)! G^(2s-1)(n), with a remainder of at most
-    2 |B_2M|/(2M)! integral_n^inf |G^(2M)|.  M grows until that bound is
-    within the budget or stops falling.
+    2 |B_2M|/(2M)! integral_n^inf |G^(2M)| (_derivative_mass).  M grows
+    until that bound is within the budget or stops falling; the odd
+    derivatives of G are formed as the sum takes them.
     """
-    value = math.fsum(c * _basis_integral(j, l, n, logn) for (j, l), c in terms.items())
-    value -= 0.5 * _at(terms, n, logn)
+    if G is None:
+        return 0.0, 0.0, 0.0
+    j0, rows = G
+    logs = [logn ** l for l in range(len(rows))]
+    integrals = _basis_integrals(j0, len(rows[0]), len(rows) - 1, n, logn)
+    parts = [c * i for row, irow in zip(rows, integrals) for c, i in zip(row, irow)]
+    value = math.fsum(parts) - 0.5 * _at(G, n, logs)
+    mass = sum(map(abs, parts))
     best = (value, math.inf)
-    odd = _derivative(terms)  # G^(2s-1)
+    odd = None  # G^(2s-1)
     for s in range(1, len(_B)):
-        even = _derivative(odd)
-        bound = 2.0 * abs(_B[s]) * _abs_integral(even, n, logn)
+        bound = 2.0 * abs(_B[s]) * _derivative_mass(G, 2 * s, n, logn)
         if not bound < best[1]:
             break
         best = (value, bound)
         if bound <= budget:
             break
-        value -= _B[s] * _at(odd, n, logn)
-        odd = _derivative(even)
-    return best
+        odd = _derivative(G) if odd is None else _derivative(_derivative(odd))
+        value -= _B[s] * _at(odd, n, logs)
+    return best + (mass,)
 
 
-def _boole_tail(terms: dict, n: int, logn: float, budget: float) -> tuple[float, float]:
-    """sum_(x>n) (-1)^x G(x) and a bound on its error.
+def _boole_tail(G: tuple | None, n: int, logn: float, budget: float) -> tuple[float, float]:
+    """sum_(x>n) (-1)^x G(x) and a bound on its error (None: 0).
 
     Boole summation from n (DLMF 24.17.1, h = 1): (-1)^(n+1)/2 sum_(k<M)
     E_k(1)/k! G^(k)(n), with a remainder of at most 2 lambda(M)/pi^M
@@ -473,15 +577,16 @@ def _boole_tail(terms: dict, n: int, logn: float, budget: float) -> tuple[float,
     is 1 at k = 0 and 0 at the other even k.  M grows until that bound is
     within the budget or stops falling.
     """
-    if not terms:
+    if G is None:
         return 0.0, 0.0
+    logs = [logn ** l for l in range(len(G[1]))]
     value = 0.0
     best = (value, math.inf)
-    der = terms
+    der = G
     for k in range(2 * len(_B) - 3):
         if k == 0 or k % 2:
             e = 1.0 if k == 0 else 2.0 * (2.0 ** (k + 1) - 1.0) * _B[(k + 1) // 2]
-            value += 0.5 * e * _at(der, n, logn)
+            value += 0.5 * e * _at(der, n, logs)
         der = _derivative(der)
         M = k + 1
         if M < 2:
@@ -500,28 +605,128 @@ def _boole_tail(terms: dict, n: int, logn: float, budget: float) -> tuple[float,
 _MAX_TAIL_ORDER = 16  # the most orders K an expansion keeps past its leading one
 
 
-def _tail(summand: Summand, n: int, budget: float) -> tuple[float, float, float] | None:
+def _order(summand: Summand, shifts: _Shifts, n: float, logn: float,
+           half: float) -> tuple[int, _Expansion | None]:
+    """The order K at which to cut the tail's expansion, sized before the
+    denominator's expansion is built, and the numerator's expansion at K
+    (None for the numerator 1).
+
+    To first order the summand's expansion past x^-(D+K) is the numerator's
+    leading coefficients times the denominator's remainder past x^-(D+K),
+    plus its x^-1 coefficients times the remainder past x^-(D+K-1) (the
+    products that the cut drops), plus k! times the numerator's own
+    remainder.  Per harmonic factor those coefficients are, relative to its
+    powers of ln x, 1 + gamma/ln n and 1/(2 ln n) for H_x, zeta(m) and 1/(m-1)
+    (m = 2; 0 beyond) for H_x^(m), eta(m) and 1/2 (m = 1; 0 beyond) for
+    H-bar_x^(m).  K is the least order, up to _MAX_TAIL_ORDER, at which the
+    first two parts integrated past n meet half, and grows while the third,
+    from the numerator's expansion built at K, takes the sum past it.
+    """
+    alt, D = summand.alternating, shifts.degree
+    # the powers of ln x in each monomial's expansion: one per plain H_x
+    powers = [0 if alt else orders.count(1) for _, orders in summand.numerator]
+    g = max(powers)
+    w0 = w1 = 0.0
+    for (c, orders), p in zip(summand.numerator, powers):
+        lead, first = abs(c) * logn ** (p - g), 0.0
+        for m in orders:
+            if alt:
+                c0, c1 = alt_zeta(m), 0.5 * (m == 1)
+            else:
+                c0, c1 = ((1.0 + EULER_GAMMA / logn, 0.5 / logn) if m == 1
+                          else (riemann_zeta(m), 1.0 * (m == 2)))
+            lead, first = lead * c0, first * c0 + lead * c1
+        w0, w1 = w0 + lead, w1 + first
+
+    def estimate(K: int) -> tuple[float, float]:
+        # the first two parts at K, and the integral that takes them past n
+        rest = w0 * _denominator_remainder(shifts, K, n)
+        if w1:
+            rest += w1 * _denominator_remainder(shifts, K - 1, n)
+        return rest, _basis_integral(D + K, g, n, logn)
+
+    # start where (s_max/n)^K alone brings the leading part to half, then
+    # step to the least K that meets it
+    K = 1
+    if 0.0 < shifts.s_max < n:
+        top = w0 * shifts.scale * n ** (1 - D) * logn ** g / (D - 1)
+        if top > half:
+            K = min(_MAX_TAIL_ORDER, math.ceil(math.log(half / top) / math.log(shifts.s_max / n)))
+    rest, integral = estimate(K)
+    if rest * integral <= half:
+        while K > 1:
+            below = estimate(K - 1)
+            if not below[0] * below[1] <= half:
+                break
+            K, (rest, integral) = K - 1, below
+    else:
+        while K < _MAX_TAIL_ORDER:
+            K += 1
+            rest, integral = estimate(K)
+            if rest * integral <= half:
+                break
+    while True:
+        num = _numerator_expansion(summand, K, n, logn)
+        if (num is None or K == _MAX_TAIL_ORDER
+                or (rest + shifts.scale * num.eps) * integral <= half):
+            return K, num
+        K += 1
+        rest, integral = estimate(K)
+
+
+def _numerator_expansion(summand: Summand, K: int, n: float,
+                         logn: float) -> _Expansion | None:
+    """The numerator for x >= n, cut at x^-K; None for the numerator 1.
+    Each order's harmonic expansion is built once, each monomial is the
+    product of its factors, and the numerator their sum with the
+    coefficients."""
+    if summand.numerator == ((1.0, ()),):
+        return None
+    factors = {m: _harmonic_expansion(m, summand.alternating, K, n, logn)
+               for _, orders in summand.numerator for m in orders}
+    monomials = []
+    for c, orders in summand.numerator:
+        mono = factors[orders[0]] if orders else _Expansion({(0, 0, 0): 1.0}, 0, 0, K, 0.0)
+        for m in orders[1:]:
+            mono = _product(mono, factors[m], n, logn)
+        monomials.append((c, mono))
+    if len(monomials) == 1 and monomials[0][0] == 1.0:
+        return monomials[0][1]
+    return _sum(monomials, logn)
+
+
+def _sum(parts: list[tuple[float, _Expansion]], logn: float) -> _Expansion:
+    # sum c e over expansions cut at the same v and J; each remainder is
+    # taken to the largest g, (ln x)^g' <= (ln n)^(g'-g) (ln x)^g for g' <= g
+    g = max(e.g for _, e in parts)
+    terms: dict = {}
+    eps = 0.0
+    for c, e in parts:
+        eps += abs(c) * e.eps * logn ** (e.g - g)
+        for key, a in e.coefs.items():
+            terms[key] = terms.get(key, 0.0) + c * a
+    return _Expansion(terms, parts[0][1].v, g, parts[0][1].J, eps)
+
+
+def _tail(summand: Summand, shifts: _Shifts, n: int,
+          budget: float) -> tuple[float, float, float] | None:
     """The sum of the summand over x > n, a bound on its error and the sum of
     the absolute values of its parts (for the roundoff allowance); None when
     n is too small for the expansion.
 
-    The expansion is cut at x^-(d+K), K = 3 first; while its remainder is
-    over half the budget, K grows by the orders that remainder needs if each
-    order gains max(2, n/(2 max(1, s_max))), up to _MAX_TAIL_ORDER.  Each
-    summation stops within a quarter of the budget.
+    The expansion is cut at x^-(D+K), K sized so that its remainder meets
+    half the budget (_order), from the leading coefficients before anything
+    is built; each expansion is then built once at K, and the denominator's
+    series multiplies the numerator once.  Should the built remainder still
+    exceed half the budget, K grows one order at a time, up to
+    _MAX_TAIL_ORDER.  Each summation stops within a quarter of the budget.
     """
     x, logn = float(n), math.log(n)
-    K = 3
+    K, num = _order(summand, shifts, x, logn, 0.5 * budget)
     while True:
-        e = _denominator_expansion(summand, K, x)
+        e = _denominator_expansion(shifts, K, x)
         if e is None:
             return None
-        factors: dict = {}
-        num = None
-        for m in summand.orders:
-            if m not in factors:
-                factors[m] = _harmonic_expansion(int(m), summand.alternating, K, x, logn)
-            num = factors[m] if num is None else _product(num, factors[m], x, logn)
         if num is not None:
             e = _product(num, e, x, logn)
         if e.J * logn < e.g:  # x^-J (ln x)^g must fall on [n, inf)
@@ -529,16 +734,17 @@ def _tail(summand: Summand, n: int, budget: float) -> tuple[float, float, float]
         rest = e.eps * _basis_integral(e.J, e.g, x, logn)
         if rest <= 0.5 * budget or K == _MAX_TAIL_ORDER:
             break
-        need = rest / (0.5 * budget)
-        gain = max(2.0, x / (2.0 * max(1.0, _shift_max(summand))))
-        K = (min(_MAX_TAIL_ORDER, K + 1 + math.ceil(math.log(need) / math.log(gain)))
-             if need < math.inf else _MAX_TAIL_ORDER)
-    parts: tuple[dict, dict] = ({}, {})
+        K += 1  # the sized order fell short
+        num = _numerator_expansion(summand, K, x, logn)
+    parts: list = [None, None]  # the plain and the (-1)^x parts, as (j0, rows)
     for (p, j, l), c in e.coefs.items():
-        parts[p][j, l] = c
-    plain, plain_bound = _em_tail(parts[0], x, logn, 0.25 * budget)
+        if parts[p] is None:
+            parts[p] = (e.v, [[0.0] * (e.J - e.v) for _ in range(e.g + 1)])
+        parts[p][1][l][j - e.v] = c
+    plain, plain_bound, mass = _em_tail(parts[0], x, logn, 0.25 * budget)
     alt, alt_bound = _boole_tail(parts[1], n, logn, 0.25 * budget)
-    mass = _abs_integral(parts[0], x, logn) + _abs_integral(parts[1], x, logn)
+    if parts[1] is not None:
+        mass += _abs_integral(parts[1], x, logn)
     return plain + alt, plain_bound + alt_bound + rest, mass
 
 
@@ -547,10 +753,12 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     doubled from config.min_terms until the certified error meets the target.
 
     The partial sum runs in Python floats (_partial_terms), continued from
-    one N to the next, with one compensated running sum per numerator order;
-    math.fsum totals the terms and the tail.  The tail expands the summand
-    for x >= N in powers of 1/x and ln x, times (-1)^x for the alternating
-    parts (_harmonic_expansion, _denominator_expansion), and sums each part
+    one N to the next, with one compensated running sum per numerator order
+    shared by the monomials; math.fsum totals the terms and the tail.  The
+    tail expands the summand for x >= N in powers of 1/x and ln x, times
+    (-1)^x for the alternating parts (_harmonic_expansion,
+    _denominator_expansion), at an order sized before anything is built
+    (_order), adds the monomials with their coefficients, and sums each part
     in closed form by Euler-Maclaurin or Boole summation (_em_tail,
     _boole_tail).  The error estimate is the expansion's remainder summed
     over n > N (at most its integral from N), the summation remainders, a
@@ -560,14 +768,15 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     none even at config.max_terms, nothing is summed.  config.max_terms caps
     N; the last step stops exactly at the cap.
 
-    Roundoff, with scale = max(sum |t|, |value|) and u = eps/2 the float64
-    unit roundoff: a computed term is t(1 + d) with |d| <= gamma_c <= 2 c u
-    = c eps while c u <= 1/2, c = _roundings(summand, N), which counts each
-    harmonic number's own error bound (_harmonic_roundings); fsum rounds the
-    total once, by at most u |value|.  The bound (c + 1) eps scale covers
-    both, and the difference between sum |t| and the computed sum of the
-    |t|.  A term that overflows or underflows is off by at most
-    float_info.min (1 + ln N)^len(orders), and the bound adds that once per
+    Roundoff, with scale = max(sum s, |value|), s the terms' sizes (|t| for
+    one monomial), and u = eps/2 the float64 unit roundoff: a computed term
+    is off by at most gamma_c s <= 2 c u s = c eps s while c u <= 1/2,
+    c = _roundings(summand, N), which counts each harmonic number's own
+    error bound (_harmonic_roundings); fsum rounds the total once, by at
+    most u |value|.  The bound (c + 1) eps scale covers both, and the
+    difference between sum s and its computed sum.  A term that overflows
+    or underflows is off by at most float_info.min times sum |c| (1 + ln
+    N)^len(orders) over the monomials, and the bound adds that once per
     term: no H_n^(m) exceeds 1 + ln N, the reciprocal binomial is at most 1,
     and a term whose denominator overflowed to inf is at most its numerator
     over float_info.max.
@@ -577,18 +786,19 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
     when the denominator degree would leave a divergent tail, and
     OverflowError from degree _MAX_DEGREE on.
     """
-    d = sum(int(power) for _, power in summand.den) + int(summand.binom[0] if summand.binom else 0)
+    shifts = _shifts(summand)
+    d = shifts.degree
     if d < 2:
         raise ConvergenceError(f"denominator degree {d} < 2: tail does not converge")
     if d >= _MAX_DEGREE:
         raise OverflowError(f"denominator degree {d} >= {_MAX_DEGREE}: 4093.0**d leaves "
                             f"the float range")
     n_cap = int(config.max_terms)
-    # _tail's first cut (K = 3) needs this expansion, and a smaller N only
-    # makes it harder: without it at the cap, no N has a tail
-    if _denominator_expansion(summand, 3, float(n_cap)) is None:
+    # rho falls as K grows and as N grows: with rho >= 1 at the cap and the
+    # largest order, no N has a tail
+    if _denominator_remainder(shifts, _MAX_TAIL_ORDER, n_cap) == math.inf:
         raise ConvergenceError(
-            f"truncated series: shift {_shift_max(summand):.3g} is not small next to N "
+            f"truncated series: shift {shifts.s_max:.3g} is not small next to N "
             f"up to max_terms={n_cap}, so the tail has no expansion")
     steps = [min(int(config.min_terms), n_cap)]
     while steps[-1] < n_cap:
@@ -596,23 +806,24 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
 
     running: dict[int, tuple[float, float]] = {}
     terms: list[float] = []
-    abs_total = 0.0
+    size = 0.0
     start = 1
     est = math.inf
     for n_stop in steps:
-        block = _partial_terms(summand, start, n_stop, running)
+        block, block_size = _partial_terms(summand, start, n_stop, running)
         terms += block
-        abs_total += math.fsum(map(abs, block))
+        size += block_size
         start = n_stop + 1
-        tail = _tail(summand, n_stop, 0.25 * config.target_tol)
+        tail = _tail(summand, shifts, n_stop, 0.25 * config.target_tol)
         if tail is None:
             continue
         tail_value, tail_bound, tail_mass = tail
         value = math.fsum(itertools.chain(terms, (tail_value,)))
-        scale = max(abs_total, abs(value))
+        scale = max(size, abs(value))
+        logs = 1.0 + math.log(n_stop)
         roundoff = ((_roundings(summand, n_stop) + 1.0) * _FLOAT_EPS * scale
                     + n_stop * sys.float_info.min
-                    * (1.0 + math.log(n_stop)) ** len(summand.orders))
+                    * sum(abs(c) * logs ** len(orders) for c, orders in summand.numerator))
         est = tail_bound + 64.0 * _FLOAT_EPS * tail_mass + roundoff
         if est <= config.target_tol:
             return EvalResult(value=value, abs_error_estimate=est, method=Method.TRUNCATED,

@@ -108,7 +108,7 @@ def test_harmonic_expansion_within_its_remainder(m, alternating, K, n):
 def test_denominator_expansion_within_its_remainder(summand, n, K):
     # 1/prod (x + s)^p times k!/prod_(i<=k) (x + b + i) against mpmath, at x = n and 10 n
     mpmath = pytest.importorskip("mpmath")
-    e = oracle._denominator_expansion(summand, K, float(n))
+    e = oracle._denominator_expansion(oracle._shifts(summand), K, float(n))
     degree = sum(p for _, p in summand.den) + (summand.binom[0] if summand.binom else 0)
     assert (e.v, e.J, e.g) == (degree, degree + K, 0)
     with mpmath.workdps(40):
@@ -125,9 +125,11 @@ def test_denominator_expansion_within_its_remainder(summand, n, K):
 
 def test_denominator_expansion_needs_shifts_small_next_to_n():
     # the binomial series in s/x certifies nothing once s_max (K+D)/(K+1) >= n
-    assert oracle._denominator_expansion(Summand((), ((1e6, 2),)), 4, 2.0**21) is not None
-    assert oracle._denominator_expansion(Summand((), ((1e6, 2),)), 4, 1e6) is None
-    assert oracle._denominator_expansion(Summand((), binom=(60, 0.5)), 4, 512.0) is None
+    shifts = oracle._shifts(Summand((), ((1e6, 2),)))
+    assert oracle._denominator_expansion(shifts, 4, 2.0**21) is not None
+    assert oracle._denominator_expansion(shifts, 4, 1e6) is None
+    assert oracle._denominator_expansion(oracle._shifts(Summand((), binom=(60, 0.5))), 4,
+                                         512.0) is None
 
 
 # each spec against the hand-written term it replaced, with the same float64
@@ -156,13 +158,13 @@ def test_summand_term_matches_hand_written_term(summand, term):
     # continue the first's, as one pass over both does here (the accuracy of
     # those sums is test_oracle's); the terms are float64 lists
     harmonics = {m: oracle._partial_terms(Summand((m,), alternating=summand.alternating),
-                                          1, 10_000, {})
+                                          1, 10_000, {})[0]
                  for m in summand.orders}
     running = {}
     for start, stop in ((1, 5000), (5001, 10_000)):
         want = [term(float(n), {m: h[n - 1] for m, h in harmonics.items()})
                 for n in range(start, stop + 1)]
-        assert oracle._partial_terms(summand, start, stop, running) == want
+        assert oracle._partial_terms(summand, start, stop, running)[0] == want
 
 
 @pytest.mark.parametrize("params", [
@@ -230,8 +232,9 @@ def test_generating_function_grids_are_the_seeded_draws(ident_id, draw):
 
 
 @pytest.mark.parametrize("ident_id, params, n_calls", [
-    ("eq2.9", {"a": 0.5, "b": 1.0}, 1),   # one Summand
-    ("eq2.27", {"a": 0.5, "k": 1}, 2),    # a signed combination of two
+    ("eq2.9", {"a": 0.5, "b": 1.0}, 1),   # one monomial
+    ("eq2.27", {"a": 0.5, "k": 1}, 1),    # polynomial numerators: one call each
+    ("eq2.36", {"a": 0.5, "k": 1}, 1),
 ])
 def test_series_oracles_call_the_catalog_global_with_config_second(monkeypatch, ident_id,
                                                                    params, n_calls):

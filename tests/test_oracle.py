@@ -49,6 +49,18 @@ def test_eval_result_guard():
         EvalResult(value=1.0, abs_error_estimate=-1.0, method="closed", work=0)
 
 
+def test_summand_numerator_guards():
+    # a numerator is its (coefficient, orders) monomials or the orders of one
+    assert Summand((1, 2)).numerator == ((1.0, (1, 2)),)
+    assert Summand().numerator == ((1.0, ()),)
+    for bad in ({"orders": (1,), "numerator": ((1.0, (2,)),)},
+                {"numerator": ((math.inf, (1,)),)},
+                {"numerator": ((1.0, (1,)), (2.0, (0,)))},
+                {"numerator": ((1.0, (1.5,)),)}):
+        with pytest.raises(DomainError):
+            Summand(**bad)
+
+
 def test_truncated_basel():
     cfg = SeriesConfig(target_tol=1e-12)
     res = truncated_series(Summand(den=((0, 2),)), cfg)
@@ -135,8 +147,15 @@ def _generating_functions():
 def honest_shapes():
     """_HONEST_SHAPES and the quadratic, cubic, alternating-square and k = 60
     binomial shapes with mpmath values of their generating-function
-    integrals (mpmath's plain nsum gets these slowly decaying sums wrong)."""
+    integrals (mpmath's plain nsum gets these slowly decaying sums wrong);
+    the polynomial numerators H_n^2 - H_n^(2) = 2 e_2, H_n^3 - 3 H_n H_n^(2)
+    + 2 H_n^(3) = 6 e_3 and 1 - H_n^(2), whose generating functions are
+    L^2/(1-y), L^3/(1-y) and (y - Li_2(y))/(1-y), L = -ln(1-y); and the
+    builtin suite's heaviest shapes, H_n^2
+    over 1/C(n+k+1/2, k) and H_n over (n+2.5)(n+5.5)."""
+    mpmath = pytest.importorskip("mpmath")
     h1sq, h1cubed, h1h2, hbar_sq = _generating_functions()
+    window = ((2.5, 1), ((2.5, 1), 1))
     return _HONEST_SHAPES + [
         (Summand((1, 1), ((0.5, 1), ((0.5, 1), 1))), _window_reference(0.5, 1, h1sq)),
         (Summand((1, 1, 1), ((2.5, 1), ((2.5, 2), 1))), _window_reference(2.5, 2, h1cubed)),
@@ -144,6 +163,16 @@ def honest_shapes():
         (Summand((1, 1), ((0.5, 1), ((0.5, 1), 1)), alternating=True),
          _window_reference(0.5, 1, hbar_sq)),
         (Summand((1, 1), binom=(60, 0.5)), _binomial_reference(60, 0.5, h1sq)),
+        (Summand(numerator=((1.0, (1, 1)), (-1.0, (2,))), den=window),
+         _window_reference(2.5, 1, lambda y: mpmath.log1p(-y) ** 2 / (1 - y))),
+        (Summand(numerator=((1.0, (1, 1, 1)), (-3.0, (1, 2)), (2.0, (3,))), den=window),
+         _window_reference(2.5, 1, lambda y: -mpmath.log1p(-y) ** 3 / (1 - y))),
+        (Summand(numerator=((1.0, ()), (-1.0, (2,))), den=window),  # 1 - H_n^(2)
+         _window_reference(2.5, 1, lambda y: (y - mpmath.polylog(2, y)) / (1 - y))),
+    ] + [(Summand((1, 1), binom=(k, 0.5)), _binomial_reference(k, 0.5, h1sq))
+         for k in (2, 3, 4, 5)] + [
+        (Summand((1,), ((2.5, 1), ((2.5, 3), 1))),
+         _window_reference(2.5, 3, lambda y: -mpmath.log1p(-y) / (1 - y))),
     ]
 
 
@@ -196,7 +225,7 @@ def test_float64_harmonic_numerators_within_4_ulp(m, alternating):
     running, got = {}, {}
     for start in range(1, at[-1] + 1, 2048):
         stop = min(start + 2047, at[-1])
-        h = oracle_mod._partial_terms(summand, start, stop, running)
+        h, _ = oracle_mod._partial_terms(summand, start, stop, running)
         assert all(type(v) is float for v in h)
         got.update((n, h[n - start]) for n in at if start <= n <= stop)
     for n in at:
@@ -257,6 +286,80 @@ def test_truncated_doubling_self_consistency():
     r2 = truncated_series(summand, SeriesConfig(min_terms=2 * r1.work, target_tol=1e-6))
     assert r2.work == 2 * r1.work
     assert abs(r1.value - r2.value) <= r1.abs_error_estimate + r2.abs_error_estimate
+
+
+def _count_builds(monkeypatch):
+    # records, per _tail call, the denominator expansions it built and
+    # whether it returned a tail; builds holds every build
+    builds, tails = [], []
+    build, tail = oracle_mod._denominator_expansion, oracle_mod._tail
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def counted_tail(*args):
+        before = len(builds)
+        result = tail(*args)
+        tails.append((len(builds) - before, result))
+        return result
+
+    monkeypatch.setattr(oracle_mod, "_denominator_expansion", counted_build)
+    monkeypatch.setattr(oracle_mod, "_tail", counted_tail)
+    return builds, tails
+
+
+def test_tail_builds_its_expansion_once(monkeypatch):
+    # over the builtin suite each tail sizes its order before it builds, so
+    # it builds its expansion once and never grows the order, and the
+    # max_terms test reads rho without building one
+    builds, tails = _count_builds(monkeypatch)
+    series = []
+    monkeypatch.setattr(catalog, "truncated_series",
+                        lambda summand, config: series.append(summand)
+                        or oracle_mod.truncated_series(summand, config))
+    result = grid_verify(catalog.default_cases("both"))
+    assert (result.confirmed, result.refuted, result.inconclusive) == (213, 3, 0)
+    assert len(tails) == len(series) > 0  # each series certifies at its first N
+    assert all(tail is not None and count == 1 for count, tail in tails)
+    assert len(builds) == len(tails)
+
+
+def test_tail_grows_its_order_when_the_sized_order_falls_short(monkeypatch):
+    # the one-order growth stays as the fallback: sized one order short, the
+    # tail builds twice and its remainder still meets half the budget
+    summand = Summand((1, 1), ((2.5, 1), ((2.5, 1), 1)))
+    shifts, n, budget = oracle_mod._shifts(summand), 128, 2.5e-11
+    value, bound, _ = oracle_mod._tail(summand, shifts, n, budget)
+    order = oracle_mod._order
+
+    def short(summand, shifts, x, logn, half):
+        K, _ = order(summand, shifts, x, logn, half)
+        return K - 1, oracle_mod._numerator_expansion(summand, K - 1, x, logn)
+
+    monkeypatch.setattr(oracle_mod, "_order", short)
+    builds, tails = _count_builds(monkeypatch)
+    grown, grown_bound, _ = oracle_mod._tail(summand, shifts, n, budget)
+    assert [count for count, _ in tails] == [2] and len(builds) == 2
+    assert grown_bound <= budget and abs(grown - value) <= bound + grown_bound
+
+
+@pytest.mark.parametrize("ident_id", ["eq2.27", "eq2.36"])
+def test_polynomial_numerators_sum_in_one_series(ident_id, monkeypatch):
+    # H_n^2 - H_n^(2) and the cubic Stirling window are one Summand each:
+    # one truncated_series call per record, certified at the first N
+    calls = []
+
+    def recorder(summand, config):
+        calls.append(summand)
+        return oracle_mod.truncated_series(summand, config)
+
+    monkeypatch.setattr(catalog, "truncated_series", recorder)
+    ident = catalog.get(ident_id)
+    for params in ident.grid:
+        calls.clear()
+        rec = verify_identity(IdentityCase(ident_id, params, tol=ident.tol))
+        assert rec.status is Status.CONFIRMED and rec.terms == 128 and len(calls) == 1
 
 
 def test_quadrature_values():
