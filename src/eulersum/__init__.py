@@ -10,7 +10,6 @@ tail correction, and tanh-sinh quadrature.
 from .errors import ConvergenceError, DomainError, EulersumError, PoleError
 from .harmonic import (
     alt_harmonic_num,
-    gen_binomial,
     harmonic_num,
     param_harmonic,
     shifted_harmonic,

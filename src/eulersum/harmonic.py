@@ -1,19 +1,12 @@
-"""Finite and shifted harmonic numbers, generalized binomials, Stirling numbers,
-and the log-power moment recurrence Y_m(a)."""
+"""Finite and shifted harmonic numbers, Stirling numbers, and the log-power
+moment recurrence Y_m(a)."""
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
 from .errors import DomainError, PoleError
-from .specfun import (
-    EULER_GAMMA,
-    as_shift,
-    digamma,
-    gamma_fn,
-    hurwitz_zeta,
-    riemann_zeta,
-)
+from .specfun import EULER_GAMMA, as_shift, digamma, hurwitz_zeta, riemann_zeta
 
 _STIRLING_MAX_N = 64
 _Y_MAX_M = 8
@@ -98,29 +91,6 @@ def shifted_harmonic(alpha: float, m: int = 1) -> float:
     return riemann_zeta(m) - hurwitz_zeta(m, alpha + 1.0)
 
 
-def gen_binomial(a: float, b: float) -> float:
-    """Generalized binomial Gamma(a+1) / (Gamma(b+1) Gamma(a-b+1)).
-
-    The reciprocal-gamma limit forces 0 when a is a nonnegative integer and b
-    is an integer outside 0..a; unresolved gamma poles raise.
-    """
-    a = float(a)
-    b = float(b)
-    a_int = a.is_integer()
-    b_int = b.is_integer()
-    if a_int and a >= 0.0 and b_int and (b < 0.0 or b > a):
-        return 0.0
-    c = a - b
-    for arg, label in ((a, "a+1"), (b, "b+1"), (c, "a-b+1")):
-        if arg + 1.0 <= 0.0 and (arg + 1.0).is_integer():
-            raise PoleError(f"gen_binomial gamma pole in {label}")
-    # lgamma keeps intermediate magnitudes sane for moderately large arguments
-    sign = 1.0
-    if a + 1.0 > 0 and b + 1.0 > 0 and c + 1.0 > 0:
-        return math.exp(math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(c + 1.0))
-    return gamma_fn(a + 1.0) / (gamma_fn(b + 1.0) * gamma_fn(c + 1.0))
-
-
 @lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple[int, ...]:
     if n == 0:
@@ -150,10 +120,11 @@ def y_moment(m: int, a: float) -> float:
         raise DomainError(f"y_moment requires integer 0 <= m <= {_Y_MAX_M}")
     a = as_shift(a, minimum=0.0)
     m = int(m)
+    h = [math.nan] + [shifted_harmonic(a, j) for j in range(1, m + 1)]  # each H_a^(j) once
     ys = [1.0]
     for mm in range(1, m + 1):
         acc = 0.0
         for i in range(mm):
-            acc += ys[i] / math.factorial(i) * shifted_harmonic(a, mm - i)
+            acc += ys[i] / math.factorial(i) * h[mm - i]
         ys.append(math.factorial(mm - 1) * acc)
     return ys[m]

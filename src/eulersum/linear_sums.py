@@ -4,7 +4,9 @@ identities they rest on.
 
 The closed forms are finite expressions in special-function values (zeta,
 Hurwitz zeta, polylogarithms, shifted harmonic numbers) plus sums over the
-window width k; none truncates the series it evaluates.  Every window sum is
+window width k; none truncates the series it evaluates.  Each kernel
+evaluates each of those constants once per call, however often its formula
+names it.  Every window sum is
 O(k) float work: the nested sum sum_{i<k} H_i(a)/(i+a)^m is one running pass
 (harmonic.nested_harmonic_sum), and the Y_2 / Y_3 windows seed H_a, H_a^(2),
 H_a^(3) once and step them with H_(x+1)^(s) = H_x^(s) + (x+1)^-s instead of
@@ -69,37 +71,29 @@ def _zeta_shift(s: int, a: float) -> float:
 #   R(a)      = sum (+-1)^(n-1) (1/n - 1/(n+a)): H_a, or ln 2 - zbar(1, a);
 #   F(x), the bilinear potential: sum h_n/((n+a)(n+b)) = (F(b) - F(a))/(b - a)
 #             with h_n = H_n, or H-bar_n = sum_{j<=n} (-1)^(j-1)/j.
-# F comes as a tuple of terms, and (F(b) - F(a))/(b - a) is summed term by
-# term: each term's difference is small when a is near b, where F is not.
-@dataclass(frozen=True)
-class _Family:
-    zeta: Callable[[int], float]
-    shifted: Callable[[int, float], float]
-    regular: Callable[[float], float]
-    potential: Callable[[float], tuple[float, ...]]
+# A kernel takes the values L(j, a) it reads from one table (_shift_table),
+# with R(a), so each is evaluated once per call however often the formula
+# names it.  F comes as a tuple of terms, and (F(b) - F(a))/(b - a) is summed
+# term by term: each term's difference is small when a is near b, where F is
+# not.
+def _shift_table(a: float, top: int, alternating: bool) -> tuple[list[float], float]:
+    """L(j, a) at index j, for j = 2..top (from j = 1 when alternating), and R(a)."""
+    if alternating:
+        table = [math.nan] + [alt_hurwitz_zeta(j, a) for j in range(1, top + 1)]
+        return table, LN2 - table[1]
+    return [math.nan] * 2 + [_zeta_shift(j, a) for j in range(2, top + 1)], shifted_harmonic(a)
 
 
-def _plain_potential(x: float) -> tuple[float, ...]:
-    # (H_x^2 - zeta(2, x+1))/2 - H_x/x
-    h = shifted_harmonic(x)
-    return -h / x, 0.5 * h**2, -0.5 * _zeta_shift(2, x)
-
-
-def _alt_regular(a: float) -> float:
-    return LN2 - alt_hurwitz_zeta(1, a)
-
-
-def _alt_potential(x: float) -> tuple[float, ...]:
+def _potential(x: float, h: float, z2: float, zb1: float | None) -> tuple[float, ...]:
+    """F(x) from H_x, zeta(2, x+1) and, for the alternating family, zbar(1, x)."""
+    if zb1 is None:
+        # (H_x^2 - zeta(2, x+1))/2 - H_x/x
+        return -h / x, 0.5 * h**2, -0.5 * z2
     # (2 ln 2 H_x - zbar(1, x)^2 + zeta(2, x+1))/2 - R(x)/x, with R(x)/x as
     # ln 2/x - zbar(1, x)/x: at the tiniest shifts those overflow, and the nan
     # they leave is reported as out of double-precision range, where R(x)/x
     # would cancel to a finite wrong value
-    z = alt_hurwitz_zeta(1, x)
-    return -LN2 / x, z / x, LN2 * shifted_harmonic(x), -0.5 * z**2, 0.5 * _zeta_shift(2, x)
-
-
-_PLAIN = _Family(riemann_zeta, _zeta_shift, shifted_harmonic, _plain_potential)
-_ALT = _Family(alt_zeta, alt_hurwitz_zeta, _alt_regular, _alt_potential)
+    return -LN2 / x, zb1 / x, LN2 * h, -0.5 * zb1**2, 0.5 * z2
 
 
 def _nonnegative_shift(a: float, name: str) -> float:
@@ -109,6 +103,16 @@ def _nonnegative_shift(a: float, name: str) -> float:
     return a
 
 
+def _recip_shift(a: float, s: int, table: list[float], regular: float) -> float:
+    # R(a)/a^s - sum_{j=2..s} L(j, a)/a^(s+1-j) for a > 0
+    try:
+        tail = sum(table[j] / a ** (s + 1 - j) for j in range(2, s + 1))
+        return regular / a**s - tail
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"sum_recip_shift: parameters outside double-precision range "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
 def sum_recip_shift(a: float, s: int, *, alternating: bool = False) -> float:
     """sum (+-1)^(n-1)/(n (n+a)^s) for a >= 0, s >= 1, signed when alternating.
 
@@ -116,27 +120,36 @@ def sum_recip_shift(a: float, s: int, *, alternating: bool = False) -> float:
     the sum is L(s+1).  Raises DomainError where a power of a overflows or
     underflows to 0.
     """
-    fam = _ALT if alternating else _PLAIN
     a = _nonnegative_shift(a, "sum_recip_shift")
     s = as_integer(s, 1, "sum_recip_shift order s")
     if a == 0.0:
-        return fam.zeta(s + 1)
-    try:
-        tail = sum(fam.shifted(j, a) / a ** (s + 1 - j) for j in range(2, s + 1))
-        return fam.regular(a) / a**s - tail
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"sum_recip_shift: parameters outside double-precision range "
-                          f"({type(exc).__name__}: {exc})") from exc
+        return (alt_zeta if alternating else riemann_zeta)(s + 1)
+    return _recip_shift(a, s, *_shift_table(a, s, alternating))
+
+
+def _power(a: float, s: int, z: list[float], h: float) -> float:
+    # sum_H1_power from z[j] = zeta(j, a+1), j = 2..s+1, and H_a
+    out = 0.5 * s * z[s + 1]
+    out -= 0.5 * sum(z[s - j] * z[j + 1] for j in range(1, s - 1))
+    out += z[s] * h
+    return out + _recip_shift(a, s, z, h)
 
 
 def sum_H1_power(a: float, s: int) -> float:
     """sum H_n/(n+a)^s for a > 0, s >= 2."""
     a = as_shift(a, minimum=0.0)
     s = as_integer(s, 2, "sum_H1_power order s")
-    out = 0.5 * s * _zeta_shift(s + 1, a)
-    out -= 0.5 * sum(_zeta_shift(s - j, a) * _zeta_shift(j + 1, a) for j in range(1, s - 1))
-    out += _zeta_shift(s, a) * shifted_harmonic(a)
-    return out + sum_recip_shift(a, s)
+    return _power(a, s, *_shift_table(a, s + 1, False))
+
+
+def _alt_power(a: float, s: int, z_s: float, z_s1: float, zb: list[float]) -> float:
+    # alt_sum_H1_power from zeta(s, a+1), zeta(s+1, a+1) and zb[j] = zbar(j, a),
+    # j = 1..s
+    out = 0.5 * sum(zb[s - j] * zb[j + 1] for j in range(1, s - 1))
+    out -= 0.5 * s * z_s1
+    out += z_s * LN2
+    out += zb[s] * zb[1]
+    return out + (alt_zeta(s + 1) if a == 0.0 else _recip_shift(a, s, zb, LN2 - zb[1]))
 
 
 def alt_sum_H1_power(a: float, s: int) -> float:
@@ -148,12 +161,14 @@ def alt_sum_H1_power(a: float, s: int) -> float:
     """
     a = _nonnegative_shift(a, "alt_sum_H1_power")
     s = as_integer(s, 2, "alt_sum_H1_power order s")
-    out = 0.5 * sum(
-        alt_hurwitz_zeta(s - j, a) * alt_hurwitz_zeta(j + 1, a) for j in range(1, s - 1))
-    out -= 0.5 * s * _zeta_shift(s + 1, a)
-    out += _zeta_shift(s, a) * LN2
-    out += alt_hurwitz_zeta(s, a) * alt_hurwitz_zeta(1, a)
-    return out + sum_recip_shift(a, s, alternating=True)
+    zb, _ = _shift_table(a, s, True)
+    return _alt_power(a, s, _zeta_shift(s, a), _zeta_shift(s + 1, a), zb)
+
+
+def _moment(a: float, m: int, regular: float, alternating: bool) -> float:
+    zeta = alt_zeta if alternating else riemann_zeta
+    out = sum((-1.0) ** (l - 1) * zeta(m + 1 - l) / a**l for l in range(1, m))
+    return out + (-1.0) ** (m - 1) * regular / a**m
 
 
 def polylog_moment(m: int, a: float, *, alternating: bool = False) -> float:
@@ -163,11 +178,10 @@ def polylog_moment(m: int, a: float, *, alternating: bool = False) -> float:
     + (-1)^(m-1) R(a)/a^m.  The plain sum is the x^(a-1) moment of Li_m over
     (0,1).
     """
-    fam = _ALT if alternating else _PLAIN
     a = as_shift(a, minimum=0.0)
     m = as_integer(m, 1, "polylog_moment order m")
-    out = sum((-1.0) ** (l - 1) * fam.zeta(m + 1 - l) / a**l for l in range(1, m))
-    return out + (-1.0) ** (m - 1) * fam.regular(a) / a**m
+    regular = LN2 - alt_hurwitz_zeta(1, a) if alternating else shifted_harmonic(a)
+    return _moment(a, m, regular, alternating)
 
 
 def _bilinear_as_printed(a: float, b: float) -> float:
@@ -201,9 +215,13 @@ def sum_H1_bilinear(a: float, b: float, *, alternating: bool = False,
         raise DomainError("sum_H1_bilinear requires a != b")
     if as_printed:
         return (_alt_bilinear_as_printed if alternating else _bilinear_as_printed)(a, b)
-    fam = _ALT if alternating else _PLAIN
+
+    def potential(x):
+        zb1 = alt_hurwitz_zeta(1, x) if alternating else None
+        return _potential(x, shifted_harmonic(x), _zeta_shift(2, x), zb1)
+
     d = b - a
-    return sum([(fb - fa) / d for fa, fb in zip(fam.potential(a), fam.potential(b))])
+    return sum([(fb - fa) / d for fa, fb in zip(potential(a), potential(b))])
 
 
 def _require_integer_shift(a: float) -> float:
@@ -253,11 +271,11 @@ def alt_sum_Hm_window(a: float, k: int, m: int) -> float:
     factor with no branch convention given, so it refuses rather than guess.
     """
     a, k, m = _window_guard(a, k, m, alternating=True)
-    br = (sum_recip_shift(a, m, alternating=True) if a == 0.0
-          else polylog_moment(m, a, alternating=True))
+    zb1 = alt_hurwitz_zeta(1, a)
+    br = alt_zeta(m + 1) if a == 0.0 else _moment(a, m, LN2 - zb1, True)
     sgn = (-1.0) ** (m - 1)
     br += sgn * LN2 * param_harmonic(k - 1, m, a)
-    br += sgn * alt_hurwitz_zeta(1, a) * sum((-1.0) ** (i - 1) / (i + a) ** m for i in range(1, k))
+    br += sgn * zb1 * sum((-1.0) ** (i - 1) / (i + a) ** m for i in range(1, k))
     br -= sgn * nested_harmonic_sum(k, m, a, alternating=True)
     br += sum(
         (-1.0) ** (j - 1) * alt_zeta(m + 1 - j) * param_harmonic(k - 1, j, a)
@@ -347,9 +365,10 @@ def sum_H1H2_window(a: float, k: int) -> float:
     br = 0.0
     for i in range(k):
         al = a + i
+        h = shifted_harmonic(al)
         br += sum_shiftedH_over_nsq(al) / al
-        br -= (shifted_harmonic(al) ** 2 + shifted_harmonic(al, 2)) / (2.0 * al**2)
-        br += shifted_harmonic(al) / al**3
+        br -= (h**2 + shifted_harmonic(al, 2)) / (2.0 * al**2)
+        br += h / al**3
     br -= riemann_zeta(2) * param_harmonic(k, 2, a - 1.0)
     return br / k
 

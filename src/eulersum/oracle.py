@@ -605,6 +605,19 @@ def _boole_tail(G: tuple | None, n: int, logn: float, budget: float) -> tuple[fl
 _MAX_TAIL_ORDER = 16  # the most orders K an expansion keeps past its leading one
 
 
+def _least(fits: Callable[[int], bool], cap: int) -> int:
+    """The least n in [1, cap] with fits(n), by bisection, for a test that
+    stays true once it holds; cap itself when even cap does not fit."""
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _order(summand: Summand, shifts: _Shifts, n: float, logn: float,
            half: float) -> tuple[int, _Expansion | None]:
     """The order K at which to cut the tail's expansion, sized before the
@@ -645,26 +658,8 @@ def _order(summand: Summand, shifts: _Shifts, n: float, logn: float,
             rest += w1 * _denominator_remainder(shifts, K - 1, n)
         return rest, _basis_integral(D + K, g, n, logn)
 
-    # start where (s_max/n)^K alone brings the leading part to half, then
-    # step to the least K that meets it
-    K = 1
-    if 0.0 < shifts.s_max < n:
-        top = w0 * shifts.scale * n ** (1 - D) * logn ** g / (D - 1)
-        if top > half:
-            K = min(_MAX_TAIL_ORDER, math.ceil(math.log(half / top) / math.log(shifts.s_max / n)))
+    K = _least(lambda K: math.prod(estimate(K)) <= half, _MAX_TAIL_ORDER)
     rest, integral = estimate(K)
-    if rest * integral <= half:
-        while K > 1:
-            below = estimate(K - 1)
-            if not below[0] * below[1] <= half:
-                break
-            K, (rest, integral) = K - 1, below
-    else:
-        while K < _MAX_TAIL_ORDER:
-            K += 1
-            rest, integral = estimate(K)
-            if rest * integral <= half:
-                break
     while True:
         num = _numerator_expansion(summand, K, n, logn)
         if (num is None or K == _MAX_TAIL_ORDER
@@ -879,18 +874,16 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
         power = e - math.log(m) - m * math.log(k + a)
         return min(geometric, power)
 
+    def fits(k: int) -> bool:
+        return log_tail(k) <= log_target
+
     # the geometric bound with its denominators dropped needs at most k0 terms
     k0 = (log_target + l1x) / lx - 1.0 - a - c
-    terms = max(1, math.ceil(k0)) if k0 < _MOMENT_MAX_TERMS else _MOMENT_MAX_TERMS
-    if log_tail(terms) > log_target:
-        terms = _MOMENT_MAX_TERMS
-        if log_tail(terms) > log_target:
-            raise ConvergenceError(f"moment series needs more than {_MOMENT_MAX_TERMS} "
-                                   f"terms at x={x!r}")
-    lo = 0  # log_tail(lo) misses the target, or lo = 0; log_tail(terms) meets it
-    while terms - lo > 1:
-        mid = (lo + terms) // 2
-        lo, terms = (lo, mid) if log_tail(mid) <= log_target else (mid, terms)
+    cap = max(1, math.ceil(k0)) if k0 < _MOMENT_MAX_TERMS else _MOMENT_MAX_TERMS
+    terms = _least(fits, cap if fits(cap) else _MOMENT_MAX_TERMS)
+    if not fits(terms):
+        raise ConvergenceError(f"moment series needs more than {_MOMENT_MAX_TERMS} "
+                               f"terms at x={x!r}")
 
     # (k+a)^-m underflows to 0 where (k+a)^m would overflow
     kas = [k + a for k in range(1, terms + 1)]

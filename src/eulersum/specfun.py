@@ -144,7 +144,7 @@ def riemann_zeta(s: int) -> float:
 
 @lru_cache(maxsize=None)
 def _zeta_plan(s: int) -> tuple[float, int]:
-    """(q0, M) for hurwitz_zeta at an integer s >= 3: shift q up to q0, then
+    """(q0, M) for hurwitz_zeta at an integer s >= 2: shift q up to q0, then
     take M Euler-Maclaurin corrections.
 
     After M corrections at q the remainder is at most 2 |B_(2M+2)|/(2M+2)!
@@ -167,14 +167,12 @@ def _zeta_plan(s: int) -> tuple[float, int]:
     return float(math.ceil(q0 * (rel(14, q0) / 2.0**-55) ** (1.0 / 30.0))), 14
 
 
-@lru_cache(maxsize=4096)
 def hurwitz_zeta(s: int, q: float) -> float:
     """zeta(s, q) for integer s >= 2, q > 0.
 
     Shifts q upward by the defining recurrence, then applies Euler-Maclaurin
-    with Bernoulli corrections.  At s = 2 the shift target is 10 with 7
-    corrections (a remainder of at most 1.5e-15 of the value); from s = 3 on
-    _zeta_plan picks both so that the remainder is below 2^-55 of the value.
+    with Bernoulli corrections; _zeta_plan picks the shift target and the
+    number of corrections so that the remainder is below 2^-55 of the value.
     """
     if s < 2 or s != int(s):
         raise DomainError(f"hurwitz_zeta requires integer s >= 2, got {s}")
@@ -183,18 +181,11 @@ def hurwitz_zeta(s: int, q: float) -> float:
     if not q > 0.0:
         raise DomainError(f"hurwitz_zeta requires q > 0, got {q}")
     acc = 0.0
-    target, corrections = (10.0, 7) if s == 2 else _zeta_plan(s)
+    target, corrections = _zeta_plan(s)
     while q < target:
         acc += q ** (-s)
         q += 1.0
     em = q ** (1 - s) / (s - 1) + 0.5 * q ** (-s)
-    if s == 2:
-        for k in range(1, 8):
-            poch = 1.0
-            for i in range(2 * k - 1):
-                poch *= s + i
-            em += _B2K[k - 1] / math.factorial(2 * k) * poch * q ** (-s - 2 * k + 1)
-        return acc + em
     term = s * q ** (-s - 1)  # (s)_(2k-1) q^(-s-2k+1)
     for k in range(1, corrections + 1):
         em += _B2K_OVER_FACT[k] * term
@@ -229,7 +220,6 @@ def alternating_sum(abs_term, n_terms: int = 36) -> float:
     return s / d
 
 
-@lru_cache(maxsize=4096)
 def alt_hurwitz_zeta(s: int, a: float) -> float:
     """sum_{n>=1} (-1)^(n-1)/(n+a)^s for integer s >= 1, a > -1.
 

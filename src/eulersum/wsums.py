@@ -56,7 +56,7 @@ import sys
 
 from .errors import DomainError
 from .harmonic import harmonic_num, shifted_harmonic
-from .linear_sums import _ALT, _PLAIN, alt_sum_H1_power, sum_H1_power
+from .linear_sums import _alt_power, _potential, _power, _shift_table
 from .specfun import (LN2, alt_hurwitz_zeta, alt_zeta, as_integer, as_shift, hurwitz_zeta,
                       riemann_zeta)
 
@@ -461,18 +461,21 @@ def w_1_p(a: float, b: float, k: int, p: int, *, alternating: bool = False) -> f
     p = as_integer(p, 1, "w_1_p power p")
     _check_resonance(a, b, k)
     *t, s1, s2 = _power_sums(a, b, k, p, alternating)
+    # every constant at a, for F(a) and each P_j(a), from one table
+    z, ha = _shift_table(a, p + 1, False)
     hb, zeta_b = shifted_harmonic(b), hurwitz_zeta(2, b + 1.0)
     if alternating:
+        zb_a, _ = _shift_table(a, p, True)
         zb = alt_hurwitz_zeta(1, b)
-        fa, f0b = _ALT.potential(a), (LN2 * hb, -0.5 * zb * zb, 0.5 * zeta_b)
+        fa, f0b = _potential(a, ha, z[2], zb_a[1]), (LN2 * hb, -0.5 * zb * zb, 0.5 * zeta_b)
         steps = [-LN2 * s1, 0.5 * s2]
-        power = alt_sum_H1_power
+        powers = [_alt_power(a, j, z[j], z[j + 1], zb_a) for j in range(2, p + 1)]
     else:
-        fa, f0b = _PLAIN.potential(a), (0.5 * hb * hb, -0.5 * zeta_b)
+        fa, f0b = _potential(a, ha, z[2], None), (0.5 * hb * hb, -0.5 * zeta_b)
         steps = [-hb * s1, -0.5 * s2]
-        power = sum_H1_power
+        powers = [_power(a, j, z, ha) for j in range(2, p + 1)]
     terms = [f * t[p - 1] for f in fa] + [-f * t[p - 1] for f in f0b] + steps
-    terms += [-power(a, j) * t[p - j] for j in range(2, p + 1)]
+    terms += [-pj * t[p - j] for j, pj in enumerate(powers, start=2)]
     out = sum(terms)
     size = sum(map(abs, terms))
     if sys.float_info.epsilon * size > _MAX_ROUNDOFF * abs(out):

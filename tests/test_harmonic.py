@@ -12,7 +12,6 @@ from eulersum import (
     DomainError,
     PoleError,
     alt_harmonic_num,
-    gen_binomial,
     harmonic_num,
     param_harmonic,
     riemann_zeta,
@@ -97,24 +96,6 @@ def test_nested_harmonic_sum_guards():
         nested_harmonic_sum(5, 0)
     with pytest.raises(PoleError):
         nested_harmonic_sum(5, 1, -2.0)
-
-
-def test_gen_binomial():
-    assert gen_binomial(7.3, 0.0) == pytest.approx(1.0, rel=1e-14)
-    assert gen_binomial(5.0, 2.0) == pytest.approx(10.0, rel=1e-13)
-    assert gen_binomial(2.5, 2.0) == pytest.approx(1.875, rel=1e-13)
-    # reciprocal-gamma zeros
-    assert gen_binomial(4.0, 6.0) == 0.0
-    assert gen_binomial(4.0, -1.0) == 0.0
-    with pytest.raises(PoleError):
-        gen_binomial(-2.0, 0.5)
-
-
-def test_gen_binomial_matches_exact_integers():
-    for n in range(0, 31):
-        for k in range(0, n + 1):
-            assert gen_binomial(float(n + k), float(k)) == pytest.approx(
-                float(math.comb(n + k, k)), rel=1e-12)
 
 
 def _exact_harmonic(n, s=1):

@@ -534,3 +534,34 @@ def test_lemma13_right_side_evaluates_each_series_once(monkeypatch, s):
     monkeypatch.setattr(linear_sums, "param_polylog", counted)
     assert gf_rhs(GfKind.LEMMA13, x=x, a=a, s=s) == want
     assert len(calls) == len(set(calls)) == s + 2
+
+
+@pytest.mark.parametrize("ident_id", ["eq1.27", "eq3.9", "eq4.3", "eq4.5", "eq4.7", "eq2.2"])
+def test_closed_sides_evaluate_each_zeta_value_once(monkeypatch, ident_id):
+    # a closed side reads each zeta(s, q) and zbar(s, q) it names more than
+    # once from one table, so no (s, q) is evaluated twice in a call
+    from eulersum import harmonic, specfun, wsums
+    from eulersum.oracle import Variant
+
+    calls = []
+
+    def counted(name):
+        fn = getattr(specfun, name)
+
+        def wrapper(s, q):
+            calls.append((name, s, q))
+            return fn(s, q)
+        return wrapper
+
+    for mod in (linear_sums, wsums, harmonic):
+        for name in ("hurwitz_zeta", "alt_hurwitz_zeta"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name))
+    ident = catalog.get(ident_id)
+    seen = 0
+    for params in ident.grid:
+        calls.clear()
+        ident.closed(Variant.CORRECTED, **params)
+        assert len(calls) == len(set(calls)), (params, calls)
+        seen += len(calls)
+    assert seen > 0

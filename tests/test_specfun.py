@@ -144,7 +144,7 @@ def test_hurwitz_zeta_against_mpmath_across_the_shift_target(s):
     # to 13 digits at s = 30, q ~ 60
     from eulersum.specfun import _zeta_plan
 
-    target = 10.0 if s == 2 else _zeta_plan(s)[0]
+    target = _zeta_plan(s)[0]
     grid = [target + i / 16 for i in range(17)] + [target - 3 + i / 4 for i in range(5)]
     grid += [max(10.0, s) + i / 8 for i in range(9)]
     grid += [float(q) for q in np.random.default_rng(s).uniform(0.01, 60.0, size=4)]
@@ -156,12 +156,25 @@ def test_hurwitz_zeta_against_mpmath_across_the_shift_target(s):
     assert worst <= 8 * np.finfo(float).eps, (s, worst)
 
 
+def test_hurwitz_zeta_at_two_against_mpmath():
+    # s = 2 takes the same plan as every s, a shift to 10 and 9 corrections
+    from eulersum.specfun import _zeta_plan
+
+    assert _zeta_plan(2) == (10.0, 9)
+    worst = 0.0
+    for q in np.random.default_rng(2).uniform(0.05, 30.0, size=400):
+        with mp.workdps(40):
+            want = mp.zeta(2, float(q))
+        worst = max(worst, float(abs(hurwitz_zeta(2, float(q)) - want) / want))
+    assert worst <= 4 * np.finfo(float).eps, worst
+
+
 def test_hurwitz_zeta_plan_meets_its_remainder_bound():
-    # for s >= 3, at the shift target q0 and with M corrections, the relative
+    # for s >= 2, at the shift target q0 and with M corrections, the relative
     # remainder 2 |B_(2M+2)|/(2M+2)! (s)_(2M+1) (s-1) q0^-(2M+2) is below 2^-55
     from eulersum.specfun import _zeta_plan
 
-    for s in list(range(3, 21)) + [30, 60, 100, 1000]:
+    for s in list(range(2, 21)) + [30, 60, 100, 1000]:
         q0, m = _zeta_plan(s)
         assert q0 >= max(10.0, s) and 1 <= m <= 14
         b = mp.bernoulli(2 * m + 2) / mp.factorial(2 * m + 2)
@@ -259,10 +272,8 @@ def test_shift_param_guards():
 
 
 @pytest.mark.parametrize("fn, call", [
-    (hurwitz_zeta, lambda q: hurwitz_zeta(3, q)),
-    (alt_hurwitz_zeta, lambda q: alt_hurwitz_zeta(2, q)),
     (sum_shiftedH_over_nsq, sum_shiftedH_over_nsq),
-], ids=["hurwitz_zeta", "alt_hurwitz_zeta", "sum_shiftedH_over_nsq"])
+], ids=["sum_shiftedH_over_nsq"])
 def test_float_keyed_caches_are_bounded(fn, call):
     # keyed by a float shift, an unbounded cache would keep one entry per
     # distinct shift for the life of the process

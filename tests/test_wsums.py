@@ -12,7 +12,6 @@ from eulersum import (
     DomainError,
     classical_w110,
     classical_w111,
-    gen_binomial,
     riemann_zeta,
     w_1_p,
     w_11_0,
@@ -47,6 +46,12 @@ def pf_coeffs(k):
     # simple-pole weights A_r = (-1)^(r+1) r C(k, r), r = 1..k, with
     # 1/binom(n+k+a, k) = sum_r A_r/(n+a+r)
     return tuple(float((-1) ** (r + 1) * r * math.comb(k, r)) for r in range(1, k + 1))
+
+
+def gen_binomial(x, k):
+    # the generalized binomial Gamma(x+1)/(Gamma(k+1) Gamma(x-k+1)), for
+    # x - k > -1 and k >= 0
+    return math.exp(math.lgamma(x + 1.0) - math.lgamma(k + 1.0) - math.lgamma(x - k + 1.0))
 
 
 def _window_weights(k):
