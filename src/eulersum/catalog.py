@@ -154,8 +154,16 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 def check_params(ident: Identity, params) -> None:
     """Raise DomainError unless params maps exactly the declared names to numbers."""
+    # a dict of exact ints and floats under the declared names passes at
+    # once; the generic checks decide every other input (a bool is rejected)
+    if (type(params) is dict and params.keys() == ident.params.keys()
+            and _PLAIN_NUMBERS.issuperset(map(type, params.values()))):
+        return
     if not (isinstance(params, Mapping) and params.keys() == ident.params.keys()
             and all(map(is_number, params.values()))):
         try:
@@ -168,7 +176,7 @@ def check_params(ident: Identity, params) -> None:
 
 def _validator(ident: Identity):
     kinds = tuple(ident.params.items())
-    names, plain, check = ident.params.keys(), frozenset((int, float)), ident.check
+    names, plain, check = ident.params.keys(), _PLAIN_NUMBERS, ident.check
 
     def validate(**p):
         # exact ints and floats skip check_params, which costs about as much

@@ -31,18 +31,29 @@ SCHEMA_VERSION = "3"
 _ENV_MAX_TERMS = "EULERSUM_MAX_TERMS"
 
 
-def _report_obj(config: SeriesConfig, result: GridResult, wall_time_ms: int) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": asdict(config),
-        "records": [_record_obj(r) for r in result.records],
-        "summary": {
-            "confirmed": result.confirmed,
-            "refuted": result.refuted,
-            "inconclusive": result.inconclusive,
-            "wall_time_ms": wall_time_ms,
-        },
+def _write_json(fh, config: SeriesConfig, result: GridResult, wall_time_ms: int) -> None:
+    """Write the report, keys sorted, with each record compact on its own line.
+
+    One json.dumps per record (the C encoder; an indent would select the
+    pure-Python one) and one write each, so no string of the whole report
+    is built; json.loads reads the same value that json.dump(indent=2,
+    sort_keys=True) would give.
+    """
+    dumps = json.dumps
+    fh.write('{\n  "config": ' + dumps(asdict(config), sort_keys=True) + ',\n  "records": [')
+    sep = "\n    "
+    for r in result.records:
+        fh.write(sep + dumps(_record_obj(r), sort_keys=True))
+        sep = ",\n    "
+    summary = {
+        "confirmed": result.confirmed,
+        "refuted": result.refuted,
+        "inconclusive": result.inconclusive,
+        "wall_time_ms": wall_time_ms,
     }
+    fh.write(("\n  ]" if result.records else "]") + ',\n  "schema_version": '
+             + dumps(SCHEMA_VERSION) + ',\n  "summary": ' + dumps(summary, sort_keys=True)
+             + "\n}\n")
 
 
 def _record_obj(r) -> dict:
@@ -167,7 +178,7 @@ def _parse_grid_file(path: str, default_tol_by_id) -> list[IdentityCase]:
             raise DomainError(f"grid file {path} nests too deeply to parse") from None
     if not isinstance(raw, list):
         raise DomainError("grid file must contain a JSON list of cases")
-    variants = tuple(v.value for v in Variant)
+    variants = {v.value: v for v in Variant}
     cases = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "identity" not in entry:
@@ -179,14 +190,14 @@ def _parse_grid_file(path: str, default_tol_by_id) -> list[IdentityCase]:
         except DomainError as exc:
             raise DomainError(f"grid case {i}: {exc}") from None
         variant = entry.get("variant", "corrected")
-        if variant not in variants:
+        if type(variant) is not str or variant not in variants:  # a list is unhashable
             raise DomainError(f"grid case {i}: variant must be one of "
                               f"{', '.join(variants)}; got {variant!r}")
         tol = entry.get("tol", default_tol_by_id(ident))
-        if not catalog.is_number(tol):
+        if not (type(tol) is float or catalog.is_number(tol)):
             raise DomainError(f"grid case {i}: tol must be a number; got {tol!r}")
         cases.append(IdentityCase(
-            identity_id=ident.id, params=dict(params), tol=float(tol), variant=Variant(variant),
+            identity_id=ident.id, params=dict(params), tol=float(tol), variant=variants[variant],
         ))
     return cases
 
@@ -204,19 +215,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.monotonic()
     result = grid_verify(cases, config)
     wall_ms = int((time.monotonic() - start) * 1000)
-    payload = _report_obj(config, result, wall_ms)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             if args.format == "json":
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                _write_json(fh, config, result, wall_ms)
             else:
                 fh.write("\n".join(_csv_lines(result)) + "\n")
+    write = sys.stdout.write
     for r in result.records:
         params = " ".join(f"{k}={v}" for k, v in sorted(r.case.params.items()))
-        print(f"{r.status.value:<12} {r.case.identity_id:<8} [{r.case.variant.value}] "
+        write(f"{r.status.value:<12} {r.case.identity_id:<8} [{r.case.variant.value}] "
               f"{params}  closed={_human(r.closed_value)} oracle={_human(r.oracle_value)} "
-              f"abs_res={r.abs_residual:.2e}")
+              f"abs_res={r.abs_residual:.2e}\n")
     print(f"summary: {result.confirmed} confirmed, {result.refuted} refuted, "
           f"{result.inconclusive} inconclusive in {wall_ms} ms")
     corrected_refuted = sum(

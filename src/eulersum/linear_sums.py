@@ -253,13 +253,18 @@ def _window_guard(a: float, k: int, m: int = 1, *,
 def sum_Hm_window(a: float, k: int, m: int) -> float:
     """sum H_n^(m)/((n+a)(n+a+k)) for a > 0, k >= 1, m >= 1."""
     a, k, m = _window_guard(a, k, m)
-    br = polylog_moment(m, a)
+    return _hm_window(a, k, m, shifted_harmonic(a))
+
+
+def _hm_window(a: float, k: int, m: int, h1: float) -> float:
+    # sum_Hm_window from the seed h1 = H_a, which its moment term shares
+    br = _moment(a, m, h1, False)
     br += sum(
         (-1.0) ** (j - 1) * riemann_zeta(m + 1 - j) * param_harmonic(k - 1, j, a)
         for j in range(1, m)
     )
     sgn = (-1.0) ** (m - 1)
-    br += sgn * shifted_harmonic(a) * param_harmonic(k - 1, m, a)
+    br += sgn * h1 * param_harmonic(k - 1, m, a)
     br += sgn * nested_harmonic_sum(k, m, a)
     return br / k
 
@@ -284,14 +289,13 @@ def alt_sum_Hm_window(a: float, k: int, m: int) -> float:
     return br / k
 
 
-def _y_window(a: float, k: int, order: int) -> float:
+def _y_window(a: float, k: int, order: int, h1: float, h2: float, h3: float = 0.0) -> float:
     """sum_{i<k} Y_order(a+i)/(a+i) for order 2 or 3, in O(k).
 
     Y_2 = H^2 + H^(2) and Y_3 = H^3 + 3 H H^(2) + 2 H^(3), all at a+i; each
-    H^(s) is seeded once at a and stepped by H_(x+1)^(s) = H_x^(s) + (x+1)^-s.
+    H^(s) starts from the caller's seed H_a^(s) (h3 only for order 3) and
+    steps by H_(x+1)^(s) = H_x^(s) + (x+1)^-s.
     """
-    h1, h2 = shifted_harmonic(a), shifted_harmonic(a, 2)
-    h3 = shifted_harmonic(a, 3) if order == 3 else 0.0
     acc = 0.0
     for i in range(k):
         y = h1 * h1 + h2 if order == 2 else h1 * (h1 * h1 + 3.0 * h2) + 2.0 * h3
@@ -306,16 +310,17 @@ def _y_window(a: float, k: int, order: int) -> float:
 def sum_sq_diff_window(a: float, k: int) -> float:
     """sum (H_n^2 - H_n^(2))/((n+a)(n+a+k)) = (1/k) sum_j Y_2(a+j-1)/(a+j-1)."""
     a, k, _ = _window_guard(a, k)
-    return _y_window(a, k, 2) / k
+    return _y_window(a, k, 2, shifted_harmonic(a), shifted_harmonic(a, 2)) / k
 
 
 def sum_H1sq_window(a: float, k: int) -> float:
     """sum H_n^2/((n+a)(n+a+k)) for a > 0, k >= 1."""
     a, k, _ = _window_guard(a, k)
+    h1 = shifted_harmonic(a)
     br = riemann_zeta(2) * param_harmonic(k, 1, a - 1.0)
-    br -= shifted_harmonic(a) * param_harmonic(k, 2, a - 1.0)
+    br -= h1 * param_harmonic(k, 2, a - 1.0)
     br -= nested_harmonic_sum(k, 2, a)
-    br += _y_window(a, k, 2)
+    br += _y_window(a, k, 2, h1, shifted_harmonic(a, 2))
     return br / k
 
 
@@ -341,12 +346,16 @@ def sum_shiftedH_over_nsq(c: float, n_terms: int = 16) -> float:
     big_j = int(n_terms)
     if big_j < 1:
         raise DomainError(f"sum_shiftedH_over_nsq requires n_terms >= 1, got {n_terms}")
-    shift = 0.0
+    # H_c is evaluated once per c: each polylog moment at c is built on it
+    shift, h = 0.0, None
     while c < big_j:
         c += 1.0
-        shift -= polylog_moment(2, c)
+        h = shifted_harmonic(c)
+        shift -= _moment(c, 2, h, False)
+    if h is None:
+        h = shifted_harmonic(c)
     z2 = riemann_zeta(2)
-    out = z2 * shifted_harmonic(c)
+    out = z2 * h
     trigamma = z2  # psi'(j) = zeta(2) - H_(j-1)^(2)
     for j in range(1, big_j + 1):
         out += trigamma / (c + j)
@@ -355,19 +364,25 @@ def sum_shiftedH_over_nsq(c: float, n_terms: int = 16) -> float:
     pieces = [(1, 1.0), (2, 0.5)] + [(2 * k + 1, _BERNOULLI[2 * k]) for k in range(1, 7)]
     for p, b in pieces:
         head = sum(1.0 / (j**p * (c + j)) for j in range(big_j, 0, -1))
-        out += b * (polylog_moment(p, c) - head)
+        out += b * (_moment(c, p, h, False) - head)
     return out + shift
 
 
 def sum_H1H2_window(a: float, k: int) -> float:
     """sum H_n H_n^(2)/((n+a)(n+a+k)) for a > 0, k >= 1."""
     a, k, _ = _window_guard(a, k)
+    return _h1h2_window(a, k, shifted_harmonic(a), shifted_harmonic(a, 2))
+
+
+def _h1h2_window(a: float, k: int, h: float, h2: float) -> float:
+    # sum_H1H2_window from the seeds h = H_a and h2 = H_a^(2), its i = 0 terms
     br = 0.0
     for i in range(k):
         al = a + i
-        h = shifted_harmonic(al)
+        if i:
+            h, h2 = shifted_harmonic(al), shifted_harmonic(al, 2)
         br += sum_shiftedH_over_nsq(al) / al
-        br -= (h**2 + shifted_harmonic(al, 2)) / (2.0 * al**2)
+        br -= (h**2 + h2) / (2.0 * al**2)
         br += h / al**3
     br -= riemann_zeta(2) * param_harmonic(k, 2, a - 1.0)
     return br / k
@@ -376,16 +391,19 @@ def sum_H1H2_window(a: float, k: int) -> float:
 def cubic_stirling_window(a: float, k: int) -> float:
     """sum (H_n^3 - 3 H_n H_n^(2) + 2 H_n^(3))/((n+a)(n+a+k)), the Y_3 window."""
     a, k, _ = _window_guard(a, k)
-    return _y_window(a, k, 3) / k
+    return _y_window(a, k, 3, shifted_harmonic(a), shifted_harmonic(a, 2),
+                     shifted_harmonic(a, 3)) / k
 
 
 def sum_H1cubed_window(a: float, k: int) -> float:
     """sum H_n^3/((n+a)(n+a+k)), assembled from the Y_3 window, the H H^(2)
-    window, and the m=3 window."""
+    window, and the m=3 window, which share H_a, H_a^(2) and H_a^(3)."""
+    a, k, _ = _window_guard(a, k)
+    h1, h2, h3 = shifted_harmonic(a), shifted_harmonic(a, 2), shifted_harmonic(a, 3)
     return (
-        cubic_stirling_window(a, k)
-        + 3.0 * sum_H1H2_window(a, k)
-        - 2.0 * sum_Hm_window(a, k, 3)
+        _y_window(a, k, 3, h1, h2, h3) / k
+        + 3.0 * _h1h2_window(a, k, h1, h2)
+        - 2.0 * _hm_window(a, k, 3, h1)
     )
 
 

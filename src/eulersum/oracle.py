@@ -27,7 +27,7 @@ import enum
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -605,17 +605,17 @@ def _boole_tail(G: tuple | None, n: int, logn: float, budget: float) -> tuple[fl
 _MAX_TAIL_ORDER = 16  # the most orders K an expansion keeps past its leading one
 
 
-def _least(fits: Callable[[int], bool], cap: int) -> int:
-    """The least n in [1, cap] with fits(n), by bisection, for a test that
-    stays true once it holds; cap itself when even cap does not fit."""
-    lo, hi = 1, cap
+def _least(fits: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least n in [lo, hi] with fits(n), by bisection, for a test that
+    stays true once it holds; hi itself (never tested) when nothing below
+    it fits."""
     while lo < hi:
         mid = (lo + hi) // 2
         if fits(mid):
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return hi
 
 
 def _order(summand: Summand, shifts: _Shifts, n: float, logn: float,
@@ -658,8 +658,28 @@ def _order(summand: Summand, shifts: _Shifts, n: float, logn: float,
             rest += w1 * _denominator_remainder(shifts, K - 1, n)
         return rest, _basis_integral(D + K, g, n, logn)
 
-    K = _least(lambda K: math.prod(estimate(K)) <= half, _MAX_TAIL_ORDER)
-    rest, integral = estimate(K)
+    seen: dict = {}  # each order's estimate, computed once
+
+    def fits(K: int) -> bool:
+        seen[K] = estimate(K)
+        return math.prod(seen[K]) <= half
+
+    # start where (s_max/n)^K alone brings the leading part to half
+    guess = 1
+    if 0.0 < shifts.s_max < n and D > 1:
+        top = w0 * shifts.scale * n ** (1 - D) * logn ** g / (D - 1)
+        if top > half:
+            guess = min(_MAX_TAIL_ORDER,
+                        math.ceil(math.log(half / top) / math.log(shifts.s_max / n)))
+    # then bisect only on the side of the guess where the least order lies
+    if not fits(guess):
+        lo, hi = guess + 1, _MAX_TAIL_ORDER
+    elif guess > 1 and fits(guess - 1):
+        lo, hi = 1, guess - 1
+    else:
+        lo = hi = guess
+    K = _least(fits, lo, hi)
+    rest, integral = seen[K] if K in seen else estimate(K)
     while True:
         num = _numerator_expansion(summand, K, n, logn)
         if (num is None or K == _MAX_TAIL_ORDER
@@ -880,7 +900,7 @@ def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalRe
     # the geometric bound with its denominators dropped needs at most k0 terms
     k0 = (log_target + l1x) / lx - 1.0 - a - c
     cap = max(1, math.ceil(k0)) if k0 < _MOMENT_MAX_TERMS else _MOMENT_MAX_TERMS
-    terms = _least(fits, cap if fits(cap) else _MOMENT_MAX_TERMS)
+    terms = _least(fits, 1, cap if fits(cap) else _MOMENT_MAX_TERMS)
     if not fits(terms):
         raise ConvergenceError(f"moment series needs more than {_MOMENT_MAX_TERMS} "
                                f"terms at x={x!r}")
@@ -1049,19 +1069,25 @@ def verify_identity(case: IdentityCase, config: SeriesConfig | None = None) -> V
     from . import catalog
 
     ident = catalog.get(case.identity_id)
+    params, tol = case.params, case.tol
     try:
-        if not isinstance(case.params, Mapping) or not all(isinstance(k, str)
-                                                           for k in case.params):
-            catalog.check_params(ident, case.params)
-        if not (catalog.is_number(case.tol) and 0.0 < case.tol < math.inf):
-            raise DomainError(f"tol must be a finite number > 0, got {case.tol!r}")
-        oracle_cfg = replace(config or SeriesConfig(), target_tol=case.tol / 10.0)
-        ident.validate(**case.params)
-        closed = ident.closed(case.variant, **case.params)
+        # a dict under the declared names and a float tol skip the generic
+        # checks, which only decide whether **params and tol may be used
+        if ((type(params) is not dict or params.keys() != ident.params.keys())
+                and (not isinstance(params, Mapping)
+                     or not all(isinstance(k, str) for k in params))):
+            catalog.check_params(ident, params)
+        if not ((type(tol) is float or catalog.is_number(tol)) and 0.0 < tol < math.inf):
+            raise DomainError(f"tol must be a finite number > 0, got {tol!r}")
+        config = config or SeriesConfig()
+        oracle_cfg = SeriesConfig(max_terms=config.max_terms, min_terms=config.min_terms,
+                                  target_tol=tol / 10.0)
+        ident.validate(**params)
+        closed = ident.closed(case.variant, **params)
     except (DomainError, PoleError, ConvergenceError) as exc:
         return _inconclusive(case, exc)
     try:
-        oracle_res = ident.oracle(oracle_cfg, **case.params)
+        oracle_res = ident.oracle(oracle_cfg, **params)
     except (ConvergenceError, DomainError, PoleError) as exc:
         return _inconclusive(case, exc, closed=closed)
 
@@ -1070,13 +1096,13 @@ def verify_identity(case: IdentityCase, config: SeriesConfig | None = None) -> V
     rel_res = abs_res / abs(oracle_res.value) if oracle_res.value != 0.0 else math.inf
     bound = oracle_res.abs_error_estimate
     reason = ""
-    if abs_res <= case.tol * denom:
+    if abs_res <= tol * denom:
         status = Status.CONFIRMED
-    elif bound <= case.tol / 10.0:
+    elif bound <= tol / 10.0:
         status = Status.REFUTED
     else:
         status = Status.INCONCLUSIVE
-        reason = (f"residual {abs_res:.3e} misses tol {case.tol:.3e} but oracle bound "
+        reason = (f"residual {abs_res:.3e} misses tol {tol:.3e} but oracle bound "
                   f"{bound:.3e} exceeds tol/10")
     return VerificationRecord(
         case=case, closed_value=closed, oracle_value=oracle_res.value,

@@ -309,21 +309,40 @@ def least_count(fits: Callable[[int], bool], cap: int) -> int:
 
 
 _PARAM_POLYLOG_MAX_TERMS = 200_000
+_PARAM_POLYLOG_NEWTON_STEPS = 16
 
 
 def _param_polylog_terms(s: int, a: float, x: float) -> int:
     # For a > -1 the magnitudes r^n/(n+a)^s, r = |x|, fall with n, so the rest
     # after N terms is at most r^(N+1)/((N+1+a)^s (1-r)), and |sum| is at
     # least the first term, less the second when the signs alternate.  N is
-    # the least count whose rest is at most 2^-60 of that, tested in logs.
+    # the least count whose rest is at most 2^-60 of that, tested in logs:
+    # the least integer n >= 1 where e(n) = (n+1) ln r - s ln(n+1+a) - log_floor
+    # is <= 0.  e is convex and decreasing, so from a point n where e(n) > 0 a
+    # Newton step lands below the root, and the line through e(n) with slope
+    # ln r (ln(n+1+a) held at its value at n) meets zero above it.  Newton
+    # steps from n = 1, one logarithm each, close that bracket until it holds
+    # one integer; a bisection settles a bracket that rounding stalls, or one
+    # still open after _PARAM_POLYLOG_NEWTON_STEPS steps.
     r = abs(x)
     log_r = math.log(r)
     log_floor = log_r - s * math.log1p(a) - 60.0 * LN2 + math.log1p(-r)
     if x < 0.0:
         log_floor += math.log1p(-r * ((1.0 + a) / (2.0 + a)) ** s)
-    # (N+1+a)^s >= (2+a)^s gives a count that surely fits
-    cap = max(1, math.ceil((log_floor + s * math.log(2.0 + a)) / log_r) - 1)
-    n_max = least_count(lambda n: (n + 1) * log_r - s * math.log(n + 1 + a) <= log_floor, cap)
+    n, log_n = 1.0, math.log(2.0 + a)
+    for _ in range(_PARAM_POLYLOG_NEWTON_STEPS):
+        excess = (n + 1.0) * log_r - s * log_n - log_floor
+        if excess <= 0.0:  # n = 1 fits, or rounding put n on the root
+            n_max = max(1, math.ceil(n))
+            break
+        low = n + excess / (s / (n + 1.0 + a) - log_r)
+        n_max = math.ceil(n - excess / log_r)
+        if math.ceil(low) == n_max or low >= _PARAM_POLYLOG_MAX_TERMS:
+            break
+        n, log_n = low, math.log(low + 1.0 + a)
+    else:
+        n_max = least_count(
+            lambda n: (n + 1) * log_r - s * math.log(n + 1 + a) <= log_floor, n_max)
     if n_max >= _PARAM_POLYLOG_MAX_TERMS:
         raise ConvergenceError(f"param_polylog series too slow at x={x}")
     return n_max

@@ -1,6 +1,12 @@
 """The catalog's declarations: parameter kinds and their derived validation,
 and summand specs with the terms and tail expansions derived from them."""
+import json
 import math
+from collections import OrderedDict
+from collections.abc import Mapping
+from decimal import Decimal
+from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -198,6 +204,104 @@ def test_malformed_case_is_inconclusive_with_a_reason(params, tol, reason):
     assert record.status is Status.INCONCLUSIVE
     assert record.reason == "DomainError: " + reason
     assert record.terms == 0
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Params(Mapping):
+    # a Mapping that is not a dict
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+def _generic_check_params(ident, params):
+    # the generic check that check_params runs on every input its exact-type
+    # fast path does not take, kept here as referee
+    if not (isinstance(params, Mapping) and params.keys() == ident.params.keys()
+            and all(map(catalog.is_number, params.values()))):
+        try:
+            shown = json.dumps(params, default=repr)
+        except TypeError:
+            shown = repr(params)
+        raise DomainError(f"{ident.id} takes numeric parameters {', '.join(ident.params)}; "
+                          f"got {shown}")
+
+
+_PARAMS_CORPUS = [
+    {"a": 0.5, "b": 1.0}, {"a": 1, "b": 2}, {"a": 0.5, "b": 1},
+    {"a": True, "b": 1.0}, {"a": 0.5, "b": False},
+    {"a": _Int(1), "b": 2.0}, {"a": _Float(0.5), "b": 1.0},
+    {"a": "0.5", "b": 1.0}, {"a": None, "b": 1.0}, {"a": 1j, "b": 1.0},
+    {"a": Fraction(1, 2), "b": 1.0}, {"a": Decimal("0.5"), "b": 1.0},
+    {"a": math.nan, "b": 1.0}, {"a": math.inf, "b": -math.inf},
+    {"a": 0.5}, {"a": 0.5, "b": 1.0, "c": 2.0}, {"b": 1.0, "a": 0.5}, {},
+    MappingProxyType({"a": 0.5, "b": 1.0}), _Params({"a": 0.5, "b": 1.0}),
+    _Params({"a": "x", "b": 1.0}), OrderedDict(a=0.5, b=1.0),
+    {1: 0.5, "b": 1.0}, {(1,): 0.5, "b": 1.0}, {b"a": 0.5, "b": 1.0},
+    [0.5, 1.0], ("a", "b"), "ab", None, 0.5,
+]
+
+
+@pytest.mark.parametrize("params", _PARAMS_CORPUS, ids=range(len(_PARAMS_CORPUS)))
+def test_check_params_fast_path_agrees_with_the_generic_check(params):
+    # the same inputs pass, and the rest fail with the same message
+    ident = catalog.get("eq2.9")
+    try:
+        _generic_check_params(ident, params)
+        want = None
+    except DomainError as exc:
+        want = str(exc)
+    try:
+        catalog.check_params(ident, params)
+        got = None
+    except DomainError as exc:
+        got = str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1, _Float(1e-7), _Int(1), Fraction(1, 10**7), True,
+                                 "1e-7", None, 0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("params", [{"a": 1.0, "b": 2.0}, {"a": 1, "b": 2.0},
+                                    MappingProxyType({"a": 1.0, "b": 2.0}),
+                                    _Params({"a": 1.0, "b": 2.0}), {"b": 2.0, "a": 1.0},
+                                    {"a": 1.0}, {"a": True, "b": 2.0}, {1: 1.0, "b": 2.0},
+                                    [1.0, 2.0]])
+def test_verify_identity_fast_path_agrees_with_the_generic_checks(params, tol):
+    # a dict under the declared names and a float tol skip the generic
+    # checks: a case they reject gets their reason, in their order (params
+    # that ** cannot take, then tol, then the names and numbers), and one
+    # they pass gets the record of the same case given as a non-dict Mapping
+    ident = catalog.get("eq2.9")
+    record = verify_identity(IdentityCase("eq2.9", params, tol))
+    try:
+        if not (isinstance(params, Mapping) and all(isinstance(k, str) for k in params)):
+            _generic_check_params(ident, params)
+        if not (catalog.is_number(tol) and 0.0 < tol < math.inf):
+            raise DomainError(f"tol must be a finite number > 0, got {tol!r}")
+        _generic_check_params(ident, params)
+    except DomainError as exc:
+        assert (record.status, record.reason) == (Status.INCONCLUSIVE, f"DomainError: {exc}")
+        return
+    generic = verify_identity(IdentityCase("eq2.9", _Params(params), tol))
+    assert record.status is generic.status is Status.CONFIRMED
+    assert (record.closed_value, record.oracle_value, record.oracle_error_bound,
+            record.terms) == (generic.closed_value, generic.oracle_value,
+                              generic.oracle_error_bound, generic.terms)
 
 
 def _seeded_draws(n: int, names: tuple[str, ...], s_range=(1, 3)) -> tuple[dict, ...]:

@@ -1,4 +1,5 @@
 """CLI surface: exit codes, report files, round-trips, env overrides."""
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import eulersum
-from eulersum import catalog
+from eulersum import SeriesConfig, catalog
 from eulersum.cli import main
 
 
@@ -142,6 +143,102 @@ def test_verify_csv_json_numeric_equality(tmp_path, capsys):
         assert closed == rec["closed"]  # identical bits via round-trip repr
         assert oracle == rec["oracle"]
         assert parts[5] == rec["status"]
+
+
+def _record(r) -> dict:
+    return {"identity": r.case.identity_id, "variant": r.case.variant.value,
+            "params": dict(r.case.params), "closed": r.closed_value, "oracle": r.oracle_value,
+            "abs_residual": r.abs_residual, "rel_residual": r.rel_residual,
+            "status": r.status.value, "oracle_error_bound": r.oracle_error_bound,
+            "terms": r.terms, "reason": r.reason}
+
+
+def _as_indented(result, wall_time_ms: int) -> dict:
+    # the report's value as json.dump(indent=2, sort_keys=True) writes it, read
+    # back with NaN and Infinity kept as names so that nan compares equal
+    payload = {
+        "schema_version": "3",
+        "config": dataclasses.asdict(SeriesConfig()),
+        "records": [_record(r) for r in result.records],
+        "summary": {"confirmed": result.confirmed, "refuted": result.refuted,
+                    "inconclusive": result.inconclusive, "wall_time_ms": wall_time_ms},
+    }
+    return json.loads(json.dumps(payload, indent=2, sort_keys=True), parse_constant=str)
+
+
+def _check_report(path, result) -> dict:
+    # same value as the indented report; one compact record per line
+    text = path.read_text()
+    report = json.loads(text, parse_constant=str)
+    assert report == _as_indented(result, report["summary"]["wall_time_ms"])
+    lines = text.splitlines()
+    start = lines.index('  "records": [' if result.records else '  "records": [],')
+    rows = lines[start + 1:lines.index("  ],", start)] if result.records else []
+    assert [json.loads(row.rstrip(","), parse_constant=str) for row in rows] == report["records"]
+    assert len(lines) == len(rows) + 7 - (not rows)
+    return report
+
+
+def _csv_text(report) -> str:
+    lines = ["identity,variant,params,closed,oracle,abs_residual,rel_residual,status"]
+    for rec in report["records"]:
+        params = json.dumps(rec["params"], sort_keys=True).replace('"', "'")
+        values = [repr(float(rec[k])) for k in ("closed", "oracle", "abs_residual",
+                                                "rel_residual")]
+        lines.append(",".join([rec["identity"], rec["variant"], f'"{params}"', *values,
+                               rec["status"]]))
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_report_writes_one_record_per_line(tmp_path, capsys):
+    from eulersum import grid_verify
+
+    jf, cf = tmp_path / "both.json", tmp_path / "both.csv"
+    code, out, _ = run(["verify", "--variant", "both", "--out", str(jf)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("summary: 213 confirmed, 3 refuted, 0 inconclusive")
+    assert len(out.splitlines()) == 217
+    result = grid_verify(catalog.default_cases("both"))
+    report = _check_report(jf, result)
+    assert len(report["records"]) == 216 and report["schema_version"] == "3"
+    code, _, _ = run(["verify", "--variant", "both", "--out", str(cf), "--format", "csv"],
+                     capsys)
+    assert code == 0 and cf.read_text() == _csv_text(report)
+
+
+def test_verify_report_keeps_nan_inf_and_any_reason(tmp_path, capsys, monkeypatch):
+    # INCONCLUSIVE rows carry nan values, an infinite bound and a reason with
+    # quotes and non-ASCII text; an empty grid gives "records": []
+    from eulersum import DomainError, IdentityCase, grid_verify
+
+    def refuse(config, **params):
+        raise DomainError('oracle says "no" at \u03b6(2) \u2014 na\u00efve')
+
+    monkeypatch.setitem(catalog.CATALOG, "eq2.9",
+                        dataclasses.replace(catalog.get("eq2.9"), oracle=refuse))
+    rows = [{"identity": "eq2.9", "params": {"a": 1.0, "b": 2.0}},
+            {"identity": "eq2.22", "params": {"a": -1.0, "k": 1}},
+            {"identity": "eq1.27", "params": {"a": 0.5, "s": 200}},
+            {"identity": "eq2.14", "params": {"a": 1.0, "m": 2}}]
+    gf, jf, cf = tmp_path / "grid.json", tmp_path / "r.json", tmp_path / "r.csv"
+    gf.write_text(json.dumps(rows))
+    code, _, _ = run(["verify", "--grid", str(gf), "--out", str(jf)], capsys)
+    assert code == 0
+    result = grid_verify([IdentityCase(r["identity"], r["params"], catalog.get(r["identity"]).tol)
+                          for r in rows])
+    assert [r.status.value for r in result.records] == ["INCONCLUSIVE"] * 3 + ["CONFIRMED"]
+    report = _check_report(jf, result)
+    assert report["records"][0]["reason"] == ('DomainError: oracle says "no" at \u03b6(2) '
+                                              '\u2014 na\u00efve')
+    assert report["records"][1]["closed"] == "NaN"
+    assert report["records"][0]["oracle_error_bound"] == "Infinity"
+    code, _, _ = run(["verify", "--grid", str(gf), "--out", str(cf), "--format", "csv"], capsys)
+    assert code == 0 and cf.read_text() == _csv_text(report)
+
+    gf.write_text("[]")
+    code, out, _ = run(["verify", "--grid", str(gf), "--out", str(jf)], capsys)
+    assert code == 0 and out.startswith("summary: 0 confirmed, 0 refuted, 0 inconclusive")
+    assert _check_report(jf, grid_verify([]))["records"] == []
 
 
 def test_verify_report_roundtrip_statuses(tmp_path, capsys):

@@ -536,10 +536,27 @@ def test_lemma13_right_side_evaluates_each_series_once(monkeypatch, s):
     assert len(calls) == len(set(calls)) == s + 2
 
 
-@pytest.mark.parametrize("ident_id", ["eq1.27", "eq3.9", "eq4.3", "eq4.5", "eq4.7", "eq2.2"])
+@pytest.mark.parametrize("c", [0.05, 0.5, 2.5, 15.5, 16.0, 40.0])
+def test_shifted_sum_evaluates_each_harmonic_number_once(monkeypatch, c):
+    # S(c) reads H_c once for its nine polylog moments at c, and once per c
+    # on its way up to 16
+    from eulersum import harmonic, specfun
+
+    calls = []
+    monkeypatch.setattr(harmonic, "digamma",
+                        lambda x: calls.append(x) or specfun.digamma(x))
+    value = linear_sums.sum_shiftedH_over_nsq.__wrapped__(c)
+    assert len(calls) == len(set(calls)) == max(1, math.ceil(16.0 - c))
+    assert value == linear_sums.sum_shiftedH_over_nsq(c)
+
+
+@pytest.mark.parametrize("ident_id", ["eq1.27", "eq3.9", "eq4.3", "eq4.5", "eq4.7", "eq2.2",
+                                      "eq2.22", "eq2.29"])
 def test_closed_sides_evaluate_each_zeta_value_once(monkeypatch, ident_id):
-    # a closed side reads each zeta(s, q) and zbar(s, q) it names more than
-    # once from one table, so no (s, q) is evaluated twice in a call
+    # a closed side reads each zeta(s, q), zbar(s, q) and psi(q) it names more
+    # than once from one table or one seed (the window kernels take H_a,
+    # H_a^(2) and H_a^(3) from their caller), so none is evaluated twice in a
+    # call
     from eulersum import harmonic, specfun, wsums
     from eulersum.oracle import Variant
 
@@ -548,18 +565,22 @@ def test_closed_sides_evaluate_each_zeta_value_once(monkeypatch, ident_id):
     def counted(name):
         fn = getattr(specfun, name)
 
-        def wrapper(s, q):
-            calls.append((name, s, q))
-            return fn(s, q)
+        def wrapper(*args):
+            calls.append((name, *args))
+            return fn(*args)
         return wrapper
 
     for mod in (linear_sums, wsums, harmonic):
-        for name in ("hurwitz_zeta", "alt_hurwitz_zeta"):
+        for name in ("hurwitz_zeta", "alt_hurwitz_zeta", "digamma"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name))
     ident = catalog.get(ident_id)
     seen = 0
     for params in ident.grid:
+        # sum_shiftedH_over_nsq (eq2.29) keeps its cache; each of its own
+        # calls evaluates H_c once per shift c, but S(a) and S(a+1) pass the
+        # same c, so the count is taken with the cache warm
+        ident.closed(Variant.CORRECTED, **params)
         calls.clear()
         ident.closed(Variant.CORRECTED, **params)
         assert len(calls) == len(set(calls)), (params, calls)

@@ -344,6 +344,41 @@ def test_tail_grows_its_order_when_the_sized_order_falls_short(monkeypatch):
     assert grown_bound <= budget and abs(grown - value) <= bound + grown_bound
 
 
+@pytest.mark.parametrize("least", range(1, 5))
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 3), (2, 3), (3, 3), (4, 3), (2, 16)])
+def test_least_bisects_its_range(lo, hi, least):
+    # the least n in [lo, hi] with fits(n); hi, untested, when none below fits
+    tested = []
+    fits = lambda n: tested.append(n) or n >= least  # noqa: E731
+    want = min(max(lo, least), hi) if lo <= hi else hi
+    assert oracle_mod._least(fits, lo, hi) == want
+    assert hi not in tested
+
+
+def test_order_is_the_least_order_that_fits(monkeypatch, honest_shapes):
+    # the seeded search gives the K a scan from K = 1 gives, at every _order
+    # call of the builtin suite and of the honest shapes at two targets
+    calls = []
+    order = oracle_mod._order
+
+    def recorded(*args):
+        calls.append(args)
+        return order(*args)
+
+    monkeypatch.setattr(oracle_mod, "_order", recorded)
+    grid_verify(catalog.default_cases("both"))
+    for summand, _ in honest_shapes:
+        for target in (1e-6, 1e-13):
+            truncated_series(summand, SeriesConfig(target_tol=target))
+    monkeypatch.setattr(oracle_mod, "_order", order)
+    assert len(calls) > 200
+    seeded = [order(*args)[0] for args in calls]
+    cap = oracle_mod._MAX_TAIL_ORDER
+    monkeypatch.setattr(oracle_mod, "_least",  # a scan from 1, whatever the guess
+                        lambda fits, lo, hi: next((K for K in range(1, cap) if fits(K)), cap))
+    assert seeded == [order(*args)[0] for args in calls]
+
+
 @pytest.mark.parametrize("ident_id", ["eq2.27", "eq2.36"])
 def test_polynomial_numerators_sum_in_one_series(ident_id, monkeypatch):
     # H_n^2 - H_n^(2) and the cubic Stirling window are one Summand each:

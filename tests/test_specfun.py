@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eulersum import (
+    ConvergenceError,
     DomainError,
     EULER_GAMMA,
     LN2,
@@ -22,6 +23,7 @@ from eulersum import (
     polylog,
     riemann_zeta,
 )
+from eulersum import specfun
 from eulersum.linear_sums import sum_shiftedH_over_nsq
 from eulersum.specfun import as_shift
 
@@ -250,6 +252,65 @@ def test_param_polylog_values():
     # endpoint routes
     assert param_polylog(2, 0.5, 1.0) == pytest.approx(hurwitz_zeta(2, 1.5), rel=1e-14)
     assert param_polylog(1, 1.0, -1.0) == pytest.approx(-(1.0 - LN2), rel=1e-13)
+
+
+def _bisected_param_polylog_terms(s, a, x):
+    # the least count by bisection below the count that (N+1+a)^s >= (2+a)^s
+    # gives, kept as referee for the Newton bracket of _param_polylog_terms
+    r = abs(x)
+    log_r = math.log(r)
+    log_floor = log_r - s * math.log1p(a) - 60.0 * LN2 + math.log1p(-r)
+    if x < 0.0:
+        log_floor += math.log1p(-r * ((1.0 + a) / (2.0 + a)) ** s)
+    cap = max(1, math.ceil((log_floor + s * math.log(2.0 + a)) / log_r) - 1)
+    fits = lambda n: (n + 1) * log_r - s * math.log(n + 1 + a) <= log_floor  # noqa: E731
+    if not fits(cap):
+        return cap
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("steps, draws", [(specfun._PARAM_POLYLOG_NEWTON_STEPS, 20_000),
+                                          (1, 2_000)], ids=["newton", "bisection-fallback"])
+def test_param_polylog_terms_equal_the_bisected_least_count(monkeypatch, steps, draws):
+    # seeded (s, a, x): shifts near -1, moderate and large, |x| near 0,
+    # moderate and near 1, where counts pass the cap and raise; with one
+    # Newton step most brackets are left to the bisection
+    monkeypatch.setattr(specfun, "_PARAM_POLYLOG_NEWTON_STEPS", steps)
+    rng = np.random.default_rng(20261020)
+    limit = specfun._PARAM_POLYLOG_MAX_TERMS
+    raised = 0
+    for _ in range(draws):
+        s = int(rng.integers(1, 13))
+        kind = rng.random()
+        if kind < 0.2:
+            a = -1.0 + 10.0 ** rng.uniform(-6.0, 0.3)
+        elif kind < 0.8:
+            a = 10.0 ** rng.uniform(-3.0, 3.5)
+        else:
+            a = rng.uniform(-0.999, 5.0)
+        kind = rng.random()
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        if kind < 0.15:
+            x = sign * (1.0 - 10.0 ** rng.uniform(-7.0, -1.0))
+        elif kind < 0.3:
+            x = sign * 10.0 ** rng.uniform(-300.0, -1.0)
+        else:
+            x = rng.uniform(-0.999, 0.999)
+        want = _bisected_param_polylog_terms(s, a, x)
+        if want >= limit:
+            raised += 1
+            with pytest.raises(ConvergenceError):
+                specfun._param_polylog_terms(s, a, x)
+        else:
+            assert specfun._param_polylog_terms(s, a, x) == want, (s, a, x)
+    assert 0 < raised < draws // 10
 
 
 def test_h_func():
