@@ -4,7 +4,9 @@ The package evaluates harmonic-number series (bilinear, window, and
 reciprocal-binomial shapes, plus alternating variants) through closed forms
 built from zeta values and shifted harmonic numbers, and checks every
 identity against independent oracles: truncated summation with an analytic
-tail correction, and tanh-sinh quadrature.
+tail correction, tanh-sinh quadrature, and the direct sums of the
+generating-function and moment left sides (``gf_lhs``), each with an a-priori
+tail bound.
 """
 
 from .errors import ConvergenceError, DomainError, EulersumError, PoleError

@@ -2,11 +2,12 @@
 form, an independent oracle, a parameter schema, and a default grid.
 
 Each identity declares its parameters once, as an ordered mapping from name
-to kind (``positive``, ``nonnegative``, ``inside_unit``, ``unconstrained`` or
-``Integer(minimum)``), plus at most one cross-parameter ``check``.  Its
-``validate`` is derived from that declaration after ``check_params`` (the
-declared names, each a real number but not a bool, as grid files are also
-checked), and the CLI reads the kinds to decide which flags are integers.
+to kind (``positive``, ``nonnegative``, ``inside_unit``,
+``positive_below_one``, ``unconstrained`` or ``Integer(minimum)``), plus at
+most one cross-parameter ``check``.  Its ``validate`` is derived from that
+declaration after ``check_params`` (the declared names, each a real number
+but not a bool, as grid files are also checked), and the CLI reads the kinds
+to decide which flags are integers.
 
 Each of the 30 series identities declares its summand once, as an
 ``oracle.Summand``: the numerator, a polynomial in harmonic numbers
@@ -26,16 +27,16 @@ series each, with one tail.
 Catalog oracles never call the closed forms they check.  Every series oracle,
 alternating numerators included, goes through ``oracle.truncated_series``.
 The log-power moment eq2.2 is the one integral left to tanh-sinh quadrature
-(``oracle.quadrature``: nested levels, each node evaluated once).  The moment
-integrals eq1.19 and eq1.23 are integrated term by term into one positive
-series, summed with an a-priori geometric or power-law tail bound
-(``oracle.moment_series``).  Generating-function series are summed directly
-to the config's target (``linear_sums.gf_lhs``: the term count is fixed
-from a geometric tail bound before summing), and a bound that misses the
-target raises ConvergenceError, as a series oracle's does.  The closed sides of
-all of these (``linear_sums.gf_rhs``) run none of those sums nor quadrature.
-Every validate, closed and oracle call turns a raw overflow, division by
-zero or non-finite value into a DomainError.
+(``oracle.quadrature``: nested levels, each node evaluated once).  The left
+sides of the eight generating-function and moment identities are summed
+directly to the config's target (``linear_sums.gf_lhs``: the term count is
+fixed from an a-priori tail bound before summing; the moment integrals
+eq1.19 and eq1.23 are integrated term by term into one positive series), and
+a bound that misses the target raises ConvergenceError, as a series
+oracle's does.  The closed sides of all of these (``linear_sums.gf_rhs``)
+run none of those sums nor quadrature.  Every validate, closed and oracle
+call turns a raw overflow or division by zero into a DomainError, as it does
+a closed or oracle value that is not a finite real float.
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ from .oracle import (
     Method,
     Summand,
     Variant,
-    moment_series,
     quadrature,
     truncated_series,
 )
@@ -84,6 +84,11 @@ def nonnegative(name: str, value) -> None:
 def inside_unit(name: str, value) -> None:
     if not -1.0 < float(value) < 1.0:
         raise DomainError(f"{name}={value} must lie strictly inside (-1, 1)")
+
+
+def positive_below_one(name: str, value) -> None:
+    if not 0.0 < float(value) < 1.0:
+        raise DomainError(f"{name}={value} must satisfy 0 < {name} < 1")
 
 
 def unconstrained(name: str, value) -> None:
@@ -130,20 +135,24 @@ def ids() -> tuple[str, ...]:
     return tuple(CATALOG)
 
 
-def _arithmetic_guard(ident_id: str, fn):
-    # a raw overflow, a division by zero or a non-finite value means the
-    # parameters lie outside what double precision can evaluate, which callers
-    # handle as a DomainError (a nan closed value would otherwise read REFUTED)
+def _arithmetic_guard(ident_id: str, fn, returns_value: bool = True):
+    # a raw overflow, a division by zero or a value that is not a finite real
+    # float means the parameters lie outside what double precision can
+    # evaluate, which callers handle as a DomainError (a nan closed value
+    # would otherwise read REFUTED, and a complex one break the report)
     def guarded(*args, **kwargs):
         try:
             out = fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"{ident_id}: parameters outside double-precision range "
                               f"({type(exc).__name__}: {exc})") from exc
-        value = out.value if isinstance(out, EvalResult) else out
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"{ident_id}: parameters outside double-precision range "
-                              f"(value {value})")
+        if returns_value:
+            value = out.value if isinstance(out, EvalResult) else out
+            if not isinstance(value, float):
+                raise DomainError(f"{ident_id}: value {value!r} is not a real float")
+            if not math.isfinite(value):
+                raise DomainError(f"{ident_id}: parameters outside double-precision range "
+                                  f"(value {value})")
         return out
 
     return guarded
@@ -194,7 +203,7 @@ def _validator(ident: Identity):
 def _register(ident: Identity):
     CATALOG[ident.id] = replace(
         ident,
-        validate=_arithmetic_guard(ident.id, _validator(ident)),
+        validate=_arithmetic_guard(ident.id, _validator(ident), returns_value=False),
         closed=_arithmetic_guard(ident.id, ident.closed),
         oracle=_arithmetic_guard(ident.id, ident.oracle),
     )
@@ -744,20 +753,21 @@ _register(Identity(
 
 _register(Identity(
     id="eq1.19",
-    params={"x": inside_unit, "a": positive, "b": positive, "n": Integer(1), "m": Integer(1)},
+    params={"x": positive_below_one, "a": positive, "b": positive, "n": Integer(1),
+            "m": Integer(1)},
     description="moment integral of the shifted power series H_m(t,a)",
     closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT),
-    oracle=lambda cfg, x, a, b, n, m: moment_series(x, a, n + b, m, cfg.target_tol / 10.0),
+    oracle=_gf_oracle(linear_sums.GfKind.MOMENT_IDENT),
     tol=1e-9,
     grid=_grid(x=(0.3, 0.8), n=(1, 4), a=(0.5, 2.0), b=(0.5, 2.0), m=(2, 3)),
 ))
 
 _register(Identity(
     id="eq1.23",
-    params={"x": inside_unit, "b": positive, "n": Integer(1), "m": Integer(1)},
+    params={"x": positive_below_one, "b": positive, "n": Integer(1), "m": Integer(1)},
     description="moment integral of Li_m over (0, x)",
     closed=_gf_closed(linear_sums.GfKind.MOMENT_IDENT_ZERO),
-    oracle=lambda cfg, x, b, n, m: moment_series(x, 0.0, n + b, m, cfg.target_tol / 10.0),
+    oracle=_gf_oracle(linear_sums.GfKind.MOMENT_IDENT_ZERO),
     tol=1e-9,
     grid=_grid(x=(0.3, 0.8), n=(1, 4), b=(0.5, 2.0), m=(2, 3)),
 ))

@@ -18,15 +18,17 @@ in place of zeta: sum_recip_shift, polylog_moment, sum_H1_bilinear (and
 wsums.w_1_p) take ``alternating=True``.  alt_sum_H1_power and
 alt_sum_Hm_window keep formulas of their own, which mix zeta and eta terms.
 
-Two kinds of direct series remain.  gf_lhs sums the left sides of the six
-series generating-function identities to the caller's target; the catalog
-uses them as oracles.  Each fixes its term count before it sums, as the least
-N whose tail bound (geometric in |x|, from a bound on the coefficients) is at
-most target/2, and reports that tail plus a roundoff bound.  Among the right
-sides (gf_rhs), only
-eq1.30's (GfKind.HN_HM) is a series: its display keeps sum H_n x^n/n^m and the
-log remainders r_n, summed in O(n) terms.  Every other right side is finite in
-polylogarithms, and none uses quadrature or a left-side sum.
+Two kinds of direct series remain.  gf_lhs sums the left sides of all eight
+generating-function and moment identities to the caller's target; the
+catalog uses them as oracles.  The moment kinds' left sides (eq1.19, eq1.23)
+are integrals of H_m(t, a) t^(c-1) and Li_m(t) t^(c-1), summed term by term
+as one positive series.  Each fixes its term count before it sums, as the
+least N whose tail bound (geometric in x, from a bound on the coefficients,
+or for the moment kinds also a power law in N) is at most target/2, and
+reports that tail plus a roundoff bound.  Among the right sides (gf_rhs),
+only eq1.30's (GfKind.HN_HM) is a series: its display keeps sum H_n x^n/n^m
+and the log remainders r_n, summed in O(n) terms.  Every other right side is
+finite in polylogarithms, and none uses quadrature or a left-side sum.
 
 Conventions: ``zeta_shift(s, a)`` below always means zeta(s, a+1), i.e. the
 series sum_{n>=1} (n+a)^-s; zbar(s, a) is its alternating twin
@@ -499,7 +501,8 @@ def _gf_sum(value: float, n_max: int, abs_sum: float, tail: float) -> GfSum:
 
 
 # left sides, summed directly: the catalog's oracles.  Each sums the count
-# _terms_for picks below _geom_terms, the count where |x|^N < 1e-19.
+# _terms_for picks below _geom_terms, the count where |x|^N < 1e-19, but the
+# moment kinds, which search below their own geometric count.
 
 def _lhs_lemma13_two_var(x: float, y: float, a: float, s: int, target: float) -> GfSum:
     # sum_n (y^n cx_n + x^n cy_n)/(n+a)^s, cx_n = sum_{j<n} x^(n-j)/j by recurrence
@@ -612,6 +615,59 @@ def _lhs_nested_reflect(x: float, y: float, p: int, m: int, target: float) -> Gf
     return _gf_sum(acc, n_max, abs_acc, tail(n_max))
 
 
+_MOMENT_MAX_TERMS = 200_000  # most terms a moment left side sums
+
+
+def _lhs_moment_ident(x: float, a: float, b: float, n: int, m: int, target: float) -> GfSum:
+    # sum_{k>=1} x^(k+a+c)/((k+a)^m (k+a+c)) for 0 < x < 1, a >= 0, c = n + b:
+    # the integral of H_m(t, a) t^(c-1) over (0, x), and at a = 0 that of
+    # Li_m(t) t^(c-1), taken term by term.  The terms are positive and each is
+    # at most x times the one before, so the rest after K terms is at most
+    # t_(K+1)/(1-x); as k+a+c >= k+a it is also at most
+    # x^(K+1+a+c)/(m (K+a)^m).  Both bounds are taken in log space.  Raises
+    # ConvergenceError where the smaller one still exceeds target/2 at
+    # _MOMENT_MAX_TERMS: as x -> 1 it tends to 1/(m 200000^m) there, so at
+    # target 1e-10 (eq1.19's and eq1.23's oracles at tol 1e-9) m = 1 fails
+    # from x ~ 0.99995, while m >= 2 certify at every double below 1; smaller
+    # targets lose a region near 1 for m = 2 as well.
+    c = n + b
+    lx, l1x = math.log(x), math.log1p(-x)
+
+    def log_tail(k: int) -> float:
+        e = (k + 1 + a + c) * lx
+        geometric = e - m * math.log(k + 1 + a) - math.log(k + 1 + a + c) - l1x
+        power = e - math.log(m) - m * math.log(k + a)
+        return min(geometric, power)
+
+    # the geometric bound with its denominators (at least 6) dropped meets
+    # target/2 from k0 terms on, so the count lies below ceil(k0); only the
+    # cap can miss
+    k0 = (math.log(0.5 * target) + l1x) / lx - 1.0 - a - c
+    cap = min(_MOMENT_MAX_TERMS, max(1, math.ceil(max(k0, 0.0))))
+    n_max = _terms_for(lambda k: math.exp(log_tail(k)), target, cap)
+    if n_max == _MOMENT_MAX_TERMS and math.exp(log_tail(n_max)) > 0.5 * target:
+        raise ConvergenceError(f"moment series needs more than {_MOMENT_MAX_TERMS} "
+                               f"terms at x={x!r}")
+
+    # (k+a)^-m underflows to 0 where (k+a)^m would overflow
+    kas = [k + a for k in range(1, n_max + 1)]
+    value = math.fsum([x ** (ka + c) * ka ** -m / (ka + c) for ka in kas])
+    # relative error per term, in units of eps: the two roundings of the
+    # exponent k+a+c become (k+a+c)|ln x| in x^(k+a+c) (at most 745 where the
+    # power did not underflow), k+a's rounding becomes m/2 in (k+a)^-m, the
+    # two pows add at most 4 ulp each and the add, product and quotient 2
+    # more; fsum adds 1/2.  sys.float_info.min per term covers terms below
+    # the normal range, so the bound is > 0 even when the sum underflows
+    log_power = min(745.0, -(n_max + a + c) * lx)
+    roundoff = _EPS * (log_power + m + 12.0) * value + n_max * sys.float_info.min
+    tail = math.exp(log_tail(n_max) + 1e-9)  # e^1e-9 covers the log-space rounding
+    return GfSum(value=value, work=n_max, bound=tail + roundoff)
+
+
+def _lhs_moment_ident_zero(x: float, b: float, n: int, m: int, target: float) -> GfSum:
+    return _lhs_moment_ident(x, 0.0, b, n, m, target)
+
+
 # right sides: finite in polylogarithms except eq1.30's displayed series
 
 def _rhs_lemma13(x: float, a: float, s: int) -> float:
@@ -704,36 +760,30 @@ def _rhs_moment_ident_zero(x: float, b: float, n: int, m: int) -> float:
 
 
 def _gf_args(kind: GfKind, params) -> tuple:
-    """Validated positional arguments of one kind's left and right sides."""
+    """Validated positional arguments of one kind's left and right sides, with
+    the integer minimums the catalog declares."""
     if kind in (GfKind.LEMMA13, GfKind.LEMMA13_TWO_VAR):
         x = _require_open_x(params["x"])
         a = as_shift(params["a"])
-        s = int(params["s"])
         if kind is GfKind.LEMMA13:
-            if s < 2:
-                raise DomainError("lemma13 requires s >= 2")
-            return x, a, s
-        if s < 1:
-            raise DomainError("lemma13_two_var requires s >= 1")
-        return x, _require_open_x(params["y"], "y"), a, s
+            return x, a, as_integer(params["s"], 2, "s")
+        return x, _require_open_x(params["y"], "y"), a, as_integer(params["s"], 1, "s")
     if kind in (GfKind.HN_H2, GfKind.SQ_DIFF):
         return (_require_open_x(params["x"]),)
     if kind is GfKind.HN_HM:
-        m = int(params["m"])
-        if m < 2:
-            raise DomainError("hn_hm requires m >= 2")
-        return _require_open_x(params["x"]), m
+        return _require_open_x(params["x"]), as_integer(params["m"], 2, "m")
     if kind is GfKind.NESTED_REFLECT:
-        p = int(params["p"])
-        m = int(params["m"])
-        if p < 1 or m < 1:
-            raise DomainError("nested_reflect requires p, m >= 1")
-        return _require_open_x(params["x"]), _require_open_x(params["y"], "y"), p, m
-    x = _require_open_x(params["x"])
+        return (_require_open_x(params["x"]), _require_open_x(params["y"], "y"),
+                as_integer(params["p"], 1, "p"), as_integer(params["m"], 1, "m"))
+    # x^(n+b) is complex for x < 0 and non-integer n + b
+    x = float(params["x"])
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"{kind.value} requires 0 < x < 1, got x={x}")
     b = as_shift(params["b"], minimum=0.0, name="b")
+    n, m = as_integer(params["n"], 1, "n"), as_integer(params["m"], 1, "m")
     if kind is GfKind.MOMENT_IDENT:
-        return x, as_shift(params["a"], minimum=0.0), b, int(params["n"]), int(params["m"])
-    return x, b, int(params["n"]), int(params["m"])
+        return x, as_shift(params["a"], minimum=0.0), b, n, m
+    return x, b, n, m
 
 
 _LHS = {
@@ -743,6 +793,8 @@ _LHS = {
     GfKind.HN_HM: _lhs_hn_hm,
     GfKind.SQ_DIFF: _lhs_sq_diff,
     GfKind.NESTED_REFLECT: _lhs_nested_reflect,
+    GfKind.MOMENT_IDENT: _lhs_moment_ident,
+    GfKind.MOMENT_IDENT_ZERO: _lhs_moment_ident_zero,
 }
 
 _RHS = {
@@ -763,17 +815,18 @@ def gf_rhs(kind: GfKind | str, **params) -> float:
 
 
 def gf_lhs(kind: GfKind | str, target: float, **params) -> GfSum:
-    """The left side of a series kind, summed directly with a certified bound.
+    """The left side of any kind, summed directly with a certified bound.
 
     The term count is fixed before summing: the least N whose tail bound is
-    at most target/2, up to the count where |x|^N < 1e-19.  The caller
-    compares the bound (tail plus roundoff) with its target: it passes the
-    target where that cap leaves a larger tail, or where the roundoff of a
-    large sum alone does.  Raises DomainError unless target > 0.
+    at most target/2, up to the count where |x|^N < 1e-19 (for the moment
+    kinds, up to where their geometric bound alone meets target/2).  The
+    caller compares the bound (tail plus roundoff) with its target: it passes
+    the target where that cap leaves a larger tail, or where the roundoff of
+    a large sum alone does.  Raises DomainError unless target > 0, and
+    ConvergenceError where a moment kind needs more than _MOMENT_MAX_TERMS
+    terms or another kind's count passes _GF_MAX_TERMS.
     """
     kind = GfKind(kind)
-    if kind not in _LHS:
-        raise DomainError(f"{kind.value} has an integral left side; use oracle.moment_series")
     target = float(target)
     if not target > 0.0:
         raise DomainError(f"gf_lhs target must be > 0, got {target}")
@@ -786,9 +839,7 @@ _TWO_SIDED_TARGET = 1e-16
 
 
 def gf_two_sided(kind: GfKind | str, **params) -> GfResult:
-    """Both sides of a series kind, gf_lhs at a fixed tight target against
-    gf_rhs.  Raises DomainError for the moment kinds, whose left sides are
-    integrals (gf_lhs)."""
+    """Both sides of one kind, gf_lhs at a fixed tight target against gf_rhs."""
     kind = GfKind(kind)
     rhs = gf_rhs(kind, **params)
     lhs = gf_lhs(kind, _TWO_SIDED_TARGET, **params)

@@ -1,21 +1,22 @@
 """Independent ground-truth engines and the identity-verification driver.
 
-Three evaluation routes, none of which shares code with the closed forms it
-checks: truncated summation with a certified tail, the moment series of
-eq1.19 and eq1.23 with a geometric tail bound, and tanh-sinh quadrature of
-the one integrand a catalog oracle still runs, eq2.2's log-power moment
-x^(a-1) ln^m(1-x) on (0, 1).  The series engine sums a declared ``Summand``
-(harmonic numbers, alternating ones included, over shifted powers and an
-optional reciprocal binomial) to N and adds the rest from the summand's own
-expansion in 1/x and ln x for x >= N, summed by Euler-Maclaurin (Boole for
-the alternating parts) with explicit remainders, so its error bound is a
-theorem plus roundoff.  Everything it sums is a Python float: each harmonic
-number is a compensated running sum (Sum2 of Ogita, Rump and Oishi), the
-terms are built column by column on lists and math.fsum totals them, with a
-roundoff bound derived from the operations of one term.  From specfun this
-module takes only the constant EULER_GAMMA and the zeta values zeta(s) and
-eta(s) the expansions start from, none of the Hurwitz, alternating-series,
-polylog and h_func evaluators the closed sides are built on.
+Two evaluation routes, neither of which shares code with the closed forms it
+checks: truncated summation with a certified tail, and tanh-sinh quadrature
+of the one integrand a catalog oracle still runs, eq2.2's log-power moment
+x^(a-1) ln^m(1-x) on (0, 1).  (The generating-function and moment left sides
+are summed in linear_sums.gf_lhs.)  The series engine sums a declared
+``Summand`` (harmonic numbers, alternating ones included, over shifted
+powers and an optional reciprocal binomial) to N and adds the rest from the
+summand's own expansion in 1/x and ln x for x >= N, summed by
+Euler-Maclaurin (Boole for the alternating parts) with explicit remainders,
+so its error bound is a theorem plus roundoff.  Everything it sums is a
+Python float: each harmonic number is a compensated running sum (Sum2 of
+Ogita, Rump and Oishi), the terms are built column by column on lists and
+math.fsum totals them, with a roundoff bound derived from the operations of
+one term.  From specfun this module takes only the constant EULER_GAMMA and
+the zeta values zeta(s) and eta(s) the expansions start from, none of the
+Hurwitz, alternating-series, polylog and h_func evaluators the closed sides
+are built on.
 
 The quadrature nests its levels, so each node is evaluated once, and calls
 its integrand once per level on lists of nodes.  The module uses only the
@@ -847,77 +848,6 @@ def truncated_series(summand: Summand, config: SeriesConfig) -> EvalResult:
         f"truncated series: certified error {est:.3e} exceeds target "
         f"{config.target_tol:.3e} at max_terms={n_cap}"
     )
-
-
-_MOMENT_MAX_TERMS = 200_000  # most terms moment_series sums
-
-
-def moment_series(x: float, a: float, c: float, m: int, target: float) -> EvalResult:
-    """sum_{k>=1} x^(k+a+c) / ((k+a)^m (k+a+c)) for 0 < x < 1, a >= 0, c > 0.
-
-    It is the integral of H_m(t, a) t^(c-1) over (0, x), and at a = 0 that of
-    Li_m(t) t^(c-1), integrated term by term: the left sides of eq1.19 and
-    eq1.23 with c = n + b.  The terms are positive and each is at most x times
-    the one before, so the rest after K terms is at most t_(K+1)/(1-x); as
-    k+a+c >= k+a it is also at most x^(K+1+a+c) / (m (K+a)^m).  K is fixed in
-    log space before anything is summed: the least count at which the smaller
-    of the two bounds is at most target/2, found by bisection below the count
-    at which x^(K+1+a+c)/(1-x) alone is (or below _MOMENT_MAX_TERMS).
-
-    The float64 terms are summed with math.fsum.  The bound is that tail plus
-    a first-order roundoff bound of the per-term operations and the sum, plus
-    sys.float_info.min per term for terms below the normal range (an
-    underflowed power gives 0 or a subnormal), so it is > 0 even when the
-    sum underflows to 0.  Raises DomainError outside the domain and
-    ConvergenceError when more than _MOMENT_MAX_TERMS terms are needed: for
-    any m, wherever the smaller bound at K = 200 000 exceeds target/2.  As
-    x -> 1 the power-law bound there tends to 1/(m 200000^m), so at target
-    1e-11 (eq1.19's and eq1.23's oracles at tol 1e-9) m = 1 fails from
-    x ~ 0.99994 and m = 2 from x ~ 0.999995, while m >= 3 always converges;
-    smaller targets lose a region near 1 for every m.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError("lemma moment requires 0 < x < 1")
-    if not (m >= 1 and float(m).is_integer()):
-        raise DomainError(f"lemma moment requires integer m >= 1, got {m}")
-    if not (math.isfinite(a) and a >= 0.0 and math.isfinite(c) and c > 0.0):
-        raise DomainError(f"moment series requires finite a >= 0 and c > 0, got a={a}, c={c}")
-    if not target > 0.0:
-        raise DomainError("moment series target must be > 0")
-    m = int(m)
-    lx, l1x = math.log(x), math.log1p(-x)
-    log_target = math.log(target) - math.log(2.0)
-
-    def log_tail(k: int) -> float:
-        e = (k + 1 + a + c) * lx
-        geometric = e - m * math.log(k + 1 + a) - math.log(k + 1 + a + c) - l1x
-        power = e - math.log(m) - m * math.log(k + a)
-        return min(geometric, power)
-
-    def fits(k: int) -> bool:
-        return log_tail(k) <= log_target
-
-    # the geometric bound with its denominators dropped needs at most k0 terms
-    k0 = (log_target + l1x) / lx - 1.0 - a - c
-    cap = max(1, math.ceil(k0)) if k0 < _MOMENT_MAX_TERMS else _MOMENT_MAX_TERMS
-    terms = _least(fits, 1, cap if fits(cap) else _MOMENT_MAX_TERMS)
-    if not fits(terms):
-        raise ConvergenceError(f"moment series needs more than {_MOMENT_MAX_TERMS} "
-                               f"terms at x={x!r}")
-
-    # (k+a)^-m underflows to 0 where (k+a)^m would overflow
-    kas = [k + a for k in range(1, terms + 1)]
-    value = math.fsum([x ** (ka + c) * ka ** -m / (ka + c) for ka in kas])
-    # relative error per term, in units of eps: the two roundings of the
-    # exponent k+a+c become (k+a+c)|ln x| in x^(k+a+c) (at most 745 where the
-    # power did not underflow), k+a's rounding becomes m/2 in (k+a)^-m, the
-    # two pows add at most 4 ulp each and the add, product and quotient 2
-    # more; fsum adds 1/2
-    log_power = min(745.0, -(terms + a + c) * lx)
-    roundoff = _FLOAT_EPS * (log_power + m + 12.0) * value + terms * sys.float_info.min
-    tail = math.exp(log_tail(terms) + 1e-9)  # e^1e-9 covers the log-space rounding
-    return EvalResult(value=value, abs_error_estimate=tail + roundoff,
-                      method=Method.TRUNCATED, work=terms)
 
 
 class Integrand(str, enum.Enum):

@@ -1,5 +1,7 @@
 """The catalog's declarations: parameter kinds and their derived validation,
 and summand specs with the terms and tail expansions derived from them."""
+import dataclasses
+import io
 import json
 import math
 from collections import OrderedDict
@@ -14,11 +16,14 @@ import pytest
 from eulersum import (
     DomainError,
     GfKind,
+    GridResult,
     IdentityCase,
     SeriesConfig,
     Status,
     Summand,
+    Variant,
     catalog,
+    cli,
     linear_sums,
     oracle,
     verify_identity,
@@ -30,6 +35,7 @@ _BREAKING = {
     catalog.positive: (0.0, -1.5),
     catalog.nonnegative: (-0.5,),
     catalog.inside_unit: (1.0, -1.0),
+    catalog.positive_below_one: (0.0, -0.5, 1.0),
     catalog.unconstrained: (),
 }
 
@@ -385,3 +391,63 @@ def test_gf_left_sides_do_less_work_at_a_looser_target(kind):
         tight = linear_sums.gf_lhs(kind, 1e-11, x=x, **_GF_KIND_PARAMS[kind])
         assert loose.work < tight.work
         assert loose.bound <= 1e-6 and tight.bound <= 1e-11 * max(1.0, abs(tight.value))
+
+
+# values at and inside the edges of each real kind; an Integer(n) kind takes
+# n, n + 1, n + 2, n + 5, 20 and 60
+_EDGES = {
+    catalog.positive: (1e-300, 1e-12, 1e-3, 0.5, 1.0, 2.5, 1e3, 1e6, 1e300),
+    catalog.nonnegative: (0.0, 1e-300, 1e-12, 0.5, 1.0, 2.5, 1e6, 1e300),
+    catalog.inside_unit: (-0.999999, -0.5, -1e-300, 0.0, 1e-300, 0.3, 0.85, 0.999999),
+    catalog.positive_below_one: (1e-300, 1e-3, 0.3, 0.85, 0.999999),
+    catalog.unconstrained: (-1e6, -3.0, -0.5, 0.0, 1e-300, 0.5, 1e6),
+}
+
+
+def _edges(kind):
+    if isinstance(kind, catalog.Integer):
+        return (kind.minimum, kind.minimum + 1, kind.minimum + 2, kind.minimum + 5, 20, 60)
+    return _EDGES[kind]
+
+
+@pytest.mark.parametrize("ident_id", catalog.ids())
+def test_declared_domain_gives_values_or_library_errors(ident_id):
+    # each declared parameter in turn at its kind's edges, the others at the
+    # first grid point: every case gives a verdict without a raw exception,
+    # its values are finite floats or nan (no value: INCONCLUSIVE), and both
+    # report writers take every record
+    ident = catalog.get(ident_id)
+    base = ident.grid[0]
+    variants = [Variant.CORRECTED] + [Variant.AS_PRINTED] * ident.has_printed_variant
+    records = []
+    for name, kind in ident.params.items():
+        for value in _edges(kind):
+            for variant in variants:
+                case = IdentityCase(ident_id, dict(base, **{name: value}), tol=ident.tol,
+                                    variant=variant)
+                rec = verify_identity(case)
+                for got in (rec.closed_value, rec.oracle_value):
+                    assert type(got) is float, (name, value, got)
+                    assert math.isfinite(got) or rec.status is Status.INCONCLUSIVE
+                records.append(rec)
+    result = GridResult(records=tuple(records), confirmed=0, refuted=0, inconclusive=0)
+    cli._write_json(io.StringIO(), SeriesConfig(), result, 0)
+    assert len(cli._csv_lines(result)) == len(records) + 1
+
+
+def test_guard_refuses_values_that_are_not_finite_real_floats():
+    # a complex closed value (x^(n+b) at x < 0) once reached the report
+    # writers, which cannot encode it
+    for bad, message in ((0.5j, "not a real float"), (complex(0.5, 0.0), "not a real float"),
+                         (None, "not a real float"), (math.nan, "double-precision range"),
+                         (-math.inf, "double-precision range")):
+        closed = catalog._arithmetic_guard("eq0", lambda: bad)
+        with pytest.raises(DomainError, match=message):
+            closed()
+        result = oracle.EvalResult(value=0.5, abs_error_estimate=0.0,
+                                   method=oracle.Method.TRUNCATED, work=1)
+        oracle_fn = catalog._arithmetic_guard("eq0", lambda: dataclasses.replace(result, value=bad))
+        with pytest.raises(DomainError, match=message):
+            oracle_fn()
+    assert catalog._arithmetic_guard("eq0", lambda: 0.5)() == 0.5
+    assert catalog._arithmetic_guard("eq0", lambda: None, returns_value=False)() is None

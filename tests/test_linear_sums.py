@@ -3,6 +3,8 @@ agreement at spot points, and the generating-function identities."""
 import ast
 import math
 import pathlib
+import random
+import sys
 import time
 
 import numpy as np
@@ -29,8 +31,15 @@ from eulersum import (
     sum_shiftedH_over_nsq,
     sum_sq_diff_window,
 )
-from eulersum import catalog, linear_sums, param_harmonic, shifted_harmonic, y_moment
-from eulersum.oracle import SeriesConfig, Summand, moment_series, truncated_series
+from eulersum import (
+    ConvergenceError,
+    catalog,
+    linear_sums,
+    param_harmonic,
+    shifted_harmonic,
+    y_moment,
+)
+from eulersum.oracle import SeriesConfig, Summand, truncated_series
 
 Z2 = riemann_zeta(2)
 Z3 = riemann_zeta(3)
@@ -304,19 +313,19 @@ class TestGeneratingFunctions:
         for x in (0.3, 0.8):
             for n in (1, 4):
                 for m in (2, 3):
-                    rhs = gf_rhs(GfKind.MOMENT_IDENT, x=x, a=0.5, b=2.0, n=n, m=m)
-                    lhs = moment_series(x, 0.5, n + 2.0, m, 1e-12)
-                    assert abs(lhs.value - rhs) <= 1e-9
-                    rhs = gf_rhs(GfKind.MOMENT_IDENT_ZERO, x=x, b=0.5, n=n, m=m)
-                    lhs = moment_series(x, 0.0, n + 0.5, m, 1e-12)
-                    assert abs(lhs.value - rhs) <= 1e-9
+                    params = {"x": x, "a": 0.5, "b": 2.0, "n": n, "m": m}
+                    lhs = gf_lhs(GfKind.MOMENT_IDENT, 1e-12, **params)
+                    assert abs(lhs.value - gf_rhs(GfKind.MOMENT_IDENT, **params)) <= 1e-9
+                    params = {"x": x, "b": 0.5, "n": n, "m": m}
+                    lhs = gf_lhs(GfKind.MOMENT_IDENT_ZERO, 1e-12, **params)
+                    assert abs(lhs.value - gf_rhs(GfKind.MOMENT_IDENT_ZERO, **params)) <= 1e-9
 
     def test_work_counts(self):
         # direct sums and the moment kinds' series report the terms they
         # summed, and the catalog's direct-sum oracles pass it on
         near, far = (gf_two_sided(GfKind.HN_H2, x=x).work for x in (0.1, -0.8))
         assert 0 < near < far < 1000
-        assert moment_series(0.3, 0.5, 1 + 2.0, 2, 1e-12).work > 0
+        assert gf_lhs(GfKind.MOMENT_IDENT, 1e-12, x=0.3, a=0.5, b=2.0, n=1, m=2).work > 0
         params = catalog.get("eq1.24").grid[0]
         cfg = SeriesConfig()
         oracle = catalog.get("eq1.24").oracle(cfg, **params)
@@ -328,13 +337,137 @@ class TestGeneratingFunctions:
             gf_rhs(GfKind.LEMMA13, x=1.0, a=0.3, s=3)
         with pytest.raises(DomainError):
             gf_lhs(GfKind.LEMMA13, 1e-10, x=1.0, a=0.3, s=3)
-        with pytest.raises(DomainError):
-            gf_two_sided(GfKind.MOMENT_IDENT_ZERO, x=0.3, b=0.5, n=1, m=2)
-        with pytest.raises(DomainError):
-            gf_lhs(GfKind.MOMENT_IDENT_ZERO, 1e-10, x=0.3, b=0.5, n=1, m=2)
         for target in (0.0, -1e-10, math.nan):
             with pytest.raises(DomainError):
                 gf_lhs(GfKind.HN_H2, target, x=0.3)
+        # x^(n+b) is complex below 0, so the moment kinds stop at x = 0
+        for x in (0.0, -0.5):
+            with pytest.raises(DomainError, match="0 < x < 1"):
+                gf_rhs(GfKind.MOMENT_IDENT, x=x, a=0.5, b=0.5, n=1, m=2)
+            with pytest.raises(DomainError, match="0 < x < 1"):
+                gf_lhs(GfKind.MOMENT_IDENT_ZERO, 1e-10, x=x, b=0.5, n=1, m=2)
+
+    def test_moment_two_sided(self):
+        # gf_two_sided serves the moment kinds too: its left side is gf_lhs's
+        # at the tight target, and the sides agree within that bound
+        for kind, params in (
+            (GfKind.MOMENT_IDENT, {"x": 0.3, "a": 0.5, "b": 0.5, "n": 1, "m": 2}),
+            (GfKind.MOMENT_IDENT_ZERO, {"x": 0.3, "b": 0.5, "n": 1, "m": 2}),
+            (GfKind.MOMENT_IDENT_ZERO, {"x": 0.8, "b": 2.0, "n": 4, "m": 3}),
+        ):
+            two = gf_two_sided(kind, **params)
+            lhs = gf_lhs(kind, linear_sums._TWO_SIDED_TARGET, **params)
+            assert (two.lhs, two.work) == (lhs.value, lhs.work)
+            assert two.residual <= lhs.bound + 4 * sys.float_info.epsilon * abs(two.rhs)
+
+
+# each kind's catalog identity, whose Integer declarations give the minimums
+# gf_rhs and gf_lhs enforce
+_GF_IDENTITY_KINDS = {
+    "eq1.19": GfKind.MOMENT_IDENT, "eq1.23": GfKind.MOMENT_IDENT_ZERO,
+    "eq1.24": GfKind.LEMMA13_TWO_VAR, "eq1.25": GfKind.LEMMA13, "eq1.29": GfKind.HN_H2,
+    "eq1.30": GfKind.HN_HM, "eq1.31": GfKind.NESTED_REFLECT, "eq2.25": GfKind.SQ_DIFF,
+}
+_GF_INTEGER_PARAMS = [
+    (ident_id, name, kind.minimum)
+    for ident_id in _GF_IDENTITY_KINDS
+    for name, kind in catalog.get(ident_id).params.items()
+    if isinstance(kind, catalog.Integer)
+]
+
+
+def test_gf_kinds_cover_the_catalog():
+    assert set(_GF_IDENTITY_KINDS.values()) == set(GfKind) == set(linear_sums._LHS)
+
+
+@pytest.mark.parametrize("ident_id, name, minimum", _GF_INTEGER_PARAMS)
+def test_gf_integer_parameters_are_checked(ident_id, name, minimum):
+    # int() would read 2.5 as 2 and raise a raw ValueError at nan and a raw
+    # OverflowError at inf
+    kind, base = _GF_IDENTITY_KINDS[ident_id], catalog.get(ident_id).grid[0]
+    assert gf_lhs(kind, 1e-10, **base).work > 0
+    for bad in (2.5, math.nan, math.inf, minimum - 1):
+        params = dict(base, **{name: bad})
+        with pytest.raises(DomainError, match=f"{name} must be an integer >= {minimum}"):
+            gf_rhs(kind, **params)
+        with pytest.raises(DomainError, match=f"{name} must be an integer >= {minimum}"):
+            gf_lhs(kind, 1e-10, **params)
+
+
+_REF_MOMENT_MAX_TERMS = 200_000
+
+
+def _ref_moment_series(x, a, c, m, target):
+    """sum_{k>=1} x^(k+a+c)/((k+a)^m (k+a+c)) as a standalone engine sums it:
+    (value, bound, terms), or ConvergenceError past 200 000 terms.
+
+    The count is the least K whose log-space tail bound, the smaller of
+    x^(K+1+a+c)/((K+1+a)^m (K+1+a+c)(1-x)) and x^(K+1+a+c)/(m (K+a)^m), is at
+    most target/2, by bisection below the count where the geometric bound
+    with its denominators dropped meets it (below the cap where that count
+    does not fit).  The referee for the moment kinds' gf_lhs.
+    """
+    lx, l1x = math.log(x), math.log1p(-x)
+    log_target = math.log(target) - math.log(2.0)
+
+    def log_tail(k):
+        e = (k + 1 + a + c) * lx
+        geometric = e - m * math.log(k + 1 + a) - math.log(k + 1 + a + c) - l1x
+        power = e - math.log(m) - m * math.log(k + a)
+        return min(geometric, power)
+
+    def fits(k):
+        return log_tail(k) <= log_target
+
+    k0 = (log_target + l1x) / lx - 1.0 - a - c
+    cap = max(1, math.ceil(k0)) if k0 < _REF_MOMENT_MAX_TERMS else _REF_MOMENT_MAX_TERMS
+    lo, hi = 1, cap if fits(cap) else _REF_MOMENT_MAX_TERMS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if not fits(hi):
+        raise ConvergenceError("moment series needs more than 200000 terms")
+    kas = [k + a for k in range(1, hi + 1)]
+    value = math.fsum([x ** (ka + c) * ka ** -m / (ka + c) for ka in kas])
+    log_power = min(745.0, -(hi + a + c) * lx)
+    roundoff = (sys.float_info.epsilon * (log_power + m + 12.0) * value
+                + hi * sys.float_info.min)
+    return value, math.exp(log_tail(hi) + 1e-9) + roundoff, hi
+
+
+def _moment_draws():
+    # the benchmark's moment draws (x in (0.1, 0.85), shifts in (0.3, 2.5),
+    # n up to 5, m up to 3), points near x = 1 and past the double range
+    rng = random.Random(3111)
+    draws = [(round(rng.uniform(0.1, 0.85), 6), a, round(rng.uniform(0.3, 2.5), 6),
+              rng.randint(1, 5), rng.randint(1, 3))
+             for a in (0.0, 0.7) for _ in range(45)]
+    draws += [(x, a, 0.5, 1, m) for x in (0.999, 0.9999, 0.99995, 0.999999)
+              for a in (0.0, 0.5) for m in (1, 2, 3)]
+    draws += [(0.5, 0.7, 0.5, 10**5, 2), (0.85, 0.0, 0.5, 1, 400), (1e-300, 0.0, 2.0, 1, 1)]
+    return draws
+
+
+@pytest.mark.parametrize("target", [1e-10, 1e-11, 1e-6])
+def test_moment_left_side_matches_its_referee(target):
+    # the moment kinds' left sides keep the standalone engine's arithmetic:
+    # the same term count, value and bound at equal target, and the same reach
+    for x, a, b, n, m in _moment_draws():
+        if a:
+            kind, params = GfKind.MOMENT_IDENT, {"x": x, "a": a, "b": b, "n": n, "m": m}
+        else:
+            kind, params = GfKind.MOMENT_IDENT_ZERO, {"x": x, "b": b, "n": n, "m": m}
+        try:
+            want = _ref_moment_series(x, a, n + b, m, target)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                gf_lhs(kind, target, **params)
+            continue
+        got = gf_lhs(kind, target, **params)
+        assert (got.value, got.bound, got.work) == want, (x, a, b, n, m)
 
 
 def _mp_gf_lhs(mpmath, kind, x, y=0.0, a=0.0, s=2, m=2, p=1):
@@ -376,17 +509,25 @@ _GF_SERIES_CASES = [
     (GfKind.NESTED_REFLECT, {"y": 0.7, "p": 1, "m": 2}, 1e-12),
     # a loose target: a short sum whose cut still lies before the pole
     (GfKind.LEMMA13, {"a": -60.5, "s": 3}, 1e-6),
+    (GfKind.MOMENT_IDENT, {"a": 0.7, "b": 0.5, "n": 2, "m": 2}, 1e-12),
+    (GfKind.MOMENT_IDENT_ZERO, {"b": 2.0, "n": 1, "m": 1}, 1e-12),
+    (GfKind.MOMENT_IDENT_ZERO, {"b": 0.5, "n": 5, "m": 3}, 1e-6),
 ]
 
 
 @pytest.mark.parametrize("kind, params, target", _GF_SERIES_CASES,
                          ids=[f"{kind.value}-{i}" for i, (kind, _, _) in enumerate(_GF_SERIES_CASES)])
-def test_gf_lhs_bound_holds(kind, params, target):
+def test_gf_lhs_bound_holds(kind, params, target, lemma_moment_ref):
     mpmath = pytest.importorskip("mpmath")
+    moment = kind in (GfKind.MOMENT_IDENT, GfKind.MOMENT_IDENT_ZERO)
     with mpmath.workdps(30):
-        for x in (-0.88, -0.3, 0.5, 0.88):
+        for x in (0.1, 0.5, 0.88, 0.99) if moment else (-0.88, -0.3, 0.5, 0.88):
             got = gf_lhs(kind, target, x=x, **params)
-            want = _mp_gf_lhs(mpmath, kind, x, **params)
+            if moment:
+                want = lemma_moment_ref(x, params["n"] + params["b"], params["m"],
+                                        a=params.get("a", 0.0))
+            else:
+                want = _mp_gf_lhs(mpmath, kind, x, **params)
             assert abs(got.value - want) <= got.bound
             # the tail meets target/2; at the tight target the roundoff part
             # can pass it, while staying below 1e-10 of the value
@@ -449,8 +590,8 @@ _GF_IDENTITIES = ("eq1.19", "eq1.23", "eq1.24", "eq1.25", "eq1.29", "eq1.30", "e
 
 
 def test_gf_closed_sides_use_no_oracle(monkeypatch):
-    # a closed side that quietly runs quadrature, the moment series or sums
-    # its left side is no independent check of the oracle
+    # a closed side that quietly runs quadrature or sums its left side is no
+    # independent check of the oracle
     from eulersum import linear_sums, oracle
 
     def refuse(*args, **kwargs):
@@ -458,7 +599,6 @@ def test_gf_closed_sides_use_no_oracle(monkeypatch):
 
     for module in (oracle, catalog):
         monkeypatch.setattr(module, "quadrature", refuse)
-        monkeypatch.setattr(module, "moment_series", refuse)
     monkeypatch.setattr(linear_sums, "gf_lhs", refuse)
     for kind in list(linear_sums._LHS):
         monkeypatch.setitem(linear_sums._LHS, kind, refuse)
